@@ -17,6 +17,7 @@ import re
 import sys
 
 from .bundles import (
+    DerivationMismatch,
     MilnorBundle,
     characteristic_data,
     disk_bundle_invariants,
@@ -63,6 +64,16 @@ def _parse_span(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive worker count, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="milnor-mu",
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-range", type=_parse_span, required=True, metavar="A..B")
     p.add_argument(
         "--parallel",
-        type=int,
+        type=_worker_count,
         default=None,
         metavar="N",
         help=f"worker processes (default: ${PARALLEL_ENV_VAR} or sequential)",
@@ -161,13 +172,18 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     bundle = MilnorBundle(args.h)
     data = characteristic_data(bundle)
     disk = disk_bundle_invariants(bundle)
+    try:
+        mu = mu_total_space(bundle)
+    except DerivationMismatch as exc:
+        print(f"milnor-mu: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     record = {
         "h": bundle.h,
         "euler": data.euler_coeff,
         "p1_magnitude": data.p1_magnitude,
         "signature": disk.signature,
         "p1_squared": disk.p1_squared,
-        "mu": str(mu_total_space(bundle).rep),
+        "mu": str(mu.rep),
         "diffeo_s7": is_diffeo_s7(bundle),
         "theta7": theta7_class(bundle),
     }
@@ -179,7 +195,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     bundle = MilnorBundle(args.h)
     try:
         report = classify_quotient(bundle)
-    except DichotomyViolationError as exc:
+    except (DerivationMismatch, DichotomyViolationError) as exc:
         print(f"milnor-mu: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     contrib = report.contributions
@@ -247,9 +263,13 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     h_min, h_max = args.h_range
     workers = args.parallel
-    if workers is None:
-        env = os.environ.get(PARALLEL_ENV_VAR, "")
-        workers = int(env) if env.isdigit() else None
+    env = os.environ.get(PARALLEL_ENV_VAR, "")
+    if workers is None and env:
+        try:
+            workers = _worker_count(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"milnor-mu: error: ${PARALLEL_ENV_VAR}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     rows = verify_range(h_min, h_max, workers=workers)
     failed = sum(1 for r in rows if not r.passed)
     summary = {

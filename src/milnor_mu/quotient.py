@@ -17,6 +17,8 @@ the covering sphere, these give
 
 where the one orientation sign is inherited from A_1.  Both the closed form
 and the term-by-term assembly are computed and compared on every call.
+Every denominator involved divides 1792, so both run on 1792 * mu as plain
+integers mod 1792; ``Fraction`` value sets appear only at the public edges.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .bundles import (
     disk_bundle_invariants,
     is_diffeo_s7,
 )
-from .qz import AmbiguousResidue, add_ambiguous, ambiguous, reduce_mod_z
+from .qz import AmbiguousResidue, ResidueModZ
 
 
 class NotDiffeoS7Error(ValueError):
@@ -47,15 +49,28 @@ class DichotomyViolationError(RuntimeError):
     """
 
 
+#: Every denominator of the fixed-point assembly (1792, 448, 112, 64, 32)
+#: divides 2^8 * 7, so the pipeline runs on 1792 * mu as integers mod 1792.
+MU_SCALE = 2**8 * 7
+
+#: The equivariant signature at the fixed S^4, 1 across the family.
+_EQUIVARIANT_SIGNATURE = 1
+
+#: 1792 * {1/32, 31/32} and 1792 * {15/32, 17/32}.
+_RP7_SCALED = (56, 1736)
+_RP7_SUM_14M2_SCALED = (840, 952)
+
+
+def _residue_set(scaled: tuple[int, int]) -> AmbiguousResidue:
+    """The value set {v / 1792 mod 1} of a scaled pair."""
+    return AmbiguousResidue.of(*(ResidueModZ(Fraction(v, MU_SCALE)) for v in scaled))
+
+
 #: mu value set of RP^7: {1/32, 31/32}.
-MU_RP7 = AmbiguousResidue.of(
-    reduce_mod_z(Fraction(1, 32)), reduce_mod_z(Fraction(31, 32))
-)
+MU_RP7 = _residue_set(_RP7_SCALED)
 
 #: mu value set of RP^7 # 14 M_2: {15/32, 17/32}, i.e. +/- 1/32 shifted by 1/2.
-MU_RP7_SUM_14M2 = AmbiguousResidue.of(
-    reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32))
-)
+MU_RP7_SUM_14M2 = _residue_set(_RP7_SUM_14M2_SCALED)
 
 
 class Verdict(enum.Enum):
@@ -119,7 +134,61 @@ def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:
     return FixedPointContributions(
         a1_magnitude=Fraction(data.p1_magnitude, 32),
         a2=Fraction(data.euler_coeff),
-        equivariant_signature=1,
+        equivariant_signature=_EQUIVARIANT_SIGNATURE,
+    )
+
+
+def _closed_form_scaled(h: int) -> tuple[int, int]:
+    """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792."""
+    quad, linear = 16 * h * (h - 1), 56 * (2 * h - 1)
+    return _sorted_pair(quad + linear, quad - linear)
+
+
+def _sorted_pair(a: int, b: int) -> tuple[int, int]:
+    a, b = a % MU_SCALE, b % MU_SCALE
+    return (a, b) if a <= b else (b, a)
+
+
+def _mu_quotient_scaled(bundle: MilnorBundle) -> tuple[int, int]:
+    """1792 * mu(M_h/tau_h) as a sorted pair of ints mod 1792.
+
+    Raises :class:`NotDiffeoS7Error` unless 56 | h(h-1).  The closed form is
+    cross-checked against the term-by-term assembly scaled by 1792: half the
+    bounding-manifold term of the covering sphere, p1^2 - 4 signature, plus
+    4 A_2, minus 4 times the equivariant signature, plus 1792 * (1/2) A_1 =
+    +/- 28 |p1|.  Any difference raises :class:`DerivationMismatch`.
+    """
+    if not is_diffeo_s7(bundle):
+        raise NotDiffeoS7Error(
+            f"h={bundle.h}: h(h-1) = {bundle.h * (bundle.h - 1)} is not divisible by 56"
+        )
+    closed = _closed_form_scaled(bundle.h)
+    data = characteristic_data(bundle)
+    disk = disk_bundle_invariants(bundle)
+    definite = (
+        disk.p1_squared
+        - 4 * disk.signature
+        + 4 * data.euler_coeff
+        - 4 * _EQUIVARIANT_SIGNATURE
+    )
+    spin = 28 * data.p1_magnitude
+    assembled = _sorted_pair(definite + spin, definite - spin)
+    if assembled != closed:
+        raise DerivationMismatch(
+            f"mu(M_{bundle.h}/tau): fixed-point assembly {_residue_set(assembled)} "
+            f"!= closed form {_residue_set(closed)}"
+        )
+    return closed
+
+
+def _verdict(h: int, scaled: tuple[int, int]) -> Verdict:
+    """RP7 or RP7#14M2 from a scaled mu pair; anything else is a bug."""
+    if scaled == _RP7_SCALED:
+        return Verdict.REAL_PROJECTIVE_7
+    if scaled == _RP7_SUM_14M2_SCALED:
+        return Verdict.REAL_PROJECTIVE_7_SUM_14M2
+    raise DichotomyViolationError(
+        f"mu(M_{h}/tau) = {_residue_set(scaled)} matches neither RP^7 nor RP^7 # 14 M_2"
     )
 
 
@@ -128,39 +197,10 @@ def mu_quotient(bundle: MilnorBundle) -> AmbiguousResidue:
 
     Raises :class:`NotDiffeoS7Error` unless 56 | h(h-1): the fixed-point
     reduction is only asserted for quotients of the standard sphere, and
-    extrapolating it would produce numbers with no meaning.
-
-    The closed form above is cross-checked against the term-by-term
-    assembly: half the bounding-manifold term of the covering sphere, plus
-    (1/2) A_1, plus A_2/(2^6*7), minus the equivariant signature/(2^6*7).
+    extrapolating it would produce numbers with no meaning.  The value is
+    computed and cross-checked by :func:`_mu_quotient_scaled`.
     """
-    if not is_diffeo_s7(bundle):
-        raise NotDiffeoS7Error(
-            f"h={bundle.h}: h(h-1) = {bundle.h * (bundle.h - 1)} is not divisible by 56"
-        )
-    h = bundle.h
-    closed = add_ambiguous(
-        reduce_mod_z(Fraction(h * (h - 1), 112)),
-        ambiguous(Fraction(2 * h - 1, 32)),
-    )
-
-    contrib = fixed_point_contributions(bundle)
-    disk = disk_bundle_invariants(bundle)
-    half_bound = Fraction(disk.p1_squared, 2**8 * 7) - Fraction(disk.signature, 2**6 * 7)
-    definite = (
-        half_bound
-        + contrib.a2 / (2**6 * 7)
-        - Fraction(contrib.equivariant_signature, 2**6 * 7)
-    )
-    assembled = add_ambiguous(
-        reduce_mod_z(definite),
-        ambiguous(contrib.a1_magnitude / 2),
-    )
-    if assembled != closed:
-        raise DerivationMismatch(
-            f"mu(M_{h}/tau): fixed-point assembly {assembled} != closed form {closed}"
-        )
-    return closed
+    return _residue_set(_mu_quotient_scaled(bundle))
 
 
 def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
@@ -168,13 +208,5 @@ def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
     contrib = fixed_point_contributions(bundle)
     if not is_diffeo_s7(bundle):
         return QuotientReport(bundle.h, contrib, None, Verdict.NOT_APPLICABLE)
-    mu = mu_quotient(bundle)
-    if mu == MU_RP7:
-        verdict = Verdict.REAL_PROJECTIVE_7
-    elif mu == MU_RP7_SUM_14M2:
-        verdict = Verdict.REAL_PROJECTIVE_7_SUM_14M2
-    else:
-        raise DichotomyViolationError(
-            f"mu(M_{bundle.h}/tau) = {mu} matches neither RP^7 nor RP^7 # 14 M_2"
-        )
-    return QuotientReport(bundle.h, contrib, mu, verdict)
+    scaled = _mu_quotient_scaled(bundle)
+    return QuotientReport(bundle.h, contrib, _residue_set(scaled), _verdict(bundle.h, scaled))

@@ -14,17 +14,27 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import MilnorBundle
-from .quotient import DichotomyViolationError, Verdict, classify_quotient
+from .bundles import DerivationMismatch, MilnorBundle
+from .quotient import (
+    MU_SCALE,
+    DichotomyViolationError,
+    Verdict,
+    _mu_quotient_scaled,
+    _verdict,
+)
 from .qz import AmbiguousResidue, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
 
-#: mu value set every admissible quotient must hit: {1/32, 31/32}.
+#: mu value set every admissible quotient must hit: {1/32, 31/32}.  Spelled
+#: out here rather than imported as ``quotient.MU_RP7`` on purpose: the sweep
+#: checks the pipeline against the theorem, and a target taken from the
+#: pipeline would let one wrong constant pass on both sides.
 _TARGET = AmbiguousResidue.of(
     reduce_mod_z(Fraction(1, 32)), reduce_mod_z(Fraction(31, 32))
 )
@@ -241,43 +251,74 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     """Oracle-vs-pipeline sweep over every admissible h in [h_min, h_max].
 
     Each row passes when the oracle value set is {1/32, 31/32}, the
-    classification pipeline agrees on the set, and its verdict is RP7.  With
-    ``workers`` > 1 the range is fanned out chunkwise to worker processes;
-    rows come back merged in h order either way.
+    classification pipeline agrees on the set, and its verdict is RP7.  A
+    pipeline fault at one h fails that row (verdict ``derivation_mismatch``
+    or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
+    the range is fanned out chunkwise to at most :func:`pool_size` worker
+    processes; rows come back merged in h order either way.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
-    if workers is None or workers <= 1:
-        return _verify_chunk((h_min, h_max))
-    chunk = max(1, (h_max - h_min + 1 + workers - 1) // workers)
+    parts = pool_size(workers or 1, os.cpu_count(), h_max - h_min + 1)
+    chunk = (h_max - h_min + parts) // parts
     spans = [
         (lo, min(lo + chunk - 1, h_max)) for lo in range(h_min, h_max + 1, chunk)
     ]
+    if len(spans) == 1:
+        return _verify_chunk(spans[0])
     rows: list[VerifyRow] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         for part in pool.map(_verify_chunk, spans):
             rows.extend(part)
     return tuple(rows)
 
 
+def pool_size(requested: int, cpus: int | None, width: int) -> int:
+    """Worker count for a sweep: min(requested, cpus, width), at least 1.
+
+    The range is cut into this many spans (fewer when the width does not
+    divide evenly), one worker each, so no worker ever sits idle.
+    """
+    return max(1, min(requested, cpus or 1, width))
+
+
 def _verify_chunk(span: tuple[int, int]) -> tuple[VerifyRow, ...]:
+    """Rows for the admissible h in span, stepping h = 56k + r directly."""
     lo, hi = span
+    residues = enumerate_residues(56).residues
     rows = []
-    for h in range(lo, hi + 1):
-        if h * (h - 1) % 56 != 0:
-            continue
-        oracle = direct_mu_set(h)
-        try:
-            report = classify_quotient(MilnorBundle(h))
-            verdict = report.verdict.value
-            agreed = report.mu_quotient == oracle
-        except DichotomyViolationError:
-            verdict = "dichotomy_violation"
-            agreed = False
-        passed = (
-            agreed
-            and oracle == _TARGET
-            and verdict == Verdict.REAL_PROJECTIVE_7.value
-        )
-        rows.append(VerifyRow(h, h % 56, oracle, verdict, passed))
+    for k in range(lo // 56, hi // 56 + 1):
+        for r in residues:
+            h = 56 * k + r
+            if lo <= h <= hi and h * (h - 1) % 56 == 0:
+                rows.append(_verify_row(h))
     return tuple(rows)
+
+
+def _verify_row(h: int) -> VerifyRow:
+    oracle = direct_mu_set(h)
+    try:
+        scaled = _mu_quotient_scaled(MilnorBundle(h))
+        verdict = _verdict(h, scaled).value
+        agreed = _scaled_members(oracle) == set(scaled)
+    except DerivationMismatch:
+        verdict, agreed = "derivation_mismatch", False
+    except DichotomyViolationError:
+        verdict, agreed = "dichotomy_violation", False
+    passed = (
+        agreed
+        and oracle == _TARGET
+        and verdict == Verdict.REAL_PROJECTIVE_7.value
+    )
+    return VerifyRow(h, h % 56, oracle, verdict, passed)
+
+
+def _scaled_members(mu: AmbiguousResidue) -> set[int] | None:
+    """{1792 * v for v in mu}, or None when a member is not a multiple of 1/1792."""
+    members = set()
+    for v in mu:
+        num, den = v.rep.numerator, v.rep.denominator
+        if MU_SCALE % den:
+            return None
+        members.add(num * (MU_SCALE // den))
+    return members

@@ -149,6 +149,28 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 10
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+    def test_bad_parallel_env_var_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MILNOR_MU_PARALLEL", value)
+        code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "MILNOR_MU_PARALLEL" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_bad_parallel_flag_is_usage_error(self, capsys, value):
+        code, out, _ = run_cli(capsys, "verify", "--h-range", "-56..56", "--parallel", value)
+        assert code == 1
+        assert out == ""
+
+    def test_parallel_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("MILNOR_MU_PARALLEL", "abc")
+        code, out, _ = run_cli(
+            capsys, "verify", "--h-range", "-56..56", "--format", "csv", "--parallel", "1"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 10
+
 
 class TestCliContract:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -1,0 +1,118 @@
+"""Fault injection: break one derivation route at a time and watch the checks fail.
+
+Each fault is monkeypatched into a single module binding.  Sequential sweeps
+see it directly; pool workers see it because they are forked from the
+patched process, so the parallel cases need the fork start method.
+"""
+
+import multiprocessing
+from fractions import Fraction
+
+import pytest
+
+from milnor_mu import bundles, cli, quotient, verify
+from milnor_mu.bundles import DiskBundleInvariants
+from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
+
+WINDOW = (-200, 200)
+ADMISSIBLE_IN_WINDOW = sum(
+    1 for h in range(WINDOW[0], WINDOW[1] + 1) if h * (h - 1) % 56 == 0
+)
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patch only when forked",
+)
+WORKERS = [None, pytest.param(2, marks=fork_only)]
+
+
+def closed_form_off_by_one(monkeypatch, only_h=None):
+    real = quotient._closed_form_scaled
+
+    def faulty(h):
+        lo, hi = real(h)
+        if only_h is not None and h != only_h:
+            return lo, hi
+        return tuple(sorted(((lo + 1) % 1792, (hi + 1) % 1792)))
+
+    monkeypatch.setattr(quotient, "_closed_form_scaled", faulty)
+
+
+def shifted_p1_squared(monkeypatch, module=quotient):
+    real = module.disk_bundle_invariants
+
+    def faulty(bundle):
+        disk = real(bundle)
+        return DiskBundleInvariants(disk.signature, disk.p1_squared + 1)
+
+    monkeypatch.setattr(module, "disk_bundle_invariants", faulty)
+
+
+def oracle_says_sum_14m2(monkeypatch):
+    wrong = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
+    monkeypatch.setattr(verify, "direct_mu_set", lambda h: wrong)
+
+
+def target_says_sum_14m2(monkeypatch):
+    monkeypatch.setattr(verify, "_TARGET", quotient.MU_RP7_SUM_14M2)
+
+
+def rp7_pair_forgotten(monkeypatch):
+    monkeypatch.setattr(quotient, "_RP7_SCALED", (0, 0))
+
+
+# fault -> verdict the failed rows must carry
+FAULTS = {
+    "closed_form": (closed_form_off_by_one, "derivation_mismatch"),
+    "assembly_input": (shifted_p1_squared, "derivation_mismatch"),
+    "oracle": (oracle_says_sum_14m2, "RP7"),
+    "target": (target_says_sum_14m2, "RP7"),
+    "dichotomy": (rp7_pair_forgotten, "dichotomy_violation"),
+}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_every_row_fails_and_the_sweep_completes(monkeypatch, fault, workers):
+    inject, verdict = FAULTS[fault]
+    inject(monkeypatch)
+    rows = verify.verify_range(*WINDOW, workers=workers)
+    assert len(rows) == ADMISSIBLE_IN_WINDOW
+    assert not any(r.passed for r in rows)
+    assert {r.verdict for r in rows} == {verdict}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_cli_verify_exits_2(monkeypatch, capsys, fault):
+    FAULTS[fault][0](monkeypatch)
+    code = cli.main(["verify", "--h-range", "%d..%d" % WINDOW, "--format", "csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"failed {ADMISSIBLE_IN_WINDOW}" in err
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_fault_at_one_h_fails_only_that_row(monkeypatch, workers):
+    closed_form_off_by_one(monkeypatch, only_h=8)
+    rows = verify.verify_range(*WINDOW, workers=workers)
+    assert len(rows) == ADMISSIBLE_IN_WINDOW
+    failed = [(r.h, r.verdict) for r in rows if not r.passed]
+    assert failed == [(8, "derivation_mismatch")]
+
+
+def test_quotient_derivation_mismatch_exits_2(monkeypatch, capsys):
+    closed_form_off_by_one(monkeypatch)
+    code = cli.main(["quotient", "--h", "8", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "closed form" in err
+
+
+def test_invariants_derivation_mismatch_exits_2(monkeypatch, capsys):
+    shifted_p1_squared(monkeypatch, module=bundles)
+    code = cli.main(["invariants", "--h", "8", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "closed form" in err

@@ -8,10 +8,14 @@ from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import (
     MU_RP7,
     MU_RP7_SUM_14M2,
+    DichotomyViolationError,
     FixedPointContributions,
     NotDiffeoS7Error,
     QuotientReport,
     Verdict,
+    _closed_form_scaled,
+    _mu_quotient_scaled,
+    _verdict,
     classify_quotient,
     fixed_point_contributions,
     mu_quotient,
@@ -88,6 +92,29 @@ class TestMuQuotient:
     @given(admissible_h)
     def test_theorem_at_random_scale(self, h):
         assert mu_quotient(MilnorBundle(h)) == MU_RP7
+
+
+class TestScaledKernel:
+    @pytest.mark.parametrize("h", [0, 1, 8, 49, -7, 105])
+    def test_admissible_h_gives_the_rp7_pair(self, h):
+        assert _mu_quotient_scaled(MilnorBundle(h)) == (56, 1736)
+
+    @given(st.integers(min_value=-(2**128), max_value=2**128))
+    def test_closed_form_is_1792_times_the_fraction_formula(self, h):
+        base, shift = Fraction(h * (h - 1), 112), Fraction(2 * h - 1, 32)
+        expected = sorted({(base + shift) % 1 * 1792, (base - shift) % 1 * 1792})
+        lo, hi = _closed_form_scaled(h)
+        assert 0 <= lo <= hi < 1792
+        assert sorted({lo, hi}) == expected
+
+    def test_verdicts(self):
+        assert _verdict(0, (56, 1736)) is Verdict.REAL_PROJECTIVE_7
+        assert _verdict(0, (840, 952)) is Verdict.REAL_PROJECTIVE_7_SUM_14M2
+
+    @pytest.mark.parametrize("pair", [(0, 0), (56, 952), (1736, 56), (57, 1735)])
+    def test_any_other_pair_violates_the_dichotomy(self, pair):
+        with pytest.raises(DichotomyViolationError):
+            _verdict(0, pair)
 
 
 class TestClassifyQuotient:

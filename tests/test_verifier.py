@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnor_mu import verify
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import mu_quotient
 from milnor_mu.qz import reduce_mod_z
 from milnor_mu.verify import (
     Case,
     EmptyRangeError,
+    VerifyRow,
     brute_force_theorem,
     check_case,
     direct_mu_set,
     enumerate_residues,
+    pool_size,
     residues_by_crt,
     verify_range,
 )
@@ -117,7 +120,7 @@ class TestCheckCase:
 
 
 class TestDirectMuSet:
-    @given(st.integers(min_value=-(2**200), max_value=2**200))
+    @given(st.integers(min_value=-(2**256) + 56, max_value=2**256 - 56))
     def test_oracle_equals_pipeline_on_admissible_h(self, n):
         h = 56 * (n // 56)  # snap to an admissible representative
         for offset in (0, 1, 8, 49):
@@ -161,3 +164,96 @@ class TestVerifyRange:
 
     def test_parallel_matches_sequential(self):
         assert verify_range(-300, 300, workers=3) == verify_range(-300, 300)
+
+
+def _every_h_reference(lo, hi):
+    """The rows a correct sweep must give, found by scanning every h."""
+    return tuple(
+        VerifyRow(h, h % 56, direct_mu_set(h), "RP7", True)
+        for h in range(lo, hi + 1)
+        if h * (h - 1) % 56 == 0
+    )
+
+
+class TestResidueStepping:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (-1000, -1),
+            (0, 1000),
+            (-777, 555),
+            (-113, 113),
+            (-55, -49),  # narrower than 56, negative
+            (3, 7),  # narrower than 56, nothing admissible
+            (49, 57),  # straddles a period boundary
+            (-8, 8),
+            (10**18 - 300, 10**18 + 300),
+            (-(10**18) - 100, -(10**18) + 100),
+            (-7, -7),  # single admissible points
+            (56 * 10**17 + 49, 56 * 10**17 + 49),
+            (-56 * 10**17, -56 * 10**17),
+        ],
+    )
+    def test_matches_every_h_scan(self, lo, hi):
+        assert verify_range(lo, hi) == _every_h_reference(lo, hi)
+
+    @pytest.mark.parametrize("h", [2, -1, 50, 10**18 + 2, -(10**18), 58 - 56 * 10**17])
+    def test_single_non_admissible_point_is_empty(self, h):
+        assert h * (h - 1) % 56 != 0
+        assert verify_range(h, h) == ()
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=-(2**64), max_value=2**64),
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_random_windows_match_every_h_scan(self, lo, width):
+        assert verify_range(lo, lo + width) == _every_h_reference(lo, lo + width)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "requested,cpus,width,expected",
+        [
+            (2, 2, 2, 2),
+            (8, 2, 8, 2),
+            (10**9, 4, 10**6, 4),
+            (-3, 4, 10, 1),
+            (4, 8, 3, 3),
+            (3, None, 10, 1),
+            (1, 8, 8, 1),
+            (2, 2, 0, 1),
+        ],
+    )
+    def test_clamp(self, requested, cpus, width, expected):
+        assert pool_size(requested, cpus, width) == expected
+
+    @pytest.mark.parametrize(
+        "lo,hi,requested,expected_pool",
+        [(-56, 56, 10**6, [4]), (0, 2, 8, [3]), (0, 0, 8, [])],
+    )
+    def test_verify_range_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested,
+                                                expected_pool):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
+        assert _InlinePool.sizes == expected_pool
