@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """End-to-end exact verification run: residues, case analysis, theorem sweep.
 
-Reproduces the whole classification argument at configurable scale and exits
-nonzero if any check fails.  Example:
+Reproduces the whole classification argument at configurable scale.  Exit
+codes match the ``milnor-mu`` CLI: 0 all checks passed, 1 usage error, 2 a
+check failed.  Example:
 
     python scripts/full_verification.py --h-span 100000 --k-span 1000000
 """
 
-import argparse
 import sys
 import time
 
+from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _worker_count
 from milnor_mu.verify import (
     Case,
     brute_force_theorem,
@@ -21,17 +22,17 @@ from milnor_mu.verify import (
 )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv: list[str] | None = None) -> int:
+    parser = _Parser(description=__doc__)
     parser.add_argument("--h-span", type=int, default=100_000,
                         help="sweep h over [-H, H] (default 100000)")
     parser.add_argument("--k-span", type=int, default=1_000_000,
                         help="check cases over k in [-K, K] (default 10^6)")
     parser.add_argument("--crt-periods", type=int, default=100,
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
-    parser.add_argument("--parallel", type=int, default=None,
+    parser.add_argument("--parallel", type=_worker_count, default=None,
                         help="worker processes for the h sweep")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     failed = False
 
@@ -67,7 +68,7 @@ def main() -> int:
 
     print(f"total {time.perf_counter() - t0:.1f}s: "
           f"{'FAILED' if failed else 'all checks passed'}")
-    return 1 if failed else 0
+    return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

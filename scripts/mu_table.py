@@ -4,26 +4,23 @@
     python scripts/mu_table.py --h-range -7..10
 """
 
-import argparse
-import re
 import sys
 
 from milnor_mu.bundles import MilnorBundle, is_diffeo_s7, mu_total_space, theta7_class
+from milnor_mu.cli import _parse_span, _Parser
 from milnor_mu.quotient import classify_quotient
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    # accept values like -7..10 without mistaking them for flags
-    parser._negative_number_matcher = re.compile(r"^-\d+$|^-\d+\.\.-?\d+$")
-    parser.add_argument("--h-range", default="-7..10", metavar="A..B",
+def main(argv: list[str] | None = None) -> int:
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--h-range", type=_parse_span, default="-7..10", metavar="A..B",
                         help="inclusive h interval (default -7..10)")
-    args = parser.parse_args()
-    lo, _, hi = args.h_range.partition("..")
+    args = parser.parse_args(argv)
+    lo, hi = args.h_range
     header = f"{'h':>8}  {'mu(M_h)':>10}  {'theta7':>6}  {'S^7?':>5}  quotient"
     print(header)
     print("-" * len(header))
-    for h in range(int(lo), int(hi) + 1):
+    for h in range(lo, hi + 1):
         b = MilnorBundle(h)
         report = classify_quotient(b)
         mu = report.mu_quotient

@@ -4,7 +4,7 @@ Data goes to stdout and is deterministic byte for byte; anything else
 (errors, csv summaries) goes to stderr.  Rationals are always printed as
 exact ``p/q`` strings and ambiguous values as sorted arrays, so textual
 equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
-verification check failed.
+verification check failed or the command hit an unexpected error.
 """
 
 from __future__ import annotations
@@ -326,7 +326,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except Exception as exc:  # a bug, not a usage error: never exit 1 with a traceback
+        detail = " ".join(str(exc).split())
+        print(f"milnor-mu: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ class DoubleAmbiguityError(ValueError):
 
 def reduce_mod_z(q: RationalLike) -> "ResidueModZ":
     """Canonical representative of ``q`` mod 1, as a fraction in [0, 1)."""
-    return ResidueModZ(Fraction(q) % 1)
+    # a plain Fraction needs no copy: ``% 1`` returns a new, reduced one
+    return ResidueModZ((q if type(q) is Fraction else Fraction(q)) % 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -52,10 +53,12 @@ class ResidueModZ:
     rep: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rep, Fraction):
-            raise TypeError(f"rep must be a Fraction, got {type(self.rep).__name__}")
-        if not 0 <= self.rep < 1:
-            raise ValueError(f"representative {self.rep} lies outside [0, 1)")
+        rep = self.rep
+        if not isinstance(rep, Fraction):
+            raise TypeError(f"rep must be a Fraction, got {type(rep).__name__}")
+        # denominators are positive, so 0 <= rep < 1 is an int comparison
+        if not 0 <= rep.numerator < rep.denominator:
+            raise ValueError(f"representative {rep} lies outside [0, 1)")
 
     def __add__(self, other: "ResidueModZ | RationalLike") -> "ResidueModZ":
         if isinstance(other, ResidueModZ):
@@ -88,6 +91,12 @@ class ResidueModZ:
         return f"{self.rep} mod 1"
 
 
+def _rep_less(a: ResidueModZ, b: ResidueModZ) -> bool:
+    """a.rep < b.rep, cross-multiplied: denominators are positive."""
+    ra, rb = a.rep, b.rep
+    return ra.numerator * rb.denominator < rb.numerator * ra.denominator
+
+
 def ambiguous(q: RationalLike) -> "AmbiguousResidue":
     """The value set ``{q, -q}`` mod 1 of a rational with undetermined sign."""
     return AmbiguousResidue.of(reduce_mod_z(q), reduce_mod_z(-Fraction(q)))
@@ -106,15 +115,28 @@ class AmbiguousResidue:
     values: tuple[ResidueModZ, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.values) <= 2:
+        values = self.values
+        if not 1 <= len(values) <= 2:
             raise ValueError("an ambiguous residue holds one or two values")
-        if any(not isinstance(v, ResidueModZ) for v in self.values):
-            raise TypeError("values must be ResidueModZ instances")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
+        for v in values:
+            if not isinstance(v, ResidueModZ):
+                raise TypeError("values must be ResidueModZ instances")
+        if len(values) == 2:
+            a, b = values
+            if type(a) is type(b) is ResidueModZ:
+                ordered = _rep_less(a, b)
+            else:
+                ordered = list(values) == sorted(set(values))
+            if not ordered:
+                raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
 
     @classmethod
     def of(cls, *values: ResidueModZ) -> "AmbiguousResidue":
+        if len(values) == 2 and type(values[0]) is type(values[1]) is ResidueModZ:
+            a, b = values
+            if _rep_less(a, b):
+                return cls(values)
+            return cls((b, a) if _rep_less(b, a) else (a,))
         return cls(tuple(sorted(set(values))))
 
     def __iter__(self) -> Iterator[ResidueModZ]:

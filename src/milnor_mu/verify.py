@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,9 +26,14 @@ from .quotient import (
     _mu_quotient_scaled,
     _verdict,
 )
-from .qz import AmbiguousResidue, reduce_mod_z
+from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
+
+#: Pool class for fanned-out sweeps.  ``concurrent.futures`` is imported on
+#: the first pooled sweep (see :func:`_pool_class`), not when the CLI loads;
+#: tests may put an in-process stand-in here.
+ProcessPoolExecutor = None
 
 #: mu value set every admissible quotient must hit: {1/32, 31/32}.  Spelled
 #: out here rather than imported as ``quotient.MU_RP7`` on purpose: the sweep
@@ -247,6 +251,16 @@ class VerifyRow:
     passed: bool
 
 
+#: A member of an oracle value set as plain ints: (numerator, denominator).
+_CompactValue = tuple[int, int]
+
+#: What a sweep worker returns per row: (h, verdict, passed, oracle value set),
+#: ints, strs and bools only, so results pickle small and unpickle fast.
+_CompactRow = tuple[int, str, bool, tuple[_CompactValue, ...]]
+
+_RP7_VERDICT = Verdict.REAL_PROJECTIVE_7.value
+
+
 def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[VerifyRow, ...]:
     """Oracle-vs-pipeline sweep over every admissible h in [h_min, h_max].
 
@@ -255,7 +269,9 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
     the range is fanned out chunkwise to at most :func:`pool_size` worker
-    processes; rows come back merged in h order either way.
+    processes; rows come back merged in h order either way.  Every row is
+    decided on compact ints (see :func:`_verify_chunk`); the rows returned
+    here share one :class:`AmbiguousResidue` per distinct oracle value set.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
@@ -265,11 +281,18 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
         (lo, min(lo + chunk - 1, h_max)) for lo in range(h_min, h_max + 1, chunk)
     ]
     if len(spans) == 1:
-        return _verify_chunk(spans[0])
-    rows: list[VerifyRow] = []
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        for part in pool.map(_verify_chunk, spans):
-            rows.extend(part)
+        chunks = [_verify_chunk(spans[0])]
+    else:
+        with _pool_class()(max_workers=len(spans)) as pool:
+            chunks = list(pool.map(_verify_chunk, spans))
+    value_sets: dict[tuple[_CompactValue, ...], AmbiguousResidue] = {}
+    rows = []
+    for part in chunks:
+        for h, verdict, passed, mu in part:
+            mu_set = value_sets.get(mu)
+            if mu_set is None:
+                mu_set = value_sets[mu] = _expand(mu)
+            rows.append(VerifyRow(h, h % 56, mu_set, verdict, passed))
     return tuple(rows)
 
 
@@ -282,21 +305,29 @@ def pool_size(requested: int, cpus: int | None, width: int) -> int:
     return max(1, min(requested, cpus or 1, width))
 
 
-def _verify_chunk(span: tuple[int, int]) -> tuple[VerifyRow, ...]:
-    """Rows for the admissible h in span, stepping h = 56k + r directly."""
+def _pool_class() -> type:
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
+    """Compact rows for the admissible h in span, stepping h = 56k + r directly."""
     lo, hi = span
     residues = enumerate_residues(56).residues
+    target = _compact(_TARGET)
     rows = []
     for k in range(lo // 56, hi // 56 + 1):
         for r in residues:
             h = 56 * k + r
             if lo <= h <= hi and h * (h - 1) % 56 == 0:
-                rows.append(_verify_row(h))
+                rows.append(_verify_row(h, target))
     return tuple(rows)
 
 
-def _verify_row(h: int) -> VerifyRow:
-    oracle = direct_mu_set(h)
+def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:
+    oracle = _compact(direct_mu_set(h))
     try:
         scaled = _mu_quotient_scaled(MilnorBundle(h))
         verdict = _verdict(h, scaled).value
@@ -305,19 +336,28 @@ def _verify_row(h: int) -> VerifyRow:
         verdict, agreed = "derivation_mismatch", False
     except DichotomyViolationError:
         verdict, agreed = "dichotomy_violation", False
-    passed = (
-        agreed
-        and oracle == _TARGET
-        and verdict == Verdict.REAL_PROJECTIVE_7.value
-    )
-    return VerifyRow(h, h % 56, oracle, verdict, passed)
+    passed = agreed and oracle == target and verdict == _RP7_VERDICT
+    return h, verdict, passed, oracle
 
 
-def _scaled_members(mu: AmbiguousResidue) -> set[int] | None:
+def _compact(mu: AmbiguousResidue) -> tuple[_CompactValue, ...]:
+    """The members of mu as sorted (numerator, denominator) pairs.
+
+    Members are canonical reps in [0, 1), sorted and distinct, so two value
+    sets are equal exactly when their compact forms are.
+    """
+    return tuple([(v.rep.numerator, v.rep.denominator) for v in mu.values])
+
+
+def _expand(mu: tuple[_CompactValue, ...]) -> AmbiguousResidue:
+    """Inverse of :func:`_compact`."""
+    return AmbiguousResidue(tuple(ResidueModZ(Fraction(n, d)) for n, d in mu))
+
+
+def _scaled_members(mu: tuple[_CompactValue, ...]) -> set[int] | None:
     """{1792 * v for v in mu}, or None when a member is not a multiple of 1/1792."""
     members = set()
-    for v in mu:
-        num, den = v.rep.numerator, v.rep.denominator
+    for num, den in mu:
         if MU_SCALE % den:
             return None
         members.add(num * (MU_SCALE // den))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from milnor_mu import cli
 from milnor_mu.cli import main
 
 
@@ -135,6 +136,16 @@ class TestVerify:
         assert code == 0
         assert out.splitlines() == ["h,residue_class,mu_quotient_set,verdict,pass"]
 
+    def test_empty_sweep_is_a_pass(self, capsys):
+        # nothing admissible means nothing failed: exit 0, with checked 0 on stderr
+        code, _, err = run_cli(capsys, "verify", "--h-range", "2..7")
+        assert (code, err) == (0, "checked 0  passed 0  failed 0\n")
+        code, out, _ = run_cli(capsys, "verify", "--h-range", "2..7", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "h_min": 2, "h_max": 7, "checked": 0, "passed": 0, "failed": 0, "rows": []
+        }
+
     def test_parallel_output_matches_sequential(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "verify", "--h-range", "-200..200", "--format", "csv")
         code_b, out_b, _ = run_cli(
@@ -170,6 +181,25 @@ class TestVerify:
         )
         assert code == 0
         assert len(out.splitlines()) == 10
+
+
+class TestUnexpectedErrors:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_unexpected_error_exits_2_with_one_line(self, capsys, monkeypatch, fmt):
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker\nlost")
+
+        monkeypatch.setattr(cli, "verify_range", broken)
+        code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "milnor-mu: unexpected RuntimeError: worker lost\n"
+
+    def test_unexpected_error_in_quotient_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classify_quotient", lambda bundle: 1 / 0)
+        code, out, err = run_cli(capsys, "quotient", "--h", "8")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "ZeroDivisionError" in err
 
 
 class TestCliContract:

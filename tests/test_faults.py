@@ -82,6 +82,29 @@ def test_every_row_fails_and_the_sweep_completes(monkeypatch, fault, workers):
     assert {r.verdict for r in rows} == {verdict}
 
 
+@fork_only
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_pooled_rows_equal_sequential_rows(monkeypatch, fault):
+    FAULTS[fault][0](monkeypatch)
+    assert verify.verify_range(*WINDOW, workers=2) == verify.verify_range(*WINDOW)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_off_target_oracle_set_reaches_the_rows(monkeypatch, workers):
+    oracle_says_sum_14m2(monkeypatch)
+    rows = verify.verify_range(*WINDOW, workers=workers)
+    assert {r.mu_set for r in rows} == {quotient.MU_RP7_SUM_14M2}
+    assert len({id(r.mu_set) for r in rows}) == 1
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_worker_rows_stay_plain_ints(monkeypatch, fault):
+    FAULTS[fault][0](monkeypatch)
+    for h, verdict, passed, mu in verify._verify_chunk(WINDOW):
+        assert (type(h), type(verdict), passed) == (int, str, False)
+        assert all(type(n) is int and type(d) is int for n, d in mu)
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_cli_verify_exits_2(monkeypatch, capsys, fault):
     FAULTS[fault][0](monkeypatch)

@@ -103,6 +103,97 @@ class TestAmbiguous:
             AmbiguousResidue(())
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+class _SubResidue(ResidueModZ):
+    pass
+
+
+class TestFastPathEdges:
+    """The construction fast paths accept and reject exactly what the general path does."""
+
+    def test_fraction_subclass_rep_is_accepted(self):
+        r = ResidueModZ(_SubFraction(1, 3))
+        assert r.rep == Fraction(1, 3)
+        assert reduce_mod_z(_SubFraction(7, 3)) == res(1, 3)
+        assert type(reduce_mod_z(_SubFraction(7, 3)).rep) is Fraction
+
+    def test_non_fraction_inputs_of_reduce_mod_z_are_converted(self):
+        assert reduce_mod_z(7) == res(0)
+        assert reduce_mod_z("-15/32") == res(17, 32)
+        assert reduce_mod_z(2.25) == res(1, 4)
+
+    @pytest.mark.parametrize("rep", [0, 1, True, 0.5, "1/2", None])
+    def test_non_fraction_rep_is_a_type_error(self, rep):
+        with pytest.raises(TypeError):
+            ResidueModZ(rep)
+
+    @pytest.mark.parametrize(
+        "rep", [Fraction(1), Fraction(-1, 1792), Fraction(1793, 1792), _SubFraction(-1, 3)]
+    )
+    def test_rep_outside_unit_interval_is_a_value_error(self, rep):
+        with pytest.raises(ValueError):
+            ResidueModZ(rep)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (res(31, 32), res(1, 32)),
+            (res(1, 32), res(1, 32)),
+            (res(1, 32), ResidueModZ(Fraction(1, 32))),
+            (res(1, 2), res(0)),
+        ],
+    )
+    def test_unsorted_or_duplicate_pair_is_a_value_error(self, pair):
+        with pytest.raises(ValueError):
+            AmbiguousResidue(pair)
+
+    def test_sorted_pair_is_accepted(self):
+        a = AmbiguousResidue((res(1, 32), res(31, 32)))
+        assert a.values == (res(1, 32), res(31, 32))
+
+    def test_of_same_value_collapses(self):
+        v = res(1, 32)
+        assert AmbiguousResidue.of(v, v).values == (v,)
+        assert AmbiguousResidue.of(v, ResidueModZ(Fraction(1, 32))).values == (v,)
+
+    def test_of_sorts_a_pair(self):
+        assert AmbiguousResidue.of(res(31, 32), res(1, 32)).values == (res(1, 32), res(31, 32))
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (res(1, 32), Fraction(31, 32)),
+            (Fraction(1, 32), res(31, 32)),
+            (Fraction(1, 32),),
+            (1, 2),
+            (res(0), "x"),
+            (res(1, 32), res(1, 32), 0),
+        ],
+    )
+    def test_of_non_residue_member_is_a_type_error(self, members):
+        with pytest.raises(TypeError):
+            AmbiguousResidue.of(*members)
+
+    def test_mixed_residue_subclass_pair_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            AmbiguousResidue((res(1, 32), _SubResidue(Fraction(31, 32))))
+        with pytest.raises(TypeError):
+            AmbiguousResidue.of(_SubResidue(Fraction(31, 32)), res(1, 32))
+
+    def test_of_collapses_three_members_with_a_duplicate(self):
+        assert AmbiguousResidue.of(res(1, 2), res(0), res(1, 2)).values == (res(0), res(1, 2))
+        with pytest.raises(ValueError):
+            AmbiguousResidue.of(res(0), res(1, 4), res(1, 2))
+
+    @given(rationals, rationals)
+    def test_of_pair_matches_sorted_set(self, p, q):
+        a, b = reduce_mod_z(p), reduce_mod_z(q)
+        assert AmbiguousResidue.of(a, b).values == tuple(sorted({a, b}))
+
+
 class TestAddAmbiguous:
     def test_half_shift_of_sum_values(self):
         pair = AmbiguousResidue.of(res(15, 32), res(17, 32))

@@ -1,0 +1,60 @@
+"""The two scripts: exit codes and the shared range and worker-count parsing."""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from milnor_mu import verify
+from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SMALL = ["--h-span", "300", "--k-span", "300", "--crt-periods", "2"]
+
+
+class TestFullVerification:
+    def test_passing_run_exits_0(self, capsys):
+        assert load("full_verification").main(SMALL) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_failed_check_exits_2(self, capsys, monkeypatch):
+        wrong = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
+        monkeypatch.setattr(verify, "direct_mu_set", lambda h: wrong)
+        assert load("full_verification").main(SMALL) == 2
+        assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_bad_worker_count_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            load("full_verification").main([*SMALL, "--parallel", value])
+        assert exc.value.code == 1
+        assert "positive worker count" in capsys.readouterr().err
+
+
+class TestMuTable:
+    def test_negative_range(self, capsys):
+        assert load("mu_table").main(["--h-range", "-9..-7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["-9", "-8", "-7"]
+        assert lines[-1].endswith("RP7 {1/32, 31/32} mod 1")
+
+    def test_default_range(self, capsys):
+        assert load("mu_table").main([]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 18
+
+    @pytest.mark.parametrize("text", ["5..1", "5", "a..b", ""])
+    def test_empty_or_malformed_range_is_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            load("mu_table").main(["--h-range", text])
+        assert exc.value.code == 1
+        assert "--h-range" in capsys.readouterr().err

@@ -165,6 +165,34 @@ class TestVerifyRange:
     def test_parallel_matches_sequential(self):
         assert verify_range(-300, 300, workers=3) == verify_range(-300, 300)
 
+    def test_one_value_set_object_per_distinct_set(self):
+        rows = verify_range(-5600, 5600)
+        assert len({id(r.mu_set) for r in rows}) == 1
+        assert rows[0].mu_set == direct_mu_set(rows[0].h)
+
+
+def _plain_ints_only(value):
+    """True when value is built from ints, strs, bools and tuples alone."""
+    if type(value) is tuple:
+        return all(_plain_ints_only(v) for v in value)
+    return type(value) in (int, str, bool)
+
+
+class TestCompactWorkerRows:
+    @pytest.mark.parametrize("span", [(-300, 300), (10**18 - 200, 10**18 + 200), (2, 7)])
+    def test_chunk_holds_plain_ints_only(self, span):
+        chunk = verify._verify_chunk(span)
+        assert _plain_ints_only(chunk)
+        assert len(chunk) == len(verify_range(*span))
+
+    def test_row_layout(self):
+        assert verify._verify_chunk((8, 8)) == ((8, "RP7", True, ((1, 32), (31, 32))),)
+
+    @given(st.integers(min_value=-(2**64), max_value=2**64))
+    def test_compact_round_trips(self, h):
+        mu = direct_mu_set(h)
+        assert verify._expand(verify._compact(mu)) == mu
+
 
 def _every_h_reference(lo, hi):
     """The rows a correct sweep must give, found by scanning every h."""
