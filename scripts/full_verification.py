@@ -13,6 +13,7 @@ import time
 
 from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _worker_count
 from milnor_mu.verify import (
+    _SCAN_LIMIT,
     Case,
     brute_force_theorem,
     check_case,
@@ -33,6 +34,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parallel", type=_worker_count, default=None,
                         help="worker processes for the h sweep")
     args = parser.parse_args(argv)
+    for flag, span in (("--h-span", args.h_span), ("--k-span", args.k_span)):
+        if span < 0:
+            parser.error(f"{flag} must be non-negative, got {span}")
+    if args.crt_periods > _SCAN_LIMIT // 56:
+        parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
 
     failed = False
 

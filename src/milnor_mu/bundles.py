@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .qz import ResidueModZ, reduce_mod_z
 
@@ -53,12 +54,11 @@ class CharacteristicData:
     that stays ambiguous, so only the magnitude is recorded.
     """
 
-    euler_coeff: int
+    #: Every bundle in the j = 1 - h family has Euler class x.
+    euler_coeff: ClassVar[int] = 1
     p1_magnitude: int
 
     def __post_init__(self) -> None:
-        if self.euler_coeff != 1:
-            raise ValueError("every bundle in the j = 1 - h family has Euler class x")
         if self.p1_magnitude < 0:
             raise ValueError("p1 magnitude is non-negative by construction")
 
@@ -67,22 +67,18 @@ class CharacteristicData:
 class DiskBundleInvariants:
     """Signature and Pontryagin number of the 8-dimensional disk bundle."""
 
-    signature: int
+    #: The disk bundle over S^4 has signature 1 across the family.
+    signature: ClassVar[int] = 1
     p1_squared: int
 
     def __post_init__(self) -> None:
-        if self.signature != 1:
-            raise ValueError("the disk bundle over S^4 has signature 1")
         if self.p1_squared < 0:
             raise ValueError("p1^2 is a square, hence non-negative")
 
 
 def characteristic_data(bundle: MilnorBundle) -> CharacteristicData:
     """e = x and p1 = +/- 2(2h-1) x, reported as magnitude."""
-    return CharacteristicData(
-        euler_coeff=1,
-        p1_magnitude=abs(2 * (2 * bundle.h - 1)),
-    )
+    return CharacteristicData(abs(2 * (2 * bundle.h - 1)))
 
 
 def disk_bundle_invariants(bundle: MilnorBundle) -> DiskBundleInvariants:
@@ -91,11 +87,7 @@ def disk_bundle_invariants(bundle: MilnorBundle) -> DiskBundleInvariants:
     The Pontryagin number is the square of the p1 coefficient, so the sign
     ambiguity cancels and an honest integer comes out.
     """
-    data = characteristic_data(bundle)
-    return DiskBundleInvariants(
-        signature=1,
-        p1_squared=data.p1_magnitude**2,
-    )
+    return DiskBundleInvariants(characteristic_data(bundle).p1_magnitude**2)
 
 
 def is_diffeo_s7(bundle: MilnorBundle) -> bool:

@@ -26,8 +26,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .bundles import (
+    CharacteristicData,
     DerivationMismatch,
     MilnorBundle,
     characteristic_data,
@@ -52,9 +54,6 @@ class DichotomyViolationError(RuntimeError):
 #: Every denominator of the fixed-point assembly (1792, 448, 112, 64, 32)
 #: divides 2^8 * 7, so the pipeline runs on 1792 * mu as integers mod 1792.
 MU_SCALE = 2**8 * 7
-
-#: The equivariant signature at the fixed S^4, 1 across the family.
-_EQUIVARIANT_SIGNATURE = 1
 
 #: 1792 * {1/32, 31/32} and 1792 * {15/32, 17/32}.
 _RP7_SCALED = (56, 1736)
@@ -83,21 +82,18 @@ class Verdict(enum.Enum):
 class FixedPointContributions:
     """Rational data localized at the fixed S^4 of the involution.
 
-    ``a1_magnitude`` is |2h-1|/16 with the orientation sign left ambiguous;
-    ``a2`` and ``equivariant_signature`` are identically 1 across the family.
+    ``a1_magnitude`` is |2h-1|/16 with the orientation sign left ambiguous.
     """
 
+    #: A_2 is the Euler number of the normal bundle of the fixed S^4.
+    a2: ClassVar[Fraction] = Fraction(CharacteristicData.euler_coeff)
+    #: The equivariant signature at the fixed S^4, 1 across the family.
+    equivariant_signature: ClassVar[int] = 1
     a1_magnitude: Fraction
-    a2: Fraction
-    equivariant_signature: int
 
     def __post_init__(self) -> None:
         if self.a1_magnitude < 0:
             raise ValueError("a1 is recorded as a non-negative magnitude")
-        if self.a2 != 1:
-            raise ValueError("A_2 is the Euler number of the normal bundle, always 1")
-        if self.equivariant_signature != 1:
-            raise ValueError("the equivariant signature is 1 across the family")
 
     @property
     def a1_pair(self) -> tuple[Fraction, Fraction]:
@@ -130,12 +126,7 @@ def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:
     that bundle's Euler number.  The involution fixes the generator of
     H^4(S^4), so the equivariant signature agrees with the ordinary one.
     """
-    data = characteristic_data(bundle)
-    return FixedPointContributions(
-        a1_magnitude=Fraction(data.p1_magnitude, 32),
-        a2=Fraction(data.euler_coeff),
-        equivariant_signature=_EQUIVARIANT_SIGNATURE,
-    )
+    return FixedPointContributions(Fraction(characteristic_data(bundle).p1_magnitude, 32))
 
 
 def _closed_form_scaled(h: int) -> tuple[int, int]:
@@ -168,8 +159,8 @@ def _mu_quotient_scaled(bundle: MilnorBundle) -> tuple[int, int]:
     definite = (
         disk.p1_squared
         - 4 * disk.signature
-        + 4 * data.euler_coeff
-        - 4 * _EQUIVARIANT_SIGNATURE
+        + 4 * data.euler_coeff  # A_2 is the Euler number
+        - 4 * FixedPointContributions.equivariant_signature
     )
     spin = 28 * data.p1_magnitude
     assembled = _sorted_pair(definite + spin, definite - spin)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,24 +83,12 @@ def residues_by_crt(modulus: int) -> ResidueSolution:
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve x = r1 mod m1, x = r2 mod m2 for coprime m1, m2."""
-    g, s, _ = _xgcd(m1, m2)
-    if g != 1:
-        raise ValueError(f"moduli {m1}, {m2} are not coprime")
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
+    """Solve x = r1 mod m1, x = r2 mod m2 for coprime m1, m2.
 
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    ``pow`` raises ValueError when m1 has no inverse mod m2, i.e. when the
+    moduli are not coprime.
+    """
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
 class Case(enum.Enum):
@@ -219,14 +208,12 @@ class TheoremSweep:
 def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     """Check mu(M_h/tau_h) = {1/32, 31/32} for every admissible h in range.
 
-    Admissibility (56 | h(h-1)) is decided by the scan itself; failures are
-    collected, never raised, so a full report always comes back.
+    The admissible h are stepped as h = 56k + r, as in :func:`verify_range`;
+    failures are collected, never raised, so a full report always comes back.
     """
     checked = 0
     failures = []
-    for h in range(h_min, h_max + 1):
-        if h * (h - 1) % 56 != 0:
-            continue
+    for h in _admissible(h_min, h_max):
         checked += 1
         if direct_mu_set(h) != _TARGET:
             failures.append(h)
@@ -312,18 +299,24 @@ def _pool_class() -> type:
     return ProcessPoolExecutor
 
 
-def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
-    """Compact rows for the admissible h in span, stepping h = 56k + r directly."""
-    lo, hi = span
+def _admissible(lo: int, hi: int) -> Iterator[int]:
+    """The h in [lo, hi] with 56 | h(h-1), ascending, stepping h = 56k + r.
+
+    The residues r come from the scan :func:`enumerate_residues`, and the
+    divisibility is still checked per h.  A backwards range yields nothing.
+    """
     residues = enumerate_residues(56).residues
-    target = _compact(_TARGET)
-    rows = []
     for k in range(lo // 56, hi // 56 + 1):
         for r in residues:
             h = 56 * k + r
             if lo <= h <= hi and h * (h - 1) % 56 == 0:
-                rows.append(_verify_row(h, target))
-    return tuple(rows)
+                yield h
+
+
+def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
+    """Compact rows for the admissible h in span."""
+    target = _compact(_TARGET)
+    return tuple([_verify_row(h, target) for h in _admissible(*span)])
 
 
 def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:

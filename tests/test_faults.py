@@ -43,7 +43,7 @@ def shifted_p1_squared(monkeypatch, module=quotient):
 
     def faulty(bundle):
         disk = real(bundle)
-        return DiskBundleInvariants(disk.signature, disk.p1_squared + 1)
+        return DiskBundleInvariants(disk.p1_squared + 1)
 
     monkeypatch.setattr(module, "disk_bundle_invariants", faulty)
 

@@ -9,7 +9,6 @@ from milnor_mu.quotient import (
     MU_RP7,
     MU_RP7_SUM_14M2,
     DichotomyViolationError,
-    FixedPointContributions,
     NotDiffeoS7Error,
     QuotientReport,
     Verdict,
@@ -63,12 +62,6 @@ class TestFixedPointContributions:
     def test_a1_magnitude_formula(self, h):
         fp = fixed_point_contributions(MilnorBundle(h))
         assert fp.a1_magnitude == Fraction(abs(2 * h - 1), 16)
-
-    def test_constant_fields_are_enforced(self):
-        with pytest.raises(ValueError):
-            FixedPointContributions(Fraction(1, 16), Fraction(2), 1)
-        with pytest.raises(ValueError):
-            FixedPointContributions(Fraction(1, 16), Fraction(1), -1)
 
 
 class TestMuQuotient:

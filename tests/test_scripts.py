@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from milnor_mu import verify
+from milnor_mu import quotient, verify
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -40,6 +40,25 @@ class TestFullVerification:
         assert exc.value.code == 1
         assert "positive worker count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--h-span", "-1"), ("--k-span", "-5"), ("--crt-periods", str(verify._SCAN_LIMIT // 56 + 1))],
+    )
+    def test_out_of_range_size_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            load("full_verification").main([*SMALL, flag, value])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
+    def test_zero_spans_and_largest_crt_periods_are_accepted(self, monkeypatch):
+        # scanning every 56m up to the limit takes minutes; only the bound is under test
+        base = verify.enumerate_residues(56)
+        monkeypatch.setattr(verify, "enumerate_residues", lambda m: base)
+        monkeypatch.setattr(verify, "residues_by_crt", lambda m: base)
+        argv = ["--h-span", "0", "--k-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)]
+        assert load("full_verification").main(argv) == 0
+
 
 class TestMuTable:
     def test_negative_range(self, capsys):
@@ -58,3 +77,18 @@ class TestMuTable:
             load("mu_table").main(["--h-range", text])
         assert exc.value.code == 1
         assert "--h-range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["closed_form", "dichotomy"])
+    def test_pipeline_fault_exits_2_with_one_line(self, capsys, monkeypatch, fault):
+        if fault == "closed_form":
+            real = quotient._closed_form_scaled
+            monkeypatch.setattr(
+                quotient, "_closed_form_scaled", lambda h: tuple(sorted((v + 1) % 1792 for v in real(h)))
+            )
+        else:
+            monkeypatch.setattr(quotient, "_RP7_SCALED", (0, 0))
+        assert load("mu_table").main(["--h-range", "0..0"]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2  # the header only
+        assert len(err.splitlines()) == 1
+        assert ("closed form" if fault == "closed_form" else "neither RP^7") in err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from milnor_mu import verify
 from milnor_mu.bundles import MilnorBundle
-from milnor_mu.quotient import mu_quotient
+from milnor_mu.quotient import MU_RP7_SUM_14M2, mu_quotient
 from milnor_mu.qz import reduce_mod_z
 from milnor_mu.verify import (
     Case,
@@ -53,6 +53,15 @@ class TestEnumerateResidues:
             residues_by_crt(55)
         with pytest.raises(ValueError):
             residues_by_crt(0)
+
+    def test_crt_pair(self):
+        for m1, m2 in [(8, 7), (7, 8), (9, 4)]:
+            for r1 in range(m1):
+                for r2 in range(m2):
+                    x = verify._crt_pair(r1, m1, r2, m2)
+                    assert 0 <= x < m1 * m2 and (x % m1, x % m2) == (r1, r2)
+        with pytest.raises(ValueError):
+            verify._crt_pair(0, 4, 1, 6)
 
     @given(st.integers(min_value=-(2**96), max_value=2**96))
     def test_crt_split_of_the_congruence(self, r):
@@ -127,6 +136,24 @@ class TestDirectMuSet:
             assert direct_mu_set(h + offset) == mu_quotient(MilnorBundle(h + offset))
 
 
+#: h windows on which residue stepping must agree with a scan of every h.
+STEPPING_WINDOWS = [
+    (-1000, -1),
+    (0, 1000),
+    (-777, 555),
+    (-113, 113),
+    (-55, -49),  # narrower than 56, negative
+    (3, 7),  # narrower than 56, nothing admissible
+    (49, 57),  # straddles a period boundary
+    (-8, 8),
+    (10**18 - 300, 10**18 + 300),
+    (-(10**18) - 100, -(10**18) + 100),
+    (-7, -7),  # single admissible points
+    (56 * 10**17 + 49, 56 * 10**17 + 49),
+    (-56 * 10**17, -56 * 10**17),
+]
+
+
 class TestBruteForceTheorem:
     def test_single_point(self):
         sweep = brute_force_theorem(0, 0)
@@ -144,10 +171,16 @@ class TestBruteForceTheorem:
         assert sweep.checked == 401
         assert sweep.failed == 0
 
-    def test_checked_counts_match_residue_scan(self):
-        lo, hi = -300, 300
-        expected = sum(1 for h in range(lo, hi + 1) if h * (h - 1) % 56 == 0)
-        assert brute_force_theorem(lo, hi).checked == expected
+    def test_checked_counts_match_residue_scan(self, monkeypatch):
+        windows = [(-300, 300), *STEPPING_WINDOWS, (300, -300)]  # the last is backwards
+        expected = [
+            tuple(h for h in range(lo, hi + 1) if h * (h - 1) % 56 == 0) for lo, hi in windows
+        ]
+        sweeps = [brute_force_theorem(lo, hi) for lo, hi in windows]
+        assert [(s.checked, s.failed) for s in sweeps] == [(len(e), 0) for e in expected]
+        # an oracle that is always wrong fails exactly the admissible h, in order
+        monkeypatch.setattr(verify, "direct_mu_set", lambda h: MU_RP7_SUM_14M2)
+        assert [brute_force_theorem(lo, hi).failures for lo, hi in windows] == expected
 
 
 class TestVerifyRange:
@@ -204,24 +237,7 @@ def _every_h_reference(lo, hi):
 
 
 class TestResidueStepping:
-    @pytest.mark.parametrize(
-        "lo,hi",
-        [
-            (-1000, -1),
-            (0, 1000),
-            (-777, 555),
-            (-113, 113),
-            (-55, -49),  # narrower than 56, negative
-            (3, 7),  # narrower than 56, nothing admissible
-            (49, 57),  # straddles a period boundary
-            (-8, 8),
-            (10**18 - 300, 10**18 + 300),
-            (-(10**18) - 100, -(10**18) + 100),
-            (-7, -7),  # single admissible points
-            (56 * 10**17 + 49, 56 * 10**17 + 49),
-            (-56 * 10**17, -56 * 10**17),
-        ],
-    )
+    @pytest.mark.parametrize("lo,hi", STEPPING_WINDOWS)
     def test_matches_every_h_scan(self, lo, hi):
         assert verify_range(lo, hi) == _every_h_reference(lo, hi)
 
