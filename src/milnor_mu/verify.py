@@ -114,6 +114,14 @@ _CASE_CONSTANTS: dict[Case, tuple[Fraction, Fraction]] = {
 }
 
 
+#: Period in k of every check in :func:`check_case`.  Each check is an
+#: integer polynomial P(k) taken mod 112, 32 or 224, all divisors of 224, and
+#: P(k + m) = P(k) mod m for any integer polynomial P (every power of k + m
+#: expands to k^i plus multiples of m).  So k and k + 224 get the same verdict,
+#: whatever integer constants quad_112 and linear_32 are.
+_CASE_PERIOD = 224
+
+
 @dataclass(frozen=True)
 class CaseReport:
     """Outcome of checking one case's congruences over a k-interval.
@@ -141,10 +149,16 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     value set {1/32, 31/32}.
 
     The congruences are decided in exact integer arithmetic after clearing
-    denominators (112, 32, and their lcm 224), which is what makes million-k
-    ranges cheap: (a) becomes h(h-1) - 112*quad - 56k = 0 mod 112, (b)
-    becomes (2h-1) - 32*linear - 16k = 0 mod 32, and (c) becomes
+    denominators (112, 32, and their lcm 224): (a) becomes
+    h(h-1) - 112*quad - 56k = 0 mod 112, (b) becomes
+    (2h-1) - 32*linear - 16k = 0 mod 32, and (c) becomes
     {2h(h-1) +/- 7(2h-1) mod 224} = {7, 217}.
+
+    Each of these is an integer polynomial in k taken mod a divisor of 224,
+    so whether k fails depends only on k mod 224 (see ``_CASE_PERIOD``).
+    Every k in the range is still decided: the first period of the range is
+    tested k by k, and each failing k0 there stands for every k0 + 224t in
+    range.  Any k-range therefore costs the same.
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
@@ -152,8 +166,8 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     res = case.h_residue
     quad_112 = int(quad * 112)
     linear_32 = int(linear * 32)
-    failures = []
-    for k in range(k_min, k_max + 1):
+    period_failures = []
+    for k in range(k_min, min(k_max, k_min + _CASE_PERIOD - 1) + 1):
         h = 56 * k + res
         hh = h * (h - 1)
         odd = 2 * h - 1
@@ -167,7 +181,10 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
                 lo, hi = hi, lo
             ok = (lo, hi) == (7, 217)
         if not ok:
-            failures.append(k)
+            period_failures.append(k)
+    # with nothing failing, skip the shifts: a wide range has ~width/224 of them
+    shifts = range(0, k_max - k_min + 1, _CASE_PERIOD) if period_failures else ()
+    failures = [k0 + t for t in shifts for k0 in period_failures if k0 + t <= k_max]
     return CaseReport(
         case=case,
         h_residue=res,

@@ -97,6 +97,14 @@ class TestCases:
         constants = [(c["quad_constant"], c["linear_constant"]) for c in payload["cases"]]
         assert constants == [("0", "-1/32"), ("0", "1/32"), ("1/2", "15/32"), ("0", "1/32")]
 
+    def test_range_of_two_times_ten_to_the_eighteen(self, capsys):
+        # a per-k loop could never finish this; one period of 224 k decides it
+        code, out, _ = run_cli(
+            capsys, "cases", "--k-range", f"{-(10**18)}..{10**18}", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["all_match"] is True
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "cases", "--k-range", "0..5", "--format", "csv")
         assert code == 0

@@ -128,6 +128,99 @@ class TestCheckCase:
         assert check_case(case, k, k).matches == _case_holds_by_fractions(case, k)
 
 
+def _per_k_reference(case: Case, k_min: int, k_max: int) -> tuple[int, ...]:
+    """The failing k of check_case, found by running its per-k test on every k."""
+    quad, linear = verify._CASE_CONSTANTS[case]
+    quad_112, linear_32 = int(quad * 112), int(linear * 32)
+    failures = []
+    for k in range(k_min, k_max + 1):
+        h = 56 * k + case.h_residue
+        hh, odd = h * (h - 1), 2 * h - 1
+        ok = (hh - quad_112 - 56 * k) % 112 == 0 and (odd - linear_32 - 16 * k) % 32 == 0
+        if ok:
+            ok = sorted([(2 * hh + 7 * odd) % 224, (2 * hh - 7 * odd) % 224]) == [7, 217]
+        if not ok:
+            failures.append(k)
+    return tuple(failures)
+
+
+def _expected_report(case: Case, k_min: int, k_max: int) -> verify.CaseReport:
+    quad, linear = verify._CASE_CONSTANTS[case]
+    failures = _per_k_reference(case, k_min, k_max)
+    return verify.CaseReport(
+        case, case.h_residue, quad, linear, k_min, k_max, not failures, failures
+    )
+
+
+#: k windows on which one period of check_case must agree with the per-k loop.
+CASE_WINDOWS = [
+    (0, 0),  # width 1
+    (-7, -7),
+    (5, 227),  # width 223
+    (5, 228),  # width 224
+    (5, 229),  # width 225
+    (-1500, 1499),  # width 3000, straddles 0
+    (-224, 224),
+    (-1, 1),
+    (2**64 - 100, 2**64 + 400),
+    (-(2**64) - 400, -(2**64) + 100),
+    (2**70 - 300, 2**70 + 300),
+    (-(2**70) - 300, -(2**70) + 300),
+]
+
+#: Wrong case constants: (index into the (quad, linear) pair, shift).
+CASE_FAULTS = [
+    (0, Fraction(1, 2)),
+    (0, Fraction(1, 32)),
+    (1, Fraction(1, 2)),
+    (1, Fraction(1, 32)),
+]
+
+
+def _shifted_constants(case: Case, which: int, shift: Fraction) -> tuple[Fraction, Fraction]:
+    constants = list(verify._CASE_CONSTANTS[case])
+    constants[which] += shift
+    return tuple(constants)
+
+
+class TestCaseOnePeriod:
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("k_min,k_max", CASE_WINDOWS)
+    def test_matches_per_k_loop(self, case, k_min, k_max):
+        report = check_case(case, k_min, k_max)
+        assert report == _expected_report(case, k_min, k_max)
+        assert report.matches
+
+    @pytest.mark.parametrize("which,shift", CASE_FAULTS)
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("k_min,k_max", CASE_WINDOWS)
+    def test_wrong_constants_give_the_per_k_failures(self, monkeypatch, case, which, shift,
+                                                     k_min, k_max):
+        monkeypatch.setitem(
+            verify._CASE_CONSTANTS, case, _shifted_constants(case, which, shift)
+        )
+        report = check_case(case, k_min, k_max)
+        assert report == _expected_report(case, k_min, k_max)
+        assert report.failures and not report.matches
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(Case)),
+        st.sampled_from([None, *CASE_FAULTS]),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=0, max_value=700),
+    )
+    def test_random_windows_match_per_k_loop(self, case, fault, k_min, width):
+        with pytest.MonkeyPatch.context() as mp:
+            if fault is not None:
+                mp.setitem(verify._CASE_CONSTANTS, case, _shifted_constants(case, *fault))
+            expected = _expected_report(case, k_min, k_min + width)
+            assert check_case(case, k_min, k_min + width) == expected
+
+    def test_period_divides_every_modulus(self):
+        assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
+
+
 class TestDirectMuSet:
     @given(st.integers(min_value=-(2**256) + 56, max_value=2**256 - 56))
     def test_oracle_equals_pipeline_on_admissible_h(self, n):
