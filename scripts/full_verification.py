@@ -8,8 +8,10 @@ check failed.  Example:
     python scripts/full_verification.py --h-span 100000 --k-span 1000000
 """
 
+import math
 import sys
 import time
+from itertools import zip_longest
 
 from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _worker_count
 from milnor_mu.verify import (
@@ -21,6 +23,22 @@ from milnor_mu.verify import (
     residues_by_crt,
     verify_range,
 )
+
+
+def crt_disagreements(periods: int) -> list[int]:
+    """The m in [1, periods] at which the scan and the CRT lift of 56m differ.
+
+    The residues of 56m are those of 56 * periods below 56m, on both sides, so
+    the two agree for 56m exactly when 56m does not exceed their first
+    difference: one scan and one lift decide every m, in linear time.
+    """
+    if periods < 1:
+        return []
+    scan = enumerate_residues(56 * periods).residues
+    crt = residues_by_crt(56 * periods).residues
+    pairs = zip_longest(scan, crt, fillvalue=math.inf)
+    first = next((min(s, c) for s, c in pairs if s != c), None)
+    return [] if first is None else list(range(first // 56 + 1, periods + 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,8 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     base = enumerate_residues(56)
     print(f"residues mod 56 with 56 | r(r-1): {base.residues}")
-    disagree = [m for m in range(1, args.crt_periods + 1)
-                if enumerate_residues(56 * m) != residues_by_crt(56 * m)]
+    disagree = crt_disagreements(args.crt_periods)
     if disagree:
         failed = True
         print(f"  !! scan vs CRT disagree at m = {disagree}")

@@ -7,13 +7,16 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 * the four residue cases h = 56k + {0, 1, 8, 49}, whose mu terms are checked
   against their stated ``constant + k/2`` congruences for every k in range;
 * a theorem sweep that re-evaluates mu(M_h/tau_h) straight from the closed
-  formula with plain fraction arithmetic, sharing no code with the quotient
-  assembly it is meant to catch lying.
+  formula, sharing no code with the quotient assembly it is meant to catch
+  lying: in plain fraction arithmetic (:func:`direct_mu_set`) for
+  :func:`brute_force_theorem`, and in integers at scale 224 for the rows of
+  :func:`verify_range`, where the quotient kernel works at scale 1792.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -337,7 +340,7 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
 
 
 def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:
-    oracle = _compact(direct_mu_set(h))
+    oracle = _direct_mu_compact(h)
     try:
         scaled = _mu_quotient_scaled(MilnorBundle(h))
         verdict = _verdict(h, scaled).value
@@ -348,6 +351,25 @@ def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:
         verdict, agreed = "dichotomy_violation", False
     passed = agreed and oracle == target and verdict == _RP7_VERDICT
     return h, verdict, passed, oracle
+
+
+def _direct_mu_compact(h: int) -> tuple[_CompactValue, ...]:
+    """:func:`direct_mu_set` in compact form, read in integers at scale 224.
+
+    224 * (h(h-1)/112 +/- (2h-1)/32) = 2h(h-1) +/- 7(2h-1), so the members are
+    a/224 and b/224 with a, b those two sums mod 224, each reduced by
+    gcd(v, 224).  Both sums are odd (even plus or minus odd), so gcd(v, 224)
+    is 1 or 7: no member is 0, every denominator is 224 or 32, and a and b
+    never coincide, since a - b = 14(2h-1) and 16 does not divide 2h - 1.
+    Equal to ``_compact(direct_mu_set(h))`` for every integer h; shares no
+    code or scale with the quotient kernel (1792).
+    """
+    quad, odd = 2 * h * (h - 1), 7 * (2 * h - 1)
+    a, b = (quad + odd) % 224, (quad - odd) % 224
+    if a > b:
+        a, b = b, a
+    ga, gb = math.gcd(a, 224), math.gcd(b, 224)
+    return (a // ga, 224 // ga), (b // gb, 224 // gb)
 
 
 def _compact(mu: AmbiguousResidue) -> tuple[_CompactValue, ...]:

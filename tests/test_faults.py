@@ -6,13 +6,11 @@ patched process, so the parallel cases need the fork start method.
 """
 
 import multiprocessing
-from fractions import Fraction
 
 import pytest
 
 from milnor_mu import bundles, cli, quotient, verify
 from milnor_mu.bundles import DiskBundleInvariants
-from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
 
 WINDOW = (-200, 200)
 ADMISSIBLE_IN_WINDOW = sum(
@@ -49,8 +47,8 @@ def shifted_p1_squared(monkeypatch, module=quotient):
 
 
 def oracle_says_sum_14m2(monkeypatch):
-    wrong = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
-    monkeypatch.setattr(verify, "direct_mu_set", lambda h: wrong)
+    # the sweep's own oracle, in compact form: {15/32, 17/32}
+    monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((15, 32), (17, 32)))
 
 
 def target_says_sum_14m2(monkeypatch):

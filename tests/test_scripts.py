@@ -59,6 +59,35 @@ class TestFullVerification:
         argv = ["--h-span", "0", "--k-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)]
         assert load("full_verification").main(argv) == 0
 
+    @pytest.mark.parametrize(
+        "side,flipped,first_bad_m",
+        [
+            ("crt", 56 * 5 + 8, 6),  # a residue above 56 * 5 goes missing
+            ("scan", 56 * 5 + 20, 6),  # a spurious residue appears
+            ("crt", 56 * 11 + 49, 12),  # the last residue goes missing
+        ],
+    )
+    def test_crt_check_lists_the_per_m_disagreements(self, capsys, monkeypatch, side, flipped,
+                                                     first_bad_m):
+        name = "residues_by_crt" if side == "crt" else "enumerate_residues"
+        real = getattr(verify, name)
+
+        def faulty(modulus):
+            residues = set(real(modulus).residues) ^ ({flipped} & set(range(modulus)))
+            return verify.ResidueSolution(modulus, tuple(sorted(residues)))
+
+        monkeypatch.setattr(verify, name, faulty)
+        per_m = [m for m in range(1, 13)
+                 if verify.enumerate_residues(56 * m) != verify.residues_by_crt(56 * m)]
+        assert per_m == list(range(first_bad_m, 13))
+        script = load("full_verification")
+        assert script.crt_disagreements(12) == per_m
+        assert script.main(["--h-span", "300", "--k-span", "300", "--crt-periods", "12"]) == 2
+        assert f"scan vs CRT disagree at m = {per_m}" in capsys.readouterr().out
+
+    def test_largest_crt_check_runs_unpatched(self):
+        assert load("full_verification").crt_disagreements(verify._SCAN_LIMIT // 56) == []
+
 
 class TestMuTable:
     def test_negative_range(self, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnor_mu import verify
+from milnor_mu import bundles, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import MU_RP7_SUM_14M2, mu_quotient
 from milnor_mu.qz import reduce_mod_z
@@ -227,6 +227,41 @@ class TestDirectMuSet:
         h = 56 * (n // 56)  # snap to an admissible representative
         for offset in (0, 1, 8, 49):
             assert direct_mu_set(h + offset) == mu_quotient(MilnorBundle(h + offset))
+
+
+class TestDirectMuCompact:
+    def test_equals_fraction_oracle_on_every_h_of_a_window(self):
+        for h in range(-3000, 3001):  # admissible or not, negative or not
+            assert verify._direct_mu_compact(h) == verify._compact(direct_mu_set(h))
+
+    @given(st.integers(min_value=-(2**256), max_value=2**256))
+    def test_equals_fraction_oracle_on_wide_h(self, h):
+        assert verify._direct_mu_compact(h) == verify._compact(direct_mu_set(h))
+
+    @given(st.integers(min_value=-(2**256), max_value=2**256))
+    def test_two_nonzero_members_over_32_or_224(self, h):
+        (n1, d1), (n2, d2) = verify._direct_mu_compact(h)
+        assert {d1, d2} <= {32, 224}
+        assert 0 < n1 * d2 < n2 * d1 < d1 * d2  # 0 < first < second < 1
+
+    def test_shares_no_name_with_the_quotient_module(self):
+        assert not set(verify._direct_mu_compact.__code__.co_names) & set(vars(quotient))
+
+
+class TestSweepStaysOffFractions:
+    def test_rows_pass_without_the_fraction_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the verify sweep called a Fraction oracle")
+
+        monkeypatch.setattr(verify, "direct_mu_set", refuse)
+        for module in (qz, bundles, verify):
+            monkeypatch.setattr(module, "reduce_mod_z", refuse)
+        chunk = verify._verify_chunk((-200, 200))
+        rows = verify_range(-200, 200)
+        assert len(chunk) == len(rows) > 0
+        assert all(passed for _, _, passed, _ in chunk)
+        monkeypatch.undo()
+        assert all(r.passed and r.mu_set == direct_mu_set(r.h) for r in rows)
 
 
 #: h windows on which residue stepping must agree with a scan of every h.
