@@ -17,11 +17,11 @@ from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _worker_co
 from milnor_mu.verify import (
     _SCAN_LIMIT,
     Case,
+    _sweep,
     brute_force_theorem,
     check_case,
     enumerate_residues,
     residues_by_crt,
-    verify_range,
 )
 
 
@@ -84,10 +84,12 @@ def main(argv: list[str] | None = None) -> int:
           f"{sweep.checked} admissible h, {sweep.failed} failures")
     failed = failed or sweep.failed > 0
 
-    rows = verify_range(-args.h_span, args.h_span, workers=args.parallel)
-    bad = [r.h for r in rows if not r.passed]
-    print(f"oracle-vs-pipeline sweep: {len(rows)} rows, {len(bad)} disagreements")
-    failed = failed or bool(bad)
+    rows = bad = 0
+    for _, _, passed, _ in _sweep(-args.h_span, args.h_span, args.parallel):
+        rows += 1
+        bad += not passed
+    print(f"oracle-vs-pipeline sweep: {rows} rows, {bad} disagreements")
+    failed = failed or bad > 0
 
     print(f"total {time.perf_counter() - t0:.1f}s: "
           f"{'FAILED' if failed else 'all checks passed'}")

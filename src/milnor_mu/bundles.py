@@ -84,10 +84,12 @@ def characteristic_data(bundle: MilnorBundle) -> CharacteristicData:
 def disk_bundle_invariants(bundle: MilnorBundle) -> DiskBundleInvariants:
     """Signature 1 and p1^2 = 4(2h-1)^2 of the disk bundle N_h.
 
-    The Pontryagin number is the square of the p1 coefficient, so the sign
-    ambiguity cancels and an honest integer comes out.
+    The Pontryagin number is the square of the p1 coefficient +/- 2(2h-1), so
+    the sign ambiguity cancels and an honest integer comes out.  It is
+    squared here directly rather than read off :func:`characteristic_data`,
+    so a caller that needs both builds that object once.
     """
-    return DiskBundleInvariants(characteristic_data(bundle).p1_magnitude**2)
+    return DiskBundleInvariants((2 * (2 * bundle.h - 1)) ** 2)
 
 
 def is_diffeo_s7(bundle: MilnorBundle) -> bool:

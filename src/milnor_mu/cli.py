@@ -15,6 +15,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 from .bundles import (
     DerivationMismatch,
@@ -27,7 +29,7 @@ from .bundles import (
 )
 from .quotient import DichotomyViolationError, classify_quotient
 from .qz import AmbiguousResidue
-from .verify import Case, check_case, enumerate_residues, verify_range
+from .verify import Case, _sweep, check_case, enumerate_residues
 
 PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
 
@@ -130,13 +132,13 @@ def _emit_json(payload: object) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _emit_csv(header: list[str], rows: list[list[object]]) -> None:
+def _emit_csv(header: list[str], rows: Iterable[Sequence[object]]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
-def _emit_table(header: list[str], rows: list[list[object]]) -> None:
+def _emit_table(header: list[str], rows: list[Sequence[object]]) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
@@ -166,6 +168,23 @@ def _flat(value: object) -> object:
     if value is None:
         return ""
     return value
+
+
+def _compact_strings(mu: tuple[tuple[int, int], ...]) -> list[str]:
+    # (num, den) pairs print as their Fractions do: a whole number has no "/1"
+    return [str(Fraction(n, d)) for n, d in mu]
+
+
+class _PerValueSet(dict):
+    """Text of each distinct compact value set, rendered on first use."""
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, mu):
+        text = self[mu] = self._render(mu)
+        return text
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -270,44 +289,47 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"milnor-mu: error: ${PARALLEL_ENV_VAR}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    rows = verify_range(h_min, h_max, workers=workers)
-    failed = sum(1 for r in rows if not r.passed)
-    summary = {
-        "h_min": h_min,
-        "h_max": h_max,
-        "checked": len(rows),
-        "passed": len(rows) - failed,
-        "failed": failed,
-    }
+    rows = _sweep(h_min, h_max, workers)
     if args.format == "json":
+        rows = list(rows)  # passed and failed come before the rows
+        failed = sum(1 for row in rows if not row[2])
+        members = _PerValueSet(_compact_strings)
         _emit_json(
             {
-                **summary,
+                "h_min": h_min,
+                "h_max": h_max,
+                "checked": len(rows),
+                "passed": len(rows) - failed,
+                "failed": failed,
                 "rows": [
                     {
-                        "h": r.h,
-                        "residue_class": r.residue_class,
-                        "mu_quotient": _mu_strings(r.mu_set),
-                        "verdict": r.verdict,
-                        "pass": r.passed,
+                        "h": h,
+                        "residue_class": h % 56,
+                        "mu_quotient": members[mu],
+                        "verdict": verdict,
+                        "pass": passed,
                     }
-                    for r in rows
+                    for h, verdict, passed, mu in rows
                 ],
             }
         )
+        return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
+    joined = _PerValueSet(lambda mu: ";".join(_compact_strings(mu)))
+    checked = failed = 0
+
+    def cells():
+        nonlocal checked, failed
+        for h, verdict, passed, mu in rows:
+            checked += 1
+            failed += not passed
+            yield h, h % 56, joined[mu], verdict, "true" if passed else "false"
+
+    header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
+    if args.format == "csv":
+        _emit_csv(header, cells())  # each row is written as it arrives
     else:
-        header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
-        table = [
-            [r.h, r.residue_class, ";".join(_mu_strings(r.mu_set)), r.verdict,
-             _flat(r.passed)]
-            for r in rows
-        ]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, table)
-        print(
-            f"checked {summary['checked']}  passed {summary['passed']}  "
-            f"failed {summary['failed']}",
-            file=sys.stderr,
-        )
+        _emit_table(header, list(cells()))  # the widths need every row first
+    print(f"checked {checked}  passed {checked - failed}  failed {failed}", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
 
 

@@ -10,7 +10,13 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
   formula, sharing no code with the quotient assembly it is meant to catch
   lying: in plain fraction arithmetic (:func:`direct_mu_set`) for
   :func:`brute_force_theorem`, and in integers at scale 224 for the rows of
-  :func:`verify_range`, where the quotient kernel works at scale 1792.
+  the oracle-vs-pipeline sweep, where the quotient kernel works at scale 1792.
+
+That sweep has one engine, :func:`_sweep`.  It decides the range span by
+span, in process or through a bounded worker pool, and yields compact int
+rows in h order as they are decided.  The ``verify`` command writes its
+rows straight from it; :func:`verify_range` collects them into
+:class:`VerifyRow` objects.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .bundles import DerivationMismatch, MilnorBundle
 from .quotient import (
@@ -275,39 +283,68 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     classification pipeline agrees on the set, and its verdict is RP7.  A
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
-    the range is fanned out chunkwise to at most :func:`pool_size` worker
-    processes; rows come back merged in h order either way.  Every row is
-    decided on compact ints (see :func:`_verify_chunk`); the rows returned
-    here share one :class:`AmbiguousResidue` per distinct oracle value set.
+    the spans go to at most :func:`pool_size` worker processes; rows come
+    back in h order either way.  The rows are those of :func:`_sweep`, made
+    into :class:`VerifyRow` objects that share one :class:`AmbiguousResidue`
+    per distinct oracle value set.
+    """
+    value_sets: dict[tuple[_CompactValue, ...], AmbiguousResidue] = {}
+    rows = []
+    for h, verdict, passed, mu in _sweep(h_min, h_max, workers):
+        mu_set = value_sets.get(mu)
+        if mu_set is None:
+            mu_set = value_sets[mu] = _expand(mu)
+        rows.append(VerifyRow(h, h % 56, mu_set, verdict, passed))
+    return tuple(rows)
+
+
+#: Most h in one span of a sweep: 512 periods of 56, about 2k rows.
+_SPAN_WIDTH = 56 * 512
+
+#: Spans a pooled sweep keeps submitted but not yet read, per worker.
+_SPANS_IN_FLIGHT_PER_WORKER = 2
+
+
+def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_CompactRow]:
+    """The compact rows of the admissible h in [h_min, h_max], in h order.
+
+    The range is cut into spans of min(``_SPAN_WIDTH``, ceil(width / parts))
+    h, with ``parts`` from :func:`pool_size`; each span is decided by
+    :func:`_verify_chunk`.  With one part the spans run here, one at a time,
+    as the rows are read.  Otherwise they go to a pool of at most ``parts``
+    processes, which holds at most ``_SPANS_IN_FLIGHT_PER_WORKER * parts``
+    spans submitted and unread, so memory stays bounded however slowly the
+    rows are read.  Raises :class:`EmptyRangeError` on the first ``next``
+    when h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
-    parts = pool_size(workers or 1, os.cpu_count(), h_max - h_min + 1)
-    chunk = (h_max - h_min + parts) // parts
-    spans = [
-        (lo, min(lo + chunk - 1, h_max)) for lo in range(h_min, h_max + 1, chunk)
-    ]
-    if len(spans) == 1:
-        chunks = [_verify_chunk(spans[0])]
-    else:
-        with _pool_class()(max_workers=len(spans)) as pool:
-            chunks = list(pool.map(_verify_chunk, spans))
-    value_sets: dict[tuple[_CompactValue, ...], AmbiguousResidue] = {}
-    rows = []
-    for part in chunks:
-        for h, verdict, passed, mu in part:
-            mu_set = value_sets.get(mu)
-            if mu_set is None:
-                mu_set = value_sets[mu] = _expand(mu)
-            rows.append(VerifyRow(h, h % 56, mu_set, verdict, passed))
-    return tuple(rows)
+    width = h_max - h_min + 1
+    parts = pool_size(workers or 1, os.cpu_count(), width)
+    step = min(_SPAN_WIDTH, -(-width // parts))
+    spans = ((lo, min(lo + step - 1, h_max)) for lo in range(h_min, h_max + 1, step))
+    if parts == 1:
+        for span in spans:
+            yield from _verify_chunk(span)
+        return
+    with _pool_class()(max_workers=min(parts, -(-width // step))) as pool:
+        pending = deque(
+            pool.submit(_verify_chunk, span)
+            for span in islice(spans, _SPANS_IN_FLIGHT_PER_WORKER * parts)
+        )
+        while pending:
+            rows = pending.popleft().result()
+            span = next(spans, None)
+            if span is not None:  # refill before handing the rows out
+                pending.append(pool.submit(_verify_chunk, span))
+            yield from rows
 
 
 def pool_size(requested: int, cpus: int | None, width: int) -> int:
     """Worker count for a sweep: min(requested, cpus, width), at least 1.
 
-    The range is cut into this many spans (fewer when the width does not
-    divide evenly), one worker each, so no worker ever sits idle.
+    A narrow range is cut into at most this many spans, one worker each, so
+    no worker ever sits idle; a wide one into spans of ``_SPAN_WIDTH`` h.
     """
     return max(1, min(requested, cpus or 1, width))
 

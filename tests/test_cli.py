@@ -1,11 +1,18 @@
 import csv
+import functools
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
+from test_faults import FAULTS, fork_only
 
-from milnor_mu import cli
+from milnor_mu import cli, verify
 from milnor_mu.cli import main
+from milnor_mu.verify import verify_range
+
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
 
 def run_cli(capsys, *argv):
@@ -197,11 +204,25 @@ class TestUnexpectedErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("worker\nlost")
 
-        monkeypatch.setattr(cli, "verify_range", broken)
+        monkeypatch.setattr(cli, "_sweep", broken)
         code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", fmt)
         assert code == 2
         assert out == ""
         assert err == "milnor-mu: unexpected RuntimeError: worker lost\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_error_after_some_rows_exits_2_with_one_line(self, capsys, monkeypatch, fmt):
+        def breaks_mid_sweep(h_min, h_max, workers=None):
+            yield from verify._verify_chunk((0, 8))  # h = 0, 1 and 8
+            raise RuntimeError("worker\nlost")
+
+        monkeypatch.setattr(cli, "_sweep", breaks_mid_sweep)
+        code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", fmt)
+        assert code == 2
+        assert err == "milnor-mu: unexpected RuntimeError: worker lost\n"
+        # csv has written each row as it came; json and table had nothing to print yet
+        rendered = render_verify(verify_range(0, 8), -56, 56, "csv")[0]
+        assert out == (rendered if fmt == "csv" else "")
 
     def test_unexpected_error_in_quotient_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "classify_quotient", lambda bundle: 1 / 0)
@@ -254,3 +275,115 @@ class TestCliContract:
             _, out, _ = run_cli(capsys, *argv, "--format", "json")
             payload = json.loads(out)
             assert json.loads(json.dumps(payload)) == payload
+
+
+FORMATS = ["csv", "json", "table"]
+WORKERS = [None, pytest.param(2, marks=fork_only)]
+VERIFY_HEADER = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
+
+#: Three full sweep spans and 17 h more, a window near 10^18, one admissible point.
+WINDOWS = [
+    (-40000, -40000 + 3 * 56 * 512 + 16),
+    (10**18 - 3000, 10**18 + 3000),
+    (8, 8),
+]
+
+
+def render_verify(rows, h_min, h_max, fmt):
+    """(stdout, stderr, exit status) of ``verify`` as rendered from VerifyRows."""
+    failed = sum(1 for r in rows if not r.passed)
+    code = 2 if failed else 0
+    members = [[str(v.rep) for v in r.mu_set] for r in rows]
+    if fmt == "json":
+        payload = {
+            "h_min": h_min,
+            "h_max": h_max,
+            "checked": len(rows),
+            "passed": len(rows) - failed,
+            "failed": failed,
+            "rows": [
+                {"h": r.h, "residue_class": r.residue_class, "mu_quotient": mu,
+                 "verdict": r.verdict, "pass": r.passed}
+                for r, mu in zip(rows, members)
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n", "", code
+    cells = [
+        [str(r.h), str(r.residue_class), ";".join(mu), r.verdict, "true" if r.passed else "false"]
+        for r, mu in zip(rows, members)
+    ]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([VERIFY_HEADER, *cells])
+        out = buf.getvalue()
+    else:
+        widths = [max(len(row[i]) for row in [VERIFY_HEADER, *cells]) for i in range(5)]
+        out = "".join(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+            for row in [VERIFY_HEADER, *cells]
+        )
+    return out, f"checked {len(rows)}  passed {len(rows) - failed}  failed {failed}\n", code
+
+
+@functools.lru_cache(maxsize=None)
+def expected_verify(window, fmt):
+    return render_verify(verify_range(*window), *window, fmt)
+
+
+def run_verify(capsys, window, fmt, workers):
+    argv = ["verify", "--h-range", "%d..%d" % window, "--format", fmt]
+    if workers is not None:
+        argv += ["--parallel", str(workers)]
+    code, out, err = run_cli(capsys, *argv)
+    return out, err, code
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestVerifyBytes:
+    """``verify`` output equals a renderer over ``verify_range`` rows, byte for byte."""
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_equals_rendered_verify_range_rows(self, capsys, window, fmt, workers):
+        assert run_verify(capsys, window, fmt, workers) == expected_verify(window, fmt)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_csv_equals_the_benchmark_oracle(self, capsys, window, workers):
+        out, err, _ = load_oracle().sweep_csv(*window)
+        assert run_verify(capsys, window, "csv", workers) == (out, err, 0)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_equals_rendered_rows_under_each_fault(self, capsys, monkeypatch, fault, fmt,
+                                                   workers):
+        FAULTS[fault][0](monkeypatch)
+        window = WINDOWS[1]
+        expected = render_verify(verify_range(*window), *window, fmt)
+        assert expected[2] == 2
+        assert run_verify(capsys, window, fmt, workers) == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((0, 1), (1, 2)))
+        expected = render_verify(verify_range(-56, 56), -56, 56, fmt)
+        assert "0;1/2" in expected[0] or '"0",' in expected[0]
+        assert run_verify(capsys, (-56, 56), fmt, None) == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_the_command_builds_no_verify_row(self, capsys, monkeypatch, fmt):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the verify command built a VerifyRow")
+
+        window = WINDOWS[1]
+        expected = expected_verify(window, fmt)
+        monkeypatch.setattr(verify, "VerifyRow", no_rows)
+        assert run_verify(capsys, window, fmt, None) == expected

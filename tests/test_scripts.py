@@ -33,6 +33,20 @@ class TestFullVerification:
         assert load("full_verification").main(SMALL) == 2
         assert "FAILED" in capsys.readouterr().out
 
+    def test_sweep_counts_rows_without_building_them(self, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the script built the verify_range rows")
+
+        monkeypatch.setattr(verify, "verify_range", no_rows)
+        monkeypatch.setattr(verify, "VerifyRow", no_rows)
+        assert load("full_verification").main(SMALL) == 0
+        assert "oracle-vs-pipeline sweep: 44 rows, 0 disagreements" in capsys.readouterr().out
+
+    def test_disagreements_are_counted(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((15, 32), (17, 32)))
+        assert load("full_verification").main(SMALL) == 2
+        assert "oracle-vs-pipeline sweep: 44 rows, 44 disagreements" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
     def test_bad_worker_count_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:

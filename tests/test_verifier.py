@@ -384,9 +384,14 @@ class TestResidueStepping:
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process.
+
+    A submitted call runs when its result is read, and ``in_flight`` counts
+    the calls submitted and not yet read, with ``peak`` its largest value.
+    """
 
     sizes: list = []
+    in_flight = peak = 0
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -397,8 +402,20 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        pool = type(self)
+        pool.in_flight += 1
+        pool.peak = max(pool.peak, pool.in_flight)
+        return _InlineFuture(pool, fn, args)
+
+
+class _InlineFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.fn(*self.args)
 
 
 class TestPoolSize:
@@ -429,3 +446,77 @@ class TestPoolSize:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
         assert _InlinePool.sizes == expected_pool
+
+
+class TestSweepEngine:
+    """``_sweep``: spans in h order, rows as they are decided, bounded fan-out."""
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        calls = []
+        real = verify._verify_chunk
+
+        def recorded(span):
+            calls.append(span)
+            return real(span)
+
+        monkeypatch.setattr(verify, "_verify_chunk", recorded)
+        return calls
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_first_row_comes_before_the_last_span_is_decided(self, monkeypatch, workers):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        calls = self.record_chunks(monkeypatch)
+        rows = verify._sweep(0, 56 * 10 - 1, workers)
+        assert next(rows)[0] == 0
+        assert calls and (56 * 9, 56 * 10 - 1) not in calls
+        rest = list(rows)
+        assert calls == [(56 * i, 56 * i + 55) for i in range(10)]
+        assert len(rest) == 4 * 10 - 1
+
+    def test_pooled_spans_in_flight_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(_InlinePool, "peak", 0)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        rows = tuple(verify._sweep(-56 * 20, 56 * 20 - 1, workers=4))
+        assert rows == verify._verify_chunk((-56 * 20, 56 * 20 - 1))
+        assert _InlinePool.sizes == [4]
+        assert _InlinePool.peak == verify._SPANS_IN_FLIGHT_PER_WORKER * 4
+        assert _InlinePool.in_flight == 0
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_many_spans_keep_h_order(self, monkeypatch, workers):
+        # with a real pool when workers is 2: each span is one submitted task
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
+        expected = verify._verify_chunk((-3000, 3000))
+        assert tuple(verify._sweep(-3000, 3000, workers)) == expected
+
+    def test_span_width_caps_a_wide_sequential_range(self, monkeypatch):
+        calls = self.record_chunks(monkeypatch)
+        width = 2 * verify._SPAN_WIDTH + 1
+        assert sum(1 for _ in verify._sweep(0, width - 1)) == len(verify_range(0, width - 1))
+        assert [hi - lo + 1 for lo, hi in calls[:3]] == [verify._SPAN_WIDTH] * 2 + [1]
+
+    def test_backwards_range_raises_on_first_row(self):
+        rows = verify._sweep(1, 0)
+        with pytest.raises(EmptyRangeError):
+            next(rows)
+
+
+def test_one_characteristic_data_per_row(monkeypatch):
+    calls = []
+    real = bundles.characteristic_data
+
+    def counted(bundle):
+        calls.append(bundle.h)
+        return real(bundle)
+
+    for module in (bundles, quotient):
+        monkeypatch.setattr(module, "characteristic_data", counted)
+    target = verify._compact(verify._TARGET)
+    assert verify._verify_row(8, target) == (8, "RP7", True, ((1, 32), (31, 32)))
+    assert calls == [8]
