@@ -52,9 +52,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parallel", type=_worker_count, default=None,
                         help="worker processes for the h sweep")
     args = parser.parse_args(argv)
-    for flag, span in (("--h-span", args.h_span), ("--k-span", args.k_span)):
-        if span < 0:
-            parser.error(f"{flag} must be non-negative, got {span}")
+    for flag, size in (("--h-span", args.h_span), ("--k-span", args.k_span),
+                       ("--crt-periods", args.crt_periods)):
+        if size < 0:
+            parser.error(f"{flag} must be non-negative, got {size}")
     if args.crt_periods > _SCAN_LIMIT // 56:
         parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
 

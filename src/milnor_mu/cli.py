@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .bundles import (
     DerivationMismatch,
@@ -29,7 +28,7 @@ from .bundles import (
 )
 from .quotient import DichotomyViolationError, classify_quotient
 from .qz import AmbiguousResidue
-from .verify import Case, _sweep, check_case, enumerate_residues
+from .verify import Case, _expand, _sweep, check_case, enumerate_residues
 
 PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
 
@@ -170,13 +169,8 @@ def _flat(value: object) -> object:
     return value
 
 
-def _compact_strings(mu: tuple[tuple[int, int], ...]) -> list[str]:
-    # (num, den) pairs print as their Fractions do: a whole number has no "/1"
-    return [str(Fraction(n, d)) for n, d in mu]
-
-
 class _PerValueSet(dict):
-    """Text of each distinct compact value set, rendered on first use."""
+    """Text of each distinct value set of the sweep, rendered on first use."""
 
     def __init__(self, render) -> None:
         super().__init__()
@@ -293,7 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         rows = list(rows)  # passed and failed come before the rows
         failed = sum(1 for row in rows if not row[2])
-        members = _PerValueSet(_compact_strings)
+        members = _PerValueSet(lambda mu: _mu_strings(_expand(mu)))
         _emit_json(
             {
                 "h_min": h_min,
@@ -314,7 +308,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
-    joined = _PerValueSet(lambda mu: ";".join(_compact_strings(mu)))
+    joined = _PerValueSet(lambda mu: ";".join(_mu_strings(_expand(mu))))
     checked = failed = 0
 
     def cells():

@@ -14,15 +14,14 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 
 That sweep has one engine, :func:`_sweep`.  It decides the range span by
 span, in process or through a bounded worker pool, and yields compact int
-rows in h order as they are decided.  The ``verify`` command writes its
-rows straight from it; :func:`verify_range` collects them into
-:class:`VerifyRow` objects.
+rows in h order as they are decided, each value set as the oracle's sorted
+int pair at scale 224.  The ``verify`` command writes its rows straight from
+it; :func:`verify_range` collects them into :class:`VerifyRow` objects.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -162,8 +161,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     The congruences are decided in exact integer arithmetic after clearing
     denominators (112, 32, and their lcm 224): (a) becomes
     h(h-1) - 112*quad - 56k = 0 mod 112, (b) becomes
-    (2h-1) - 32*linear - 16k = 0 mod 32, and (c) becomes
-    {2h(h-1) +/- 7(2h-1) mod 224} = {7, 217}.
+    (2h-1) - 32*linear - 16k = 0 mod 32, and (c) asks the sweep's oracle
+    :func:`_direct_mu_pair` for the value set at scale 224 and compares it
+    with the sweep's target, ``_pair(_TARGET)``.
 
     Each of these is an integer polynomial in k taken mod a divisor of 224,
     so whether k fails depends only on k mod 224 (see ``_CASE_PERIOD``).
@@ -177,20 +177,15 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     res = case.h_residue
     quad_112 = int(quad * 112)
     linear_32 = int(linear * 32)
+    target = _pair(_TARGET)
     period_failures = []
     for k in range(k_min, min(k_max, k_min + _CASE_PERIOD - 1) + 1):
         h = 56 * k + res
-        hh = h * (h - 1)
-        odd = 2 * h - 1
         ok = (
-            (hh - quad_112 - 56 * k) % 112 == 0
-            and (odd - linear_32 - 16 * k) % 32 == 0
+            (h * (h - 1) - quad_112 - 56 * k) % 112 == 0
+            and (2 * h - 1 - linear_32 - 16 * k) % 32 == 0
+            and _direct_mu_pair(h) == target
         )
-        if ok:
-            lo, hi = (2 * hh + 7 * odd) % 224, (2 * hh - 7 * odd) % 224
-            if lo > hi:
-                lo, hi = hi, lo
-            ok = (lo, hi) == (7, 217)
         if not ok:
             period_failures.append(k)
     # with nothing failing, skip the shifts: a wide range has ~width/224 of them
@@ -266,12 +261,10 @@ class VerifyRow:
     passed: bool
 
 
-#: A member of an oracle value set as plain ints: (numerator, denominator).
-_CompactValue = tuple[int, int]
-
-#: What a sweep worker returns per row: (h, verdict, passed, oracle value set),
-#: ints, strs and bools only, so results pickle small and unpickle fast.
-_CompactRow = tuple[int, str, bool, tuple[_CompactValue, ...]]
+#: What a sweep worker returns per row: (h, verdict, passed, (a, b)), with
+#: (a, b) the oracle's value set {a/224, b/224}; ints, strs and bools only, so
+#: results pickle small and unpickle fast.
+_CompactRow = tuple[int, str, bool, tuple[int, int]]
 
 _RP7_VERDICT = Verdict.REAL_PROJECTIVE_7.value
 
@@ -288,7 +281,7 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     into :class:`VerifyRow` objects that share one :class:`AmbiguousResidue`
     per distinct oracle value set.
     """
-    value_sets: dict[tuple[_CompactValue, ...], AmbiguousResidue] = {}
+    value_sets: dict[tuple[int, int], AmbiguousResidue] = {}
     rows = []
     for h, verdict, passed, mu in _sweep(h_min, h_max, workers):
         mu_set = value_sets.get(mu)
@@ -307,6 +300,9 @@ _SPANS_IN_FLIGHT_PER_WORKER = 2
 
 def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_CompactRow]:
     """The compact rows of the admissible h in [h_min, h_max], in h order.
+
+    Each row is ``(h, verdict, passed, (a, b))``, where (a, b) is the
+    oracle's value set as :func:`_direct_mu_pair` gives it.
 
     The range is cut into spans of min(``_SPAN_WIDTH``, ceil(width / parts))
     h, with ``parts`` from :func:`pool_size`; each span is decided by
@@ -372,16 +368,20 @@ def _admissible(lo: int, hi: int) -> Iterator[int]:
 
 def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
     """Compact rows for the admissible h in span."""
-    target = _compact(_TARGET)
+    target = _pair(_TARGET)
     return tuple([_verify_row(h, target) for h in _admissible(*span)])
 
 
-def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:
-    oracle = _direct_mu_compact(h)
+#: 1792 / 224: the kernel's scale over the oracle's.
+_ORACLE_TO_KERNEL = MU_SCALE // 224
+
+
+def _verify_row(h: int, target: tuple[int, ...]) -> _CompactRow:
+    oracle = a, b = _direct_mu_pair(h)
     try:
         scaled = _mu_quotient_scaled(MilnorBundle(h))
         verdict = _verdict(h, scaled).value
-        agreed = _scaled_members(oracle) == set(scaled)
+        agreed = scaled == (a * _ORACLE_TO_KERNEL, b * _ORACLE_TO_KERNEL)
     except DerivationMismatch:
         verdict, agreed = "derivation_mismatch", False
     except DichotomyViolationError:
@@ -390,44 +390,34 @@ def _verify_row(h: int, target: tuple[_CompactValue, ...]) -> _CompactRow:
     return h, verdict, passed, oracle
 
 
-def _direct_mu_compact(h: int) -> tuple[_CompactValue, ...]:
-    """:func:`direct_mu_set` in compact form, read in integers at scale 224.
+def _direct_mu_pair(h: int) -> tuple[int, int]:
+    """:func:`direct_mu_set` read in integers at scale 224, as a sorted pair.
 
     224 * (h(h-1)/112 +/- (2h-1)/32) = 2h(h-1) +/- 7(2h-1), so the members are
-    a/224 and b/224 with a, b those two sums mod 224, each reduced by
-    gcd(v, 224).  Both sums are odd (even plus or minus odd), so gcd(v, 224)
-    is 1 or 7: no member is 0, every denominator is 224 or 32, and a and b
-    never coincide, since a - b = 14(2h-1) and 16 does not divide 2h - 1.
-    Equal to ``_compact(direct_mu_set(h))`` for every integer h; shares no
-    code or scale with the quotient kernel (1792).
+    a/224 and b/224 with a < b those two sums mod 224.  Both sums are odd
+    (even plus or minus odd), so no member is 0, and they never coincide,
+    since a - b = 14(2h-1) and 16 does not divide 2h - 1.  Equal to
+    ``_pair(direct_mu_set(h))`` for every integer h; shares no code or scale
+    with the quotient kernel (1792).
     """
     quad, odd = 2 * h * (h - 1), 7 * (2 * h - 1)
     a, b = (quad + odd) % 224, (quad - odd) % 224
-    if a > b:
-        a, b = b, a
-    ga, gb = math.gcd(a, 224), math.gcd(b, 224)
-    return (a // ga, 224 // ga), (b // gb, 224 // gb)
+    return (a, b) if a < b else (b, a)
 
 
-def _compact(mu: AmbiguousResidue) -> tuple[_CompactValue, ...]:
-    """The members of mu as sorted (numerator, denominator) pairs.
+def _pair(mu: AmbiguousResidue) -> tuple[int, ...]:
+    """224 * v for each member v of mu, in order: the oracle's form of mu.
 
-    Members are canonical reps in [0, 1), sorted and distinct, so two value
-    sets are equal exactly when their compact forms are.
+    Raises ValueError when a member is not a multiple of 1/224.  Members are
+    canonical reps in [0, 1), sorted and distinct, so two value sets are
+    equal exactly when their pairs are.
     """
-    return tuple([(v.rep.numerator, v.rep.denominator) for v in mu.values])
+    scaled = [divmod(224 * v.rep.numerator, v.rep.denominator) for v in mu.values]
+    if any(rem for _, rem in scaled):
+        raise ValueError(f"{mu} has a member off the 1/224 grid")
+    return tuple([a for a, _ in scaled])
 
 
-def _expand(mu: tuple[_CompactValue, ...]) -> AmbiguousResidue:
-    """Inverse of :func:`_compact`."""
-    return AmbiguousResidue(tuple(ResidueModZ(Fraction(n, d)) for n, d in mu))
-
-
-def _scaled_members(mu: tuple[_CompactValue, ...]) -> set[int] | None:
-    """{1792 * v for v in mu}, or None when a member is not a multiple of 1/1792."""
-    members = set()
-    for num, den in mu:
-        if MU_SCALE % den:
-            return None
-        members.add(num * (MU_SCALE // den))
-    return members
+def _expand(pair: tuple[int, ...]) -> AmbiguousResidue:
+    """Inverse of :func:`_pair`."""
+    return AmbiguousResidue(tuple([ResidueModZ(Fraction(v, 224)) for v in pair]))

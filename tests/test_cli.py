@@ -373,7 +373,7 @@ class TestVerifyBytes:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((0, 1), (1, 2)))
+        monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (0, 112))
         expected = render_verify(verify_range(-56, 56), -56, 56, fmt)
         assert "0;1/2" in expected[0] or '"0",' in expected[0]
         assert run_verify(capsys, (-56, 56), fmt, None) == expected
@@ -387,3 +387,27 @@ class TestVerifyBytes:
         expected = expected_verify(window, fmt)
         monkeypatch.setattr(verify, "VerifyRow", no_rows)
         assert run_verify(capsys, window, fmt, None) == expected
+
+
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
+
+#: README examples printed in full; the cases and verify blocks are marked
+#: there as reformatted or elided.
+VERBATIM_EXAMPLES = ("invariants", "quotient", "enumerate")
+
+
+def readme_examples():
+    """(argv, stdout) of each ``$ milnor-mu ...`` block in the README."""
+    examples = {}
+    for block in README_PATH.read_text().split("```sh\n")[1:]:
+        command, _, out = block.split("\n```", 1)[0].partition("\n")
+        if command.startswith("$ milnor-mu "):
+            argv = command.split()[2:]
+            examples[argv[0]] = (argv, out + "\n")
+    return examples
+
+
+@pytest.mark.parametrize("command", VERBATIM_EXAMPLES)
+def test_readme_example_is_the_real_output(capsys, command):
+    argv, expected = readme_examples()[command]
+    assert run_cli(capsys, *argv) == (0, expected, "")

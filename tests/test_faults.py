@@ -47,8 +47,8 @@ def shifted_p1_squared(monkeypatch, module=quotient):
 
 
 def oracle_says_sum_14m2(monkeypatch):
-    # the sweep's own oracle, in compact form: {15/32, 17/32}
-    monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((15, 32), (17, 32)))
+    # the sweep's own oracle, at its scale 224: {15/32, 17/32}
+    monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119))
 
 
 def target_says_sum_14m2(monkeypatch):
@@ -100,7 +100,8 @@ def test_worker_rows_stay_plain_ints(monkeypatch, fault):
     FAULTS[fault][0](monkeypatch)
     for h, verdict, passed, mu in verify._verify_chunk(WINDOW):
         assert (type(h), type(verdict), passed) == (int, str, False)
-        assert all(type(n) is int and type(d) is int for n, d in mu)
+        a, b = mu
+        assert type(a) is type(b) is int and 0 <= a < b < 224
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -110,6 +111,16 @@ def test_cli_verify_exits_2(monkeypatch, capsys, fault):
     err = capsys.readouterr().err
     assert code == 2
     assert f"failed {ADMISSIBLE_IN_WINDOW}" in err
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_cli_cases_fails_only_under_the_oracle_and_target_faults(monkeypatch, capsys, fault):
+    # cases decides its check (c) with the sweep's oracle and target; it never
+    # calls the kernel, so the kernel faults leave it passing
+    FAULTS[fault][0](monkeypatch)
+    code = cli.main(["cases", "--k-range", "-300..300", "--format", "csv"])
+    capsys.readouterr()
+    assert code == (2 if fault in ("oracle", "target") else 0)
 
 
 @pytest.mark.parametrize("workers", WORKERS)

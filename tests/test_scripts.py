@@ -43,7 +43,7 @@ class TestFullVerification:
         assert "oracle-vs-pipeline sweep: 44 rows, 0 disagreements" in capsys.readouterr().out
 
     def test_disagreements_are_counted(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "_direct_mu_compact", lambda h: ((15, 32), (17, 32)))
+        monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119))
         assert load("full_verification").main(SMALL) == 2
         assert "oracle-vs-pipeline sweep: 44 rows, 44 disagreements" in capsys.readouterr().out
 
@@ -56,7 +56,12 @@ class TestFullVerification:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--h-span", "-1"), ("--k-span", "-5"), ("--crt-periods", str(verify._SCAN_LIMIT // 56 + 1))],
+        [
+            ("--h-span", "-1"),
+            ("--k-span", "-5"),
+            ("--crt-periods", "-1"),
+            ("--crt-periods", str(verify._SCAN_LIMIT // 56 + 1)),
+        ],
     )
     def test_out_of_range_size_is_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:

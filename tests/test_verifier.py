@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from milnor_mu import bundles, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import MU_RP7_SUM_14M2, mu_quotient
-from milnor_mu.qz import reduce_mod_z
+from milnor_mu.qz import ambiguous, reduce_mod_z
 from milnor_mu.verify import (
     Case,
     EmptyRangeError,
@@ -229,23 +229,27 @@ class TestDirectMuSet:
             assert direct_mu_set(h + offset) == mu_quotient(MilnorBundle(h + offset))
 
 
-class TestDirectMuCompact:
+class TestDirectMuPair:
     def test_equals_fraction_oracle_on_every_h_of_a_window(self):
         for h in range(-3000, 3001):  # admissible or not, negative or not
-            assert verify._direct_mu_compact(h) == verify._compact(direct_mu_set(h))
+            assert verify._direct_mu_pair(h) == verify._pair(direct_mu_set(h))
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
     def test_equals_fraction_oracle_on_wide_h(self, h):
-        assert verify._direct_mu_compact(h) == verify._compact(direct_mu_set(h))
+        assert verify._direct_mu_pair(h) == verify._pair(direct_mu_set(h))
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
-    def test_two_nonzero_members_over_32_or_224(self, h):
-        (n1, d1), (n2, d2) = verify._direct_mu_compact(h)
-        assert {d1, d2} <= {32, 224}
-        assert 0 < n1 * d2 < n2 * d1 < d1 * d2  # 0 < first < second < 1
+    def test_two_odd_members_in_order(self, h):
+        a, b = verify._direct_mu_pair(h)
+        assert a % 2 == b % 2 == 1  # so neither member is 0
+        assert 0 < a < b < 224
 
     def test_shares_no_name_with_the_quotient_module(self):
-        assert not set(verify._direct_mu_compact.__code__.co_names) & set(vars(quotient))
+        assert not set(verify._direct_mu_pair.__code__.co_names) & set(vars(quotient))
+
+    def test_pair_refuses_a_member_off_the_224_grid(self):
+        with pytest.raises(ValueError, match="1/224 grid"):
+            verify._pair(ambiguous(Fraction(1, 3)))
 
 
 class TestSweepStaysOffFractions:
@@ -347,12 +351,12 @@ class TestCompactWorkerRows:
         assert len(chunk) == len(verify_range(*span))
 
     def test_row_layout(self):
-        assert verify._verify_chunk((8, 8)) == ((8, "RP7", True, ((1, 32), (31, 32))),)
+        assert verify._verify_chunk((8, 8)) == ((8, "RP7", True, (7, 217)),)
 
     @given(st.integers(min_value=-(2**64), max_value=2**64))
-    def test_compact_round_trips(self, h):
+    def test_pair_round_trips(self, h):
         mu = direct_mu_set(h)
-        assert verify._expand(verify._compact(mu)) == mu
+        assert verify._expand(verify._pair(mu)) == mu
 
 
 def _every_h_reference(lo, hi):
@@ -517,6 +521,6 @@ def test_one_characteristic_data_per_row(monkeypatch):
 
     for module in (bundles, quotient):
         monkeypatch.setattr(module, "characteristic_data", counted)
-    target = verify._compact(verify._TARGET)
-    assert verify._verify_row(8, target) == (8, "RP7", True, ((1, 32), (31, 32)))
+    target = verify._pair(verify._TARGET)
+    assert verify._verify_row(8, target) == (8, "RP7", True, (7, 217))
     assert calls == [8]
