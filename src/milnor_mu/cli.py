@@ -1,9 +1,9 @@
 """Command-line frontend: compute, classify, enumerate, and verify.
 
 Data goes to stdout and is deterministic byte for byte; anything else
-(errors, csv summaries) goes to stderr.  Rationals are always printed as
-exact ``p/q`` strings and ambiguous values as sorted arrays, so textual
-equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
+(errors, the csv and table summaries of ``verify``) goes to stderr.
+Rationals are always printed as exact ``p/q`` strings and ambiguous values
+as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
 verification check failed or the command hit an unexpected error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -137,7 +138,7 @@ def _emit_csv(header: list[str], rows: Iterable[Sequence[object]]) -> None:
     writer.writerows(rows)
 
 
-def _emit_table(header: list[str], rows: list[Sequence[object]]) -> None:
+def _emit_table(header: list[str], rows: Iterable[Sequence[object]]) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
@@ -167,18 +168,6 @@ def _flat(value: object) -> object:
     if value is None:
         return ""
     return value
-
-
-class _PerValueSet(dict):
-    """Text of each distinct value set of the sweep, rendered on first use."""
-
-    def __init__(self, render) -> None:
-        super().__init__()
-        self._render = render
-
-    def __missing__(self, mu):
-        text = self[mu] = self._render(mu)
-        return text
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -284,31 +273,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"milnor-mu: error: ${PARALLEL_ENV_VAR}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     rows = _sweep(h_min, h_max, workers)
-    if args.format == "json":
-        rows = list(rows)  # passed and failed come before the rows
-        failed = sum(1 for row in rows if not row[2])
-        members = _PerValueSet(lambda mu: _mu_strings(_expand(mu)))
-        _emit_json(
-            {
-                "h_min": h_min,
-                "h_max": h_max,
-                "checked": len(rows),
-                "passed": len(rows) - failed,
-                "failed": failed,
-                "rows": [
-                    {
-                        "h": h,
-                        "residue_class": h % 56,
-                        "mu_quotient": members[mu],
-                        "verdict": verdict,
-                        "pass": passed,
-                    }
-                    for h, verdict, passed, mu in rows
-                ],
-            }
-        )
-        return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
-    joined = _PerValueSet(lambda mu: ";".join(_mu_strings(_expand(mu))))
+    as_json = args.format == "json"
+    # json keeps each value set a list and each pass cell a bool; csv and table spell both out
+    join, flag = (list, (False, True)) if as_json else (";".join, ("false", "true"))
+    members = functools.cache(lambda mu: join(_mu_strings(_expand(mu))))
     checked = failed = 0
 
     def cells():
@@ -316,14 +284,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for h, verdict, passed, mu in rows:
             checked += 1
             failed += not passed
-            yield h, h % 56, joined[mu], verdict, "true" if passed else "false"
+            yield h, h % 56, members(mu), verdict, flag[passed]
 
-    header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
-    if args.format == "csv":
-        _emit_csv(header, cells())  # each row is written as it arrives
+    if as_json:
+        keys = ("h", "residue_class", "mu_quotient", "verdict", "pass")
+        listed = [dict(zip(keys, row)) for row in cells()]  # the counts come before the rows
+        _emit_json(
+            {
+                "h_min": h_min,
+                "h_max": h_max,
+                "checked": checked,
+                "passed": checked - failed,
+                "failed": failed,
+                "rows": listed,
+            }
+        )
     else:
-        _emit_table(header, list(cells()))  # the widths need every row first
-    print(f"checked {checked}  passed {checked - failed}  failed {failed}", file=sys.stderr)
+        header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
+        # csv writes each row as it arrives; table needs every row for its widths
+        (_emit_csv if args.format == "csv" else _emit_table)(header, cells())
+        print(f"checked {checked}  passed {checked - failed}  failed {failed}", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
 
 

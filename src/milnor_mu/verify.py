@@ -22,6 +22,7 @@ it; :func:`verify_range` collects them into :class:`VerifyRow` objects.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -169,7 +170,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     so whether k fails depends only on k mod 224 (see ``_CASE_PERIOD``).
     Every k in the range is still decided: the first period of the range is
     tested k by k, and each failing k0 there stands for every k0 + 224t in
-    range.  Any k-range therefore costs the same.
+    range.  When the case matches, any k-range therefore costs the same.  When
+    it fails, ``failures`` lists every failing k in the range, so time and
+    memory grow linearly with the width.
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
@@ -278,17 +281,14 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
     the spans go to at most :func:`pool_size` worker processes; rows come
     back in h order either way.  The rows are those of :func:`_sweep`, made
-    into :class:`VerifyRow` objects that share one :class:`AmbiguousResidue`
-    per distinct oracle value set.
+    into :class:`VerifyRow` objects; each distinct oracle pair is expanded
+    once per call, so rows share one :class:`AmbiguousResidue` per value set.
     """
-    value_sets: dict[tuple[int, int], AmbiguousResidue] = {}
-    rows = []
-    for h, verdict, passed, mu in _sweep(h_min, h_max, workers):
-        mu_set = value_sets.get(mu)
-        if mu_set is None:
-            mu_set = value_sets[mu] = _expand(mu)
-        rows.append(VerifyRow(h, h % 56, mu_set, verdict, passed))
-    return tuple(rows)
+    expand = functools.cache(_expand)
+    return tuple(
+        VerifyRow(h, h % 56, expand(mu), verdict, passed)
+        for h, verdict, passed, mu in _sweep(h_min, h_max, workers)
+    )
 
 
 #: Most h in one span of a sweep: 512 periods of 56, about 2k rows.

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from test_faults import FAULTS, fork_only
+from test_faults import FAULTS, closed_form_off_by_one, fork_only, oracle_off_on_odd_h
 
 from milnor_mu import cli, verify
 from milnor_mu.cli import main
@@ -288,6 +288,17 @@ WINDOWS = [
     (8, 8),
 ]
 
+PARTIAL_WINDOW = (-3000, 3000)
+
+#: Each fault of test_faults on a window near 10^18, where it fails every row,
+#: and two that fail some rows only, on a window holding h = 8: the oracle off
+#: target on odd h and the closed form off at h = 8 alone.
+FAULT_INPUTS = {
+    **{name: (inject, WINDOWS[1]) for name, (inject, _) in FAULTS.items()},
+    "oracle_on_odd_h": (oracle_off_on_odd_h, PARTIAL_WINDOW),
+    "closed_form_at_8": (functools.partial(closed_form_off_by_one, only_h=8), PARTIAL_WINDOW),
+}
+
 
 def render_verify(rows, h_min, h_max, fmt):
     """(stdout, stderr, exit status) of ``verify`` as rendered from VerifyRows."""
@@ -362,14 +373,31 @@ class TestVerifyBytes:
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("fault", sorted(FAULT_INPUTS))
     def test_equals_rendered_rows_under_each_fault(self, capsys, monkeypatch, fault, fmt,
                                                    workers):
-        FAULTS[fault][0](monkeypatch)
-        window = WINDOWS[1]
+        inject, window = FAULT_INPUTS[fault]
+        inject(monkeypatch)
         expected = render_verify(verify_range(*window), *window, fmt)
         assert expected[2] == 2
         assert run_verify(capsys, window, fmt, workers) == expected
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
+    def test_renders_each_value_set_once(self, capsys, monkeypatch, odd_h_fault, value_sets,
+                                         fmt, workers):
+        if odd_h_fault:
+            oracle_off_on_odd_h(monkeypatch)
+        calls = []
+
+        def counted(pair, expand=cli._expand):
+            calls.append(pair)
+            return expand(pair)
+
+        monkeypatch.setattr(cli, "_expand", counted)
+        run_verify(capsys, PARTIAL_WINDOW, fmt, workers)
+        assert len(calls) == len(set(calls)) == value_sets
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):

@@ -51,6 +51,12 @@ def oracle_says_sum_14m2(monkeypatch):
     monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119))
 
 
+def oracle_off_on_odd_h(monkeypatch):
+    # {15/32, 17/32} on odd h only: two value sets in a sweep, half its rows failing
+    real = verify._direct_mu_pair
+    monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119) if h % 2 else real(h))
+
+
 def target_says_sum_14m2(monkeypatch):
     monkeypatch.setattr(verify, "_TARGET", quotient.MU_RP7_SUM_14M2)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_faults import oracle_off_on_odd_h
 
 from milnor_mu import bundles, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
@@ -330,9 +331,13 @@ class TestVerifyRange:
     def test_parallel_matches_sequential(self):
         assert verify_range(-300, 300, workers=3) == verify_range(-300, 300)
 
-    def test_one_value_set_object_per_distinct_set(self):
+    @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
+    def test_one_value_set_object_per_distinct_set(self, monkeypatch, odd_h_fault, value_sets):
+        if odd_h_fault:
+            oracle_off_on_odd_h(monkeypatch)
         rows = verify_range(-5600, 5600)
-        assert len({id(r.mu_set) for r in rows}) == 1
+        assert len({id(r.mu_set) for r in rows}) == value_sets
+        assert all(r.mu_set == verify._expand(verify._direct_mu_pair(r.h)) for r in rows)
         assert rows[0].mu_set == direct_mu_set(rows[0].h)
 
 
