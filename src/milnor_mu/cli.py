@@ -5,6 +5,10 @@ Data goes to stdout and is deterministic byte for byte; anything else
 Rationals are always printed as exact ``p/q`` strings and ambiguous values
 as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
 verification check failed or the command hit an unexpected error.
+
+``verify`` renders each span of its range where the span is decided (see
+:func:`_render_span`), in a pool worker under ``--parallel``, so this process
+only adds up the counts and writes finished text.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import re
@@ -29,7 +34,7 @@ from .bundles import (
 )
 from .quotient import DichotomyViolationError, classify_quotient
 from .qz import AmbiguousResidue
-from .verify import Case, _expand, _sweep, check_case, enumerate_residues
+from .verify import Case, _expand, _map_spans, _verify_chunk, check_case, enumerate_residues
 
 PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
 
@@ -138,8 +143,7 @@ def _emit_csv(header: list[str], rows: Iterable[Sequence[object]]) -> None:
     writer.writerows(rows)
 
 
-def _emit_table(header: list[str], rows: Iterable[Sequence[object]]) -> None:
-    cells = [[str(c) for c in row] for row in rows]
+def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
     widths = [
         max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
         for i in range(len(header))
@@ -225,7 +229,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _emit_json({"modulus": solution.modulus, "residues": list(solution.residues)})
     else:
         header = ["modulus", "residue"]
-        rows = [[solution.modulus, r] for r in solution.residues]
+        rows = [[str(solution.modulus), str(r)] for r in solution.residues]
         (_emit_csv if args.format == "csv" else _emit_table)(header, rows)
     return EXIT_OK
 
@@ -254,7 +258,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
     else:
         header = ["case", "h_residue", "quad_constant", "linear_constant", "matches"]
         rows = [
-            [r.case.name, r.h_residue, str(r.quad_constant), str(r.linear_constant),
+            [r.case.name, str(r.h_residue), str(r.quad_constant), str(r.linear_constant),
              _flat(r.matches)]
             for r in reports
         ]
@@ -264,6 +268,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     h_min, h_max = args.h_range
+    fmt = args.format
     workers = args.parallel
     env = os.environ.get(PARALLEL_ENV_VAR, "")
     if workers is None and env:
@@ -272,39 +277,83 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"milnor-mu: error: ${PARALLEL_ENV_VAR}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    rows = _sweep(h_min, h_max, workers)
-    as_json = args.format == "json"
-    # json keeps each value set a list and each pass cell a bool; csv and table spell both out
-    join, flag = (list, (False, True)) if as_json else (";".join, ("false", "true"))
-    members = functools.cache(lambda mu: join(_mu_strings(_expand(mu))))
+    spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, workers)
+    header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
+    if fmt == "csv":
+        _emit_csv(header, ())
     checked = failed = 0
-
-    def cells():
-        nonlocal checked, failed
-        for h, verdict, passed, mu in rows:
-            checked += 1
-            failed += not passed
-            yield h, h % 56, members(mu), verdict, flag[passed]
-
-    if as_json:
-        keys = ("h", "residue_class", "mu_quotient", "verdict", "pass")
-        listed = [dict(zip(keys, row)) for row in cells()]  # the counts come before the rows
-        _emit_json(
+    kept = []  # json needs the counts first, table every row for its widths
+    for span_checked, span_failed, chunk in spans:
+        checked += span_checked
+        failed += span_failed
+        if fmt == "csv":  # csv writes each span as it arrives
+            sys.stdout.write(chunk)
+        elif fmt == "table":
+            kept.extend(chunk)
+        elif chunk:  # a span with no admissible h adds no json text
+            kept.append(chunk)
+    if fmt == "json":
+        payload = json.dumps(
             {
                 "h_min": h_min,
                 "h_max": h_max,
                 "checked": checked,
                 "passed": checked - failed,
                 "failed": failed,
-                "rows": listed,
-            }
+                "rows": [],
+            },
+            indent=2,
         )
+        if kept:  # the row blocks go where json.dumps put the empty list
+            payload = payload.removesuffix("[]\n}") + "[\n" + ",\n".join(kept) + "\n  ]\n}"
+        print(payload)
     else:
-        header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
-        # csv writes each row as it arrives; table needs every row for its widths
-        (_emit_csv if args.format == "csv" else _emit_table)(header, cells())
+        if fmt == "table":
+            _emit_table(header, kept)
         print(f"checked {checked}  passed {checked - failed}  failed {failed}", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
+
+
+def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[list[str]]]:
+    """Decide one span of ``verify`` and render its rows: (checked, failed, chunk).
+
+    It runs where the span is decided, in a pool worker under ``--parallel``,
+    so the parent only adds counts and writes text.  The chunk is the csv
+    lines, the json row objects joined by ``",\n"`` at their indentation in
+    the whole payload, or the table cells.  The tail of a row (value set,
+    verdict, pass) is rendered once per distinct value in the span; per row
+    only h and h mod 56 are formatted.
+    """
+    rows = _verify_chunk(span)
+    tail = functools.cache(functools.partial(_render_tail, fmt))
+    failed = sum(1 for row in rows if not row[2])
+    if fmt == "csv":
+        chunk = "".join([f"{h},{h % 56},{tail(mu, verdict, passed)}"
+                         for h, verdict, passed, mu in rows])
+    elif fmt == "json":
+        chunk = ",\n".join([
+            f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
+            f"    {tail(mu, verdict, passed)}\n    }}"
+            for h, verdict, passed, mu in rows
+        ])
+    else:
+        chunk = [[str(h), str(h % 56), *tail(mu, verdict, passed)]
+                 for h, verdict, passed, mu in rows]
+    return len(rows), failed, chunk
+
+
+def _render_tail(fmt: str, mu: tuple[int, ...], verdict: str, passed: bool) -> str | list[str]:
+    members = _mu_strings(_expand(mu))
+    if fmt == "json":
+        # the last three members of a row object, indented as json.dumps puts them
+        text = json.dumps({"mu_quotient": members, "verdict": verdict, "pass": passed}, indent=2)
+        return text[2:-2].replace("\n", "\n    ")
+    cells = [";".join(members), verdict, _flat(passed)]
+    if fmt == "table":
+        return cells
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(cells)
+    return line.getvalue()
 
 
 _COMMANDS = {

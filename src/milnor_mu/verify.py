@@ -12,11 +12,13 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
   :func:`brute_force_theorem`, and in integers at scale 224 for the rows of
   the oracle-vs-pipeline sweep, where the quotient kernel works at scale 1792.
 
-That sweep has one engine, :func:`_sweep`.  It decides the range span by
-span, in process or through a bounded worker pool, and yields compact int
-rows in h order as they are decided, each value set as the oracle's sorted
-int pair at scale 224.  The ``verify`` command writes its rows straight from
-it; :func:`verify_range` collects them into :class:`VerifyRow` objects.
+That sweep has one engine, :func:`_map_spans`.  It cuts the range into
+spans, decides them in process or through a bounded worker pool, and hands
+each span's result out in h order as soon as it is decided.  :func:`_sweep`
+yields the compact int rows of each span, each value set as the oracle's
+sorted int pair at scale 224, and :func:`verify_range` collects them into
+:class:`VerifyRow` objects.  The ``verify`` command gives the engine its own
+per-span renderer, so each span is rendered where it is decided.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import enum
 import functools
 import os
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import TypeVar
 
 from .bundles import DerivationMismatch, MilnorBundle
 from .quotient import (
@@ -41,6 +44,8 @@ from .quotient import (
 from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
+
+_T = TypeVar("_T")
 
 #: Pool class for fanned-out sweeps.  ``concurrent.futures`` is imported on
 #: the first pooled sweep (see :func:`_pool_class`), not when the CLI loads;
@@ -302,45 +307,68 @@ def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_Comp
     """The compact rows of the admissible h in [h_min, h_max], in h order.
 
     Each row is ``(h, verdict, passed, (a, b))``, where (a, b) is the
-    oracle's value set as :func:`_direct_mu_pair` gives it.
+    oracle's value set as :func:`_direct_mu_pair` gives it.  The spans are
+    those of :func:`_map_spans`, each decided by :func:`_verify_chunk`; raises
+    :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
+    """
+    for rows in _map_spans(_verify_chunk, h_min, h_max, workers):
+        yield from rows
 
-    The range is cut into spans of min(``_SPAN_WIDTH``, ceil(width / parts))
-    h, with ``parts`` from :func:`pool_size`; each span is decided by
-    :func:`_verify_chunk`.  With one part the spans run here, one at a time,
-    as the rows are read.  Otherwise they go to a pool of at most ``parts``
-    processes, which holds at most ``_SPANS_IN_FLIGHT_PER_WORKER * parts``
-    spans submitted and unread, so memory stays bounded however slowly the
-    rows are read.  Raises :class:`EmptyRangeError` on the first ``next``
-    when h_min > h_max.
+
+def _map_spans(decide: Callable[[tuple[int, int]], _T], h_min: int, h_max: int,
+               workers: int | None = None) -> Iterator[_T]:
+    """``decide(span)`` for each span of [h_min, h_max], in h order.
+
+    The range is cut into spans (lo, hi), with ``parts`` from
+    :func:`pool_size`.  With one part the spans are ``_SPAN_WIDTH`` h wide
+    and are decided here, one at a time, as the results are read.  Otherwise
+    each part gets the same number of spans, all of one width up to
+    ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so
+    the workers finish together instead of one deciding a last span alone;
+    ``decide`` (which must pickle) runs in a pool of at most
+    ``parts`` processes, which holds at most
+    ``_SPANS_IN_FLIGHT_PER_WORKER * parts`` spans submitted and unread, so
+    memory stays bounded however slowly the results are read.  When the
+    reader stops early (it closes the generator, or a span raises), the
+    spans not yet started are cancelled.  Raises :class:`EmptyRangeError` on
+    the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     width = h_max - h_min + 1
     parts = pool_size(workers or 1, os.cpu_count(), width)
-    step = min(_SPAN_WIDTH, -(-width // parts))
+    if parts == 1:
+        step = _SPAN_WIDTH
+    else:
+        spans_per_part = -(-width // (parts * _SPAN_WIDTH))
+        step = -(-width // (parts * spans_per_part))
     spans = ((lo, min(lo + step - 1, h_max)) for lo in range(h_min, h_max + 1, step))
     if parts == 1:
-        for span in spans:
-            yield from _verify_chunk(span)
+        yield from map(decide, spans)
         return
     with _pool_class()(max_workers=min(parts, -(-width // step))) as pool:
         pending = deque(
-            pool.submit(_verify_chunk, span)
+            pool.submit(decide, span)
             for span in islice(spans, _SPANS_IN_FLIGHT_PER_WORKER * parts)
         )
-        while pending:
-            rows = pending.popleft().result()
-            span = next(spans, None)
-            if span is not None:  # refill before handing the rows out
-                pending.append(pool.submit(_verify_chunk, span))
-            yield from rows
+        try:
+            while pending:
+                result = pending.popleft().result()
+                span = next(spans, None)
+                if span is not None:  # refill before handing the result out
+                    pending.append(pool.submit(decide, span))
+                yield result
+        finally:  # a no-op when every span was read
+            for future in pending:
+                future.cancel()
 
 
 def pool_size(requested: int, cpus: int | None, width: int) -> int:
     """Worker count for a sweep: min(requested, cpus, width), at least 1.
 
     A narrow range is cut into at most this many spans, one worker each, so
-    no worker ever sits idle; a wide one into spans of ``_SPAN_WIDTH`` h.
+    no worker ever sits idle; a wide one into spans of at most
+    ``_SPAN_WIDTH`` h, the same number per worker.
     """
     return max(1, min(requested, cpus or 1, width))
 

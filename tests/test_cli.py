@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,7 @@ class TestUnexpectedErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("worker\nlost")
 
-        monkeypatch.setattr(cli, "_sweep", broken)
+        monkeypatch.setattr(cli, "_map_spans", broken)
         code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", fmt)
         assert code == 2
         assert out == ""
@@ -212,11 +213,11 @@ class TestUnexpectedErrors:
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_error_after_some_rows_exits_2_with_one_line(self, capsys, monkeypatch, fmt):
-        def breaks_mid_sweep(h_min, h_max, workers=None):
-            yield from verify._verify_chunk((0, 8))  # h = 0, 1 and 8
+        def breaks_mid_sweep(decide, h_min, h_max, workers=None):
+            yield decide((0, 8))  # h = 0, 1 and 8
             raise RuntimeError("worker\nlost")
 
-        monkeypatch.setattr(cli, "_sweep", breaks_mid_sweep)
+        monkeypatch.setattr(cli, "_map_spans", breaks_mid_sweep)
         code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", fmt)
         assert code == 2
         assert err == "milnor-mu: unexpected RuntimeError: worker lost\n"
@@ -382,11 +383,19 @@ class TestVerifyBytes:
         assert expected[2] == 2
         assert run_verify(capsys, window, fmt, workers) == expected
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize(
+        "window, workers, spans",
+        [
+            (PARTIAL_WINDOW, None, 1),
+            (WINDOWS[0], None, 4),
+            # each span is rendered in the worker that decides it, none here
+            pytest.param(PARTIAL_WINDOW, 2, 0, marks=fork_only),
+        ],
+    )
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
-    def test_renders_each_value_set_once(self, capsys, monkeypatch, odd_h_fault, value_sets,
-                                         fmt, workers):
+    def test_renders_each_value_set_once_per_span(self, capsys, monkeypatch, odd_h_fault,
+                                                  value_sets, fmt, window, workers, spans):
         if odd_h_fault:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
@@ -396,8 +405,8 @@ class TestVerifyBytes:
             return expand(pair)
 
         monkeypatch.setattr(cli, "_expand", counted)
-        run_verify(capsys, PARTIAL_WINDOW, fmt, workers)
-        assert len(calls) == len(set(calls)) == value_sets
+        run_verify(capsys, window, fmt, workers)
+        assert sorted(Counter(calls).values()) == [spans] * (value_sets if spans else 0)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):

@@ -395,8 +395,10 @@ class TestResidueStepping:
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process.
 
-    A submitted call runs when its result is read, and ``in_flight`` counts
-    the calls submitted and not yet read, with ``peak`` its largest value.
+    A submitted call runs when its result is read or, unless it was cancelled
+    first, when the pool exits, as the real pool's shutdown waits for every
+    call it was given.  ``in_flight`` counts the calls submitted and neither
+    run nor cancelled, with ``peak`` its largest value.
     """
 
     sizes: list = []
@@ -404,27 +406,44 @@ class _InlinePool:
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.futures = []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        for future in self.futures:
+            future.run()
         return False
 
     def submit(self, fn, *args):
         pool = type(self)
         pool.in_flight += 1
         pool.peak = max(pool.peak, pool.in_flight)
-        return _InlineFuture(pool, fn, args)
+        self.futures.append(_InlineFuture(pool, fn, args))
+        return self.futures[-1]
 
 
 class _InlineFuture:
     def __init__(self, pool, fn, args):
         self.pool, self.fn, self.args = pool, fn, args
+        self.state = "pending"
+
+    def run(self):
+        if self.state == "pending":
+            self.state = "done"
+            self.pool.in_flight -= 1
+            self.value = self.fn(*self.args)
 
     def result(self):
-        self.pool.in_flight -= 1
-        return self.fn(*self.args)
+        self.run()
+        return self.value
+
+    def cancel(self):
+        if self.state == "pending":
+            self.state = "cancelled"
+            self.pool.in_flight -= 1
+        return self.state == "cancelled"
 
 
 class TestPoolSize:
@@ -509,6 +528,45 @@ class TestSweepEngine:
         width = 2 * verify._SPAN_WIDTH + 1
         assert sum(1 for _ in verify._sweep(0, width - 1)) == len(verify_range(0, width - 1))
         assert [hi - lo + 1 for lo, hi in calls[:3]] == [verify._SPAN_WIDTH] * 2 + [1]
+
+    def test_pooled_spans_come_in_equal_shares_per_worker(self, monkeypatch):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        # 200,001 h: seven spans of at most _SPAN_WIDTH, so eight for two workers
+        spans = list(verify._map_spans(tuple, -100000, 100000, workers=2))
+        assert len(spans) == 8
+        assert spans[0][0] == -100000 and spans[-1][1] == 100000
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        widths = [hi - lo + 1 for lo, hi in spans]
+        assert set(widths[:-1]) == {25001} and widths[-1] > 25001 - len(spans)
+
+    def test_closing_early_decides_no_unstarted_span(self, monkeypatch):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        calls = self.record_chunks(monkeypatch)
+        spans = verify._map_spans(verify._verify_chunk, 0, 56 * 10 - 1, workers=2)
+        assert next(spans)[0][0] == 0
+        spans.close()
+        assert calls == [(0, 55)]
+        assert _InlinePool.in_flight == 0
+
+    def test_a_failing_span_cancels_the_unstarted_ones(self, monkeypatch):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        calls = []
+
+        def decide(span):
+            calls.append(span)
+            if span[0] == 56:
+                raise RuntimeError("worker lost")
+            return span
+
+        with pytest.raises(RuntimeError):
+            list(verify._map_spans(decide, 0, 56 * 10 - 1, workers=2))
+        assert calls == [(0, 55), (56, 111)]
+        assert _InlinePool.in_flight == 0
 
     def test_backwards_range_raises_on_first_row(self):
         rows = verify._sweep(1, 0)
