@@ -1,0 +1,173 @@
+"""The value records: construction, equality, hashing, immutability, repr, pickling."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from milnor_mu import (
+    AmbiguousResidue,
+    CaseReport,
+    CharacteristicData,
+    DiskBundleInvariants,
+    FixedPointContributions,
+    MilnorBundle,
+    QuotientReport,
+    ResidueModZ,
+    ResidueSolution,
+    TheoremSweep,
+    Verdict,
+    VerifyRow,
+)
+from milnor_mu.verify import Case
+
+R1, R31 = ResidueModZ(Fraction(1, 32)), ResidueModZ(Fraction(31, 32))
+R1_REPR = "ResidueModZ(rep=Fraction(1, 32))"
+MU = AmbiguousResidue((R1, R31))
+MU_REPR = f"AmbiguousResidue(values=({R1_REPR}, ResidueModZ(rep=Fraction(31, 32))))"
+A1 = FixedPointContributions(Fraction(15, 16))
+A1_REPR = "FixedPointContributions(a1_magnitude=Fraction(15, 16))"
+
+# (class, field names, values, another valid set of values, repr of the first)
+RECORDS = [
+    (ResidueModZ, ("rep",), (Fraction(1, 32),), (Fraction(1, 2),), R1_REPR),
+    (AmbiguousResidue, ("values",), ((R1, R31),), ((R1,),), MU_REPR),
+    (MilnorBundle, ("h", "j"), (8, -7), (2, -1), "MilnorBundle(h=8, j=-7)"),
+    (CharacteristicData, ("p1_magnitude",), (30,), (6,), "CharacteristicData(p1_magnitude=30)"),
+    (DiskBundleInvariants, ("p1_squared",), (900,), (36,),
+     "DiskBundleInvariants(p1_squared=900)"),
+    (FixedPointContributions, ("a1_magnitude",), (Fraction(15, 16),), (Fraction(3, 16),),
+     A1_REPR),
+    (QuotientReport, ("h", "contributions", "mu_quotient", "verdict"),
+     (8, A1, MU, Verdict.REAL_PROJECTIVE_7), (2, A1, None, Verdict.NOT_APPLICABLE),
+     f"QuotientReport(h=8, contributions={A1_REPR}, mu_quotient={MU_REPR}, "
+     "verdict=<Verdict.REAL_PROJECTIVE_7: 'RP7'>)"),
+    (ResidueSolution, ("modulus", "residues"), (56, (0, 1, 8, 49)), (8, (0, 1)),
+     "ResidueSolution(modulus=56, residues=(0, 1, 8, 49))"),
+    (CaseReport,
+     ("case", "h_residue", "quad_constant", "linear_constant", "k_min", "k_max", "matches",
+      "failures"),
+     (Case.III, 8, Fraction(1, 2), Fraction(15, 32), -2, 3, False, (1,)),
+     (Case.I, 0, Fraction(0), Fraction(31, 32), 0, 0, True, ()),
+     "CaseReport(case=<Case.III: 8>, h_residue=8, quad_constant=Fraction(1, 2), "
+     "linear_constant=Fraction(15, 32), k_min=-2, k_max=3, matches=False, failures=(1,))"),
+    (TheoremSweep, ("h_min", "h_max", "checked", "passed", "failed", "failures"),
+     (-60, 60, 10, 9, 1, (8,)), (0, 0, 1, 1, 0, ()),
+     "TheoremSweep(h_min=-60, h_max=60, checked=10, passed=9, failed=1, failures=(8,))"),
+    (VerifyRow, ("h", "residue_class", "mu_set", "verdict", "passed"),
+     (8, 8, MU, "RP7", True), (1, 1, MU, "derivation_mismatch", False),
+     f"VerifyRow(h=8, residue_class=8, mu_set={MU_REPR}, verdict='RP7', passed=True)"),
+]
+
+
+@pytest.fixture(params=RECORDS, ids=[spec[0].__name__ for spec in RECORDS])
+def record(request):
+    return request.param
+
+
+def test_positional_and_keyword_construction_agree(record):
+    cls, names, values, _, _ = record
+    by_position = cls(*values)
+    assert by_position == cls(**dict(zip(names, values)))
+    assert tuple(getattr(by_position, name) for name in names) == values
+
+
+@pytest.mark.parametrize(
+    "made,expected",
+    [
+        (lambda: MilnorBundle(8), MilnorBundle(8, -7)),
+        (lambda: MilnorBundle(h=-3), MilnorBundle(-3, 4)),
+        (lambda: CaseReport(Case.I, 0, Fraction(0), Fraction(31, 32), 0, 0, True),
+         CaseReport(Case.I, 0, Fraction(0), Fraction(31, 32), 0, 0, True, ())),
+        (lambda: TheoremSweep(0, 0, 1, 1, 0), TheoremSweep(0, 0, 1, 1, 0, ())),
+    ],
+    ids=["MilnorBundle.j", "MilnorBundle.j-keyword", "CaseReport.failures",
+         "TheoremSweep.failures"],
+)
+def test_defaults(made, expected):
+    assert made() == expected
+    assert repr(made()) == repr(expected)
+
+
+def test_equality_and_hash_within_one_class(record):
+    cls, _, values, other, _ = record
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b, cls(*other)}) == 2
+    assert a != cls(*other)
+
+
+def test_unequal_to_other_classes_with_equal_field_values(record):
+    cls, _, values, _, _ = record
+    a = cls(*values)
+    assert a != values
+    assert a.__eq__(values) is NotImplemented
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_single_field_records_of_different_classes_differ():
+    assert CharacteristicData(4) != DiskBundleInvariants(4)
+    assert CharacteristicData(4) != (4,)
+
+
+def test_fields_cannot_be_assigned_or_deleted(record):
+    cls, names, values, other, _ = record
+    a = cls(*values)
+    for name, value in zip(names, other):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert a == cls(*values)
+
+
+def test_repr(record):
+    cls, _, values, _, text = record
+    assert repr(cls(*values)) == text
+
+
+@pytest.mark.parametrize("duplicate", [pickle.loads, copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_round_trips(record, duplicate):
+    cls, _, values, _, text = record
+    a = cls(*values)
+    b = duplicate(pickle.dumps(a) if duplicate is pickle.loads else a)
+    assert type(b) is cls and b == a and hash(b) == hash(a) and repr(b) == text
+
+
+def test_pickle_round_trip_at_every_protocol(record):
+    cls, _, values, _, _ = record
+    a = cls(*values)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+
+
+class TestResidueOrdering:
+    def test_order_follows_the_representative(self):
+        half = ResidueModZ(Fraction(1, 2))
+        assert R1 < half < R31 and R31 > half > R1
+        assert R1 <= R1 and R1 >= R1 and R1 <= half and R31 >= half
+        assert not R31 < R1 and not R1 > R31
+        assert sorted([R31, half, R1]) == [R1, half, R31]
+
+    def test_subclass_is_neither_ordered_nor_equal(self):
+        class Sub(ResidueModZ):
+            pass
+
+        sub = Sub(Fraction(1, 2))
+        for compare in (lambda a, b: a < b, lambda a, b: a <= b,
+                        lambda a, b: a > b, lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                compare(R1, sub)
+            with pytest.raises(TypeError):
+                compare(sub, R1)
+        assert Sub(Fraction(1, 32)) != R1
+        assert R1.__lt__(sub) is NotImplemented
+
+    def test_order_against_other_types_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            R1 < Fraction(1, 2)
