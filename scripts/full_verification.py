@@ -3,7 +3,7 @@
 
 Reproduces the whole classification argument at configurable scale.  Exit
 codes match the ``milnor-mu`` CLI: 0 all checks passed, 1 usage error, 2 a
-check failed.  Example:
+check failed or an unexpected error (one line on stderr).  Example:
 
     python scripts/full_verification.py --h-span 100000 --k-span 1000000
 """
@@ -13,7 +13,13 @@ import sys
 import time
 from itertools import zip_longest
 
-from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _worker_count
+from milnor_mu.cli import (
+    EXIT_OK,
+    EXIT_VERIFICATION_FAILED,
+    _Parser,
+    _report_unexpected,
+    _worker_count,
+)
 from milnor_mu.verify import (
     _SCAN_LIMIT,
     Case,
@@ -58,7 +64,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{flag} must be non-negative, got {size}")
     if args.crt_periods > _SCAN_LIMIT // 56:
         parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
+    try:
+        return run(args)
+    except Exception as exc:
+        return _report_unexpected(parser.prog, exc)
 
+
+def run(args) -> int:
+    """All checks at the sizes in ``args``; the exit status."""
     failed = False
 
     t0 = time.perf_counter()

@@ -2,7 +2,7 @@
 """Browse the family: mu, exotic class, and quotient verdict per h.
 
 Exit codes match the ``milnor-mu`` CLI: 0 ok, 1 usage error, 2 a derivation
-check failed at some h (one line on stderr).  Example:
+check failed at some h or an unexpected error (one line on stderr).  Example:
 
     python scripts/mu_table.py --h-range -7..10
 """
@@ -16,7 +16,13 @@ from milnor_mu.bundles import (
     mu_total_space,
     theta7_class,
 )
-from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_span, _Parser
+from milnor_mu.cli import (
+    EXIT_OK,
+    EXIT_VERIFICATION_FAILED,
+    _parse_span,
+    _Parser,
+    _report_unexpected,
+)
 from milnor_mu.quotient import DichotomyViolationError, classify_quotient
 
 
@@ -40,6 +46,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DerivationMismatch, DichotomyViolationError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
+    except Exception as exc:
+        return _report_unexpected(parser.prog, exc)
     return EXIT_OK
 
 

@@ -15,10 +15,9 @@ Eells-Kuiper mu of the total space) follows from those two classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
+from ._record import Record
 from .qz import ResidueModZ, reduce_mod_z
 
 
@@ -26,54 +25,54 @@ class DerivationMismatch(RuntimeError):
     """An invariant came out different along two derivation routes."""
 
 
-@dataclass(frozen=True)
-class MilnorBundle:
+class MilnorBundle(Record):
     """The pair (h, j) with j = 1 - h.  Plain ints, any magnitude."""
 
-    h: int
-    j: int | None = None
+    __slots__ = ("h", "j")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.h, int):
-            raise TypeError(f"h must be an int, got {type(self.h).__name__}")
-        if self.j is None:
-            object.__setattr__(self, "j", 1 - self.h)
-        elif not isinstance(self.j, int):
-            raise TypeError(f"j must be an int, got {type(self.j).__name__}")
-        elif self.j != 1 - self.h:
-            raise ValueError(
-                f"unsupported clutching pair (h={self.h}, j={self.j}): need j = 1 - h"
-            )
+    def __init__(self, h: int, j: int | None = None) -> None:
+        if not isinstance(h, int):
+            raise TypeError(f"h must be an int, got {type(h).__name__}")
+        if j is None:
+            j = 1 - h
+        elif not isinstance(j, int):
+            raise TypeError(f"j must be an int, got {type(j).__name__}")
+        elif j != 1 - h:
+            raise ValueError(f"unsupported clutching pair (h={h}, j={j}): need j = 1 - h")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class CharacteristicData:
+class CharacteristicData(Record):
     """Euler and Pontryagin coefficients of the bundle on the S^4 generator.
 
     ``p1_magnitude`` is |2(2h-1)|; the sign of p1 is an orientation choice
     that stays ambiguous, so only the magnitude is recorded.
     """
 
+    __slots__ = ("p1_magnitude",)
+
     #: Every bundle in the j = 1 - h family has Euler class x.
-    euler_coeff: ClassVar[int] = 1
-    p1_magnitude: int
+    euler_coeff = 1
 
-    def __post_init__(self) -> None:
-        if self.p1_magnitude < 0:
+    def __init__(self, p1_magnitude: int) -> None:
+        if p1_magnitude < 0:
             raise ValueError("p1 magnitude is non-negative by construction")
+        object.__setattr__(self, "p1_magnitude", p1_magnitude)
 
 
-@dataclass(frozen=True)
-class DiskBundleInvariants:
+class DiskBundleInvariants(Record):
     """Signature and Pontryagin number of the 8-dimensional disk bundle."""
 
-    #: The disk bundle over S^4 has signature 1 across the family.
-    signature: ClassVar[int] = 1
-    p1_squared: int
+    __slots__ = ("p1_squared",)
 
-    def __post_init__(self) -> None:
-        if self.p1_squared < 0:
+    #: The disk bundle over S^4 has signature 1 across the family.
+    signature = 1
+
+    def __init__(self, p1_squared: int) -> None:
+        if p1_squared < 0:
             raise ValueError("p1^2 is a square, hence non-negative")
+        object.__setattr__(self, "p1_squared", p1_squared)
 
 
 def characteristic_data(bundle: MilnorBundle) -> CharacteristicData:

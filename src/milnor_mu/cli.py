@@ -365,6 +365,17 @@ _COMMANDS = {
 }
 
 
+def _report_unexpected(prog: str, exc: Exception) -> int:
+    """One stderr line for an exception no handler expected; exit status 2.
+
+    Such an exception is a bug, not a usage error, so it must never end in a
+    traceback and status 1.
+    """
+    detail = " ".join(str(exc).split())
+    print(f"{prog}: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
+    return EXIT_VERIFICATION_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -373,10 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except Exception as exc:  # a bug, not a usage error: never exit 1 with a traceback
-        detail = " ".join(str(exc).split())
-        print(f"milnor-mu: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+    except Exception as exc:
+        return _report_unexpected(parser.prog, exc)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,9 @@ integers mod 1792; ``Fraction`` value sets appear only at the public edges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
+from ._record import Record
 from .bundles import (
     CharacteristicData,
     DerivationMismatch,
@@ -78,22 +77,23 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class FixedPointContributions:
+class FixedPointContributions(Record):
     """Rational data localized at the fixed S^4 of the involution.
 
     ``a1_magnitude`` is |2h-1|/16 with the orientation sign left ambiguous.
     """
 
-    #: A_2 is the Euler number of the normal bundle of the fixed S^4.
-    a2: ClassVar[Fraction] = Fraction(CharacteristicData.euler_coeff)
-    #: The equivariant signature at the fixed S^4, 1 across the family.
-    equivariant_signature: ClassVar[int] = 1
-    a1_magnitude: Fraction
+    __slots__ = ("a1_magnitude",)
 
-    def __post_init__(self) -> None:
-        if self.a1_magnitude < 0:
+    #: A_2 is the Euler number of the normal bundle of the fixed S^4.
+    a2 = Fraction(CharacteristicData.euler_coeff)
+    #: The equivariant signature at the fixed S^4, 1 across the family.
+    equivariant_signature = 1
+
+    def __init__(self, a1_magnitude: Fraction) -> None:
+        if a1_magnitude < 0:
             raise ValueError("a1 is recorded as a non-negative magnitude")
+        object.__setattr__(self, "a1_magnitude", a1_magnitude)
 
     @property
     def a1_pair(self) -> tuple[Fraction, Fraction]:
@@ -101,21 +101,22 @@ class FixedPointContributions:
         return (-self.a1_magnitude, self.a1_magnitude)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(Record):
     """Assembled invariants and verdict for one quotient M_h/tau_h."""
 
-    h: int
-    contributions: FixedPointContributions
-    mu_quotient: AmbiguousResidue | None
-    verdict: Verdict
+    __slots__ = ("h", "contributions", "mu_quotient", "verdict")
 
-    def __post_init__(self) -> None:
-        applicable = self.h * (self.h - 1) % 56 == 0
-        if self.verdict is not Verdict.NOT_APPLICABLE and not applicable:
+    def __init__(self, h: int, contributions: FixedPointContributions,
+                 mu_quotient: AmbiguousResidue | None, verdict: Verdict) -> None:
+        applicable = h * (h - 1) % 56 == 0
+        if verdict is not Verdict.NOT_APPLICABLE and not applicable:
             raise ValueError("a classification verdict requires M_h ~ S^7")
-        if self.verdict is Verdict.REAL_PROJECTIVE_7 and self.mu_quotient != MU_RP7:
+        if verdict is Verdict.REAL_PROJECTIVE_7 and mu_quotient != MU_RP7:
             raise ValueError("RP7 verdict requires mu = {1/32, 31/32}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "mu_quotient", mu_quotient)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:

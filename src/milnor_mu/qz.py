@@ -12,27 +12,31 @@ throughout:
 * :class:`AmbiguousResidue` -- an unordered pair ``{v, -v}`` (possibly
   shifted) standing for a value whose sign was never pinned down.
 
-All values are immutable and all operations are pure functions, so they can
-be shared across threads or worker processes without coordination.
+All values are immutable slotted records and all operations are pure
+functions, so they can be shared across threads or worker processes without
+coordination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, Union
+
+from ._record import Record
 
 Rational = Fraction
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 
 class DoubleAmbiguityError(ValueError):
     """Two independent two-valued sign ambiguities cannot be combined.
 
-    The pipeline threads exactly one undetermined orientation sign; adding
-    two genuinely ambiguous values would produce up to four candidates with
-    no meaning here.
+    Adding two genuinely ambiguous values would produce up to four candidates
+    with no meaning here.  The pipeline itself never combines value sets: its
+    one undetermined orientation sign is the +/- of the closed form, taken in
+    integers by ``quotient._closed_form_scaled`` and
+    ``verify._direct_mu_pair``.
     """
 
 
@@ -42,23 +46,43 @@ def reduce_mod_z(q: RationalLike) -> "ResidueModZ":
     return ResidueModZ((q if type(q) is Fraction else Fraction(q)) % 1)
 
 
-@dataclass(frozen=True, order=True)
-class ResidueModZ:
+class ResidueModZ(Record):
     """A rational residue class mod 1, held by its unique rep in [0, 1).
 
     Construct via :func:`reduce_mod_z`; the constructor itself insists on an
-    already-canonical representative.
+    already-canonical representative.  Residues are ordered by their
+    representatives, and only against residues of their own class.
     """
 
-    rep: Fraction
+    __slots__ = ("rep",)
 
-    def __post_init__(self) -> None:
-        rep = self.rep
+    def __init__(self, rep: Fraction) -> None:
         if not isinstance(rep, Fraction):
             raise TypeError(f"rep must be a Fraction, got {type(rep).__name__}")
         # denominators are positive, so 0 <= rep < 1 is an int comparison
         if not 0 <= rep.numerator < rep.denominator:
             raise ValueError(f"representative {rep} lies outside [0, 1)")
+        object.__setattr__(self, "rep", rep)
+
+    def __lt__(self, other: "ResidueModZ") -> bool:
+        if other.__class__ is self.__class__:
+            return self.rep < other.rep
+        return NotImplemented
+
+    def __le__(self, other: "ResidueModZ") -> bool:
+        if other.__class__ is self.__class__:
+            return self.rep <= other.rep
+        return NotImplemented
+
+    def __gt__(self, other: "ResidueModZ") -> bool:
+        if other.__class__ is self.__class__:
+            return self.rep > other.rep
+        return NotImplemented
+
+    def __ge__(self, other: "ResidueModZ") -> bool:
+        if other.__class__ is self.__class__:
+            return self.rep >= other.rep
+        return NotImplemented
 
     def __add__(self, other: "ResidueModZ | RationalLike") -> "ResidueModZ":
         if isinstance(other, ResidueModZ):
@@ -102,8 +126,7 @@ def ambiguous(q: RationalLike) -> "AmbiguousResidue":
     return AmbiguousResidue.of(reduce_mod_z(q), reduce_mod_z(-Fraction(q)))
 
 
-@dataclass(frozen=True)
-class AmbiguousResidue:
+class AmbiguousResidue(Record):
     """Unordered set of one or two residues mod 1, compared by set equality.
 
     Fresh out of :func:`ambiguous` the set is negation-closed, ``{v, -v}``,
@@ -112,10 +135,9 @@ class AmbiguousResidue:
     negation-closed; equality remains plain set equality either way.
     """
 
-    values: tuple[ResidueModZ, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        values = self.values
+    def __init__(self, values: tuple[ResidueModZ, ...]) -> None:
         if not 1 <= len(values) <= 2:
             raise ValueError("an ambiguous residue holds one or two values")
         for v in values:
@@ -129,6 +151,7 @@ class AmbiguousResidue:
                 ordered = list(values) == sorted(set(values))
             if not ordered:
                 raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls, *values: ResidueModZ) -> "AmbiguousResidue":

@@ -28,11 +28,10 @@ import functools
 import os
 from collections import deque
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TypeVar
 
+from ._record import Record
 from .bundles import DerivationMismatch, MilnorBundle
 from .quotient import (
     MU_SCALE,
@@ -44,8 +43,6 @@ from .quotient import (
 from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
-
-_T = TypeVar("_T")
 
 #: Pool class for fanned-out sweeps.  ``concurrent.futures`` is imported on
 #: the first pooled sweep (see :func:`_pool_class`), not when the CLI loads;
@@ -65,12 +62,14 @@ class EmptyRangeError(ValueError):
     """A scan range turned out empty."""
 
 
-@dataclass(frozen=True)
-class ResidueSolution:
+class ResidueSolution(Record):
     """All residues r in [0, modulus) with r(r-1) = 0 mod 56."""
 
-    modulus: int
-    residues: tuple[int, ...]
+    __slots__ = ("modulus", "residues")
+
+    def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
 
 
 def enumerate_residues(modulus: int) -> ResidueSolution:
@@ -138,8 +137,7 @@ _CASE_CONSTANTS: dict[Case, tuple[Fraction, Fraction]] = {
 _CASE_PERIOD = 224
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     """Outcome of checking one case's congruences over a k-interval.
 
     The two half-terms are the functions ``quad_constant + k/2`` and
@@ -147,14 +145,20 @@ class CaseReport:
     must equal; ``matches`` is the conjunction over the whole range.
     """
 
-    case: Case
-    h_residue: int
-    quad_constant: Fraction
-    linear_constant: Fraction
-    k_min: int
-    k_max: int
-    matches: bool
-    failures: tuple[int, ...] = ()
+    __slots__ = ("case", "h_residue", "quad_constant", "linear_constant", "k_min", "k_max",
+                 "matches", "failures")
+
+    def __init__(self, case: Case, h_residue: int, quad_constant: Fraction,
+                 linear_constant: Fraction, k_min: int, k_max: int, matches: bool,
+                 failures: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "h_residue", h_residue)
+        object.__setattr__(self, "quad_constant", quad_constant)
+        object.__setattr__(self, "linear_constant", linear_constant)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "failures", failures)
 
 
 def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
@@ -224,16 +228,19 @@ def direct_mu_set(h: int) -> AmbiguousResidue:
     )
 
 
-@dataclass(frozen=True)
-class TheoremSweep:
+class TheoremSweep(Record):
     """Counts from a brute-force sweep; failures carry the offending h."""
 
-    h_min: int
-    h_max: int
-    checked: int
-    passed: int
-    failed: int
-    failures: tuple[int, ...] = ()
+    __slots__ = ("h_min", "h_max", "checked", "passed", "failed", "failures")
+
+    def __init__(self, h_min: int, h_max: int, checked: int, passed: int, failed: int,
+                 failures: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "h_min", h_min)
+        object.__setattr__(self, "h_max", h_max)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "failures", failures)
 
 
 def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
@@ -258,15 +265,18 @@ def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     )
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(Record):
     """One admissible h: oracle mu set, pipeline verdict, agreement flag."""
 
-    h: int
-    residue_class: int
-    mu_set: AmbiguousResidue
-    verdict: str
-    passed: bool
+    __slots__ = ("h", "residue_class", "mu_set", "verdict", "passed")
+
+    def __init__(self, h: int, residue_class: int, mu_set: AmbiguousResidue, verdict: str,
+                 passed: bool) -> None:
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "residue_class", residue_class)
+        object.__setattr__(self, "mu_set", mu_set)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "passed", passed)
 
 
 #: What a sweep worker returns per row: (h, verdict, passed, (a, b)), with
@@ -315,8 +325,8 @@ def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_Comp
         yield from rows
 
 
-def _map_spans(decide: Callable[[tuple[int, int]], _T], h_min: int, h_max: int,
-               workers: int | None = None) -> Iterator[_T]:
+def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: int,
+               workers: int | None = None) -> Iterator[object]:
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
     The range is cut into spans (lo, hi), with ``parts`` from
@@ -408,7 +418,7 @@ def _verify_row(h: int, target: tuple[int, ...]) -> _CompactRow:
     oracle = a, b = _direct_mu_pair(h)
     try:
         scaled = _mu_quotient_scaled(MilnorBundle(h))
-        verdict = _verdict(h, scaled).value
+        verdict = _verdict(h, scaled)._value_  # a plain str, without the Enum.value descriptor
         agreed = scaled == (a * _ORACLE_TO_KERNEL, b * _ORACLE_TO_KERNEL)
     except DerivationMismatch:
         verdict, agreed = "derivation_mismatch", False

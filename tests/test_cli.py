@@ -3,6 +3,8 @@ import functools
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -448,3 +450,25 @@ def readme_examples():
 def test_readme_example_is_the_real_output(capsys, command):
     argv, expected = readme_examples()[command]
     assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+SRC_PATH = Path(__file__).resolve().parent.parent / "src"
+
+#: Modules whose import would make every CLI start slower: ``dataclasses``
+#: pulls in ``inspect``, and ``typing`` and ``concurrent.futures`` cost
+#: milliseconds each (the pool is imported on the first pooled sweep only).
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures")
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import milnor_mu.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "milnor_mu.cli" in loaded
+    assert [name for name in SLOW_IMPORTS if name in loaded] == []

@@ -1,6 +1,7 @@
 """The two scripts: exit codes and the shared range and worker-count parsing."""
 
 import importlib.util
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,14 @@ from milnor_mu import quotient, verify
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_as_main(monkeypatch, name, argv):
+    """The exit status of ``python scripts/<name>.py *argv``, run in this process."""
+    monkeypatch.setattr("sys.argv", [f"{name}.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / f"{name}.py"), run_name="__main__")
+    return exc.value.code
 
 
 def load(name):
@@ -104,6 +113,15 @@ class TestFullVerification:
         assert script.main(["--h-span", "300", "--k-span", "300", "--crt-periods", "12"]) == 2
         assert f"scan vs CRT disagree at m = {per_m}" in capsys.readouterr().out
 
+    def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
+        def broken(h_min, h_max):
+            raise RuntimeError("injected\nfault")
+
+        monkeypatch.setattr(verify, "brute_force_theorem", broken)
+        assert run_as_main(monkeypatch, "full_verification", SMALL) == 2
+        err = capsys.readouterr().err
+        assert err == "full_verification.py: unexpected RuntimeError: injected fault\n"
+
     def test_largest_crt_check_runs_unpatched(self):
         assert load("full_verification").crt_disagreements(verify._SCAN_LIMIT // 56) == []
 
@@ -140,3 +158,14 @@ class TestMuTable:
         assert len(out.splitlines()) == 2  # the header only
         assert len(err.splitlines()) == 1
         assert ("closed form" if fault == "closed_form" else "neither RP^7") in err
+
+    def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
+        def broken(bundle):
+            return 1 // 0
+
+        monkeypatch.setattr(quotient, "classify_quotient", broken)
+        assert run_as_main(monkeypatch, "mu_table", ["--h-range", "0..0"]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2  # the header only
+        assert err == ("mu_table.py: unexpected ZeroDivisionError: "
+                       "integer division or modulo by zero\n")
