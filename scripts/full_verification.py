@@ -3,7 +3,8 @@
 
 Reproduces the whole classification argument at configurable scale.  Exit
 codes match the ``milnor-mu`` CLI: 0 all checks passed, 1 usage error, 2 a
-check failed or an unexpected error (one line on stderr).  Example:
+check failed or an unexpected error (one line on stderr), 141 stdout was
+closed early.  Example:
 
     python scripts/full_verification.py --h-span 100000 --k-span 1000000
 """
@@ -18,6 +19,7 @@ from milnor_mu.cli import (
     EXIT_VERIFICATION_FAILED,
     _Parser,
     _report_unexpected,
+    _stdout_closed,
     _worker_count,
 )
 from milnor_mu.verify import (
@@ -65,7 +67,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.crt_periods > _SCAN_LIMIT // 56:
         parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        return _stdout_closed()
     except Exception as exc:
         return _report_unexpected(parser.prog, exc)
 

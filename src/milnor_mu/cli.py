@@ -4,11 +4,12 @@ Data goes to stdout and is deterministic byte for byte; anything else
 (errors, the csv and table summaries of ``verify``) goes to stderr.
 Rationals are always printed as exact ``p/q`` strings and ambiguous values
 as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
-verification check failed or the command hit an unexpected error.
+verification check failed or the command hit an unexpected error, 141 stdout was
+closed before the output was all written (as for a process killed by SIGPIPE).
 
 ``verify`` renders each span of its range where the span is decided (see
-:func:`_render_span`), in a pool worker under ``--parallel``, so this process
-only adds up the counts and writes finished text.
+:func:`_render_span`), under ``--parallel`` in a child forked for the call,
+so this process only adds up the counts and writes finished text.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION_FAILED = 2
+EXIT_STDOUT_CLOSED = 128 + 13  # killed by SIGPIPE (13), as the shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,12 +319,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[list[str]]]:
     """Decide one span of ``verify`` and render its rows: (checked, failed, chunk).
 
-    It runs where the span is decided, in a pool worker under ``--parallel``,
-    so the parent only adds counts and writes text.  The chunk is the csv
-    lines, the json row objects joined by ``",\n"`` at their indentation in
-    the whole payload, or the table cells.  The tail of a row (value set,
-    verdict, pass) is rendered once per distinct value in the span; per row
-    only h and h mod 56 are formatted.
+    It runs where the span is decided, in a forked child under
+    ``--parallel``, so the parent only adds counts and writes text.  The
+    chunk is the csv lines, the json row objects joined by ``",\n"`` at
+    their indentation in the whole payload, or the table cells.  The tail
+    of a row (value set, verdict, pass) is rendered once per distinct value
+    in the span; per row only h and h mod 56 are formatted.
     """
     rows = _verify_chunk(span)
     tail = functools.cache(functools.partial(_render_tail, fmt))
@@ -376,6 +378,23 @@ def _report_unexpected(prog: str, exc: Exception) -> int:
     return EXIT_VERIFICATION_FAILED
 
 
+def _stdout_closed() -> int:
+    """Exit status 141 for a reader that closed stdout early, with nothing on stderr.
+
+    A reader that stops (``| head``) is neither a failed check nor a bug.
+    Where stdout has a file descriptor it is pointed at the null device, so
+    the interpreter's flush at exit meets no broken pipe either.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, as with io.StringIO
+        return EXIT_STDOUT_CLOSED
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+    return EXIT_STDOUT_CLOSED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -383,7 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        return _stdout_closed()
     except Exception as exc:
         return _report_unexpected(parser.prog, exc)
 

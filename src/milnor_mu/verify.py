@@ -13,8 +13,9 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
   the oracle-vs-pipeline sweep, where the quotient kernel works at scale 1792.
 
 That sweep has one engine, :func:`_map_spans`.  It cuts the range into
-spans, decides them in process or through a bounded worker pool, and hands
-each span's result out in h order as soon as it is decided.  :func:`_sweep`
+spans, decides them in process or in children it forks for the call, each
+streaming its finished spans back through a pipe, and hands each span's
+result out in h order as soon as it is decided.  :func:`_sweep`
 yields the compact int rows of each span, each value set as the oracle's
 sorted int pair at scale 224, and :func:`verify_range` collects them into
 :class:`VerifyRow` objects.  The ``verify`` command gives the engine its own
@@ -26,10 +27,8 @@ from __future__ import annotations
 import enum
 import functools
 import os
-from collections import deque
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import islice
 
 from ._record import Record
 from .bundles import DerivationMismatch, MilnorBundle
@@ -43,11 +42,6 @@ from .quotient import (
 from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
-
-#: Pool class for fanned-out sweeps.  ``concurrent.futures`` is imported on
-#: the first pooled sweep (see :func:`_pool_class`), not when the CLI loads;
-#: tests may put an in-process stand-in here.
-ProcessPoolExecutor = None
 
 #: mu value set every admissible quotient must hit: {1/32, 31/32}.  Spelled
 #: out here rather than imported as ``quotient.MU_RP7`` on purpose: the sweep
@@ -309,9 +303,6 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
 #: Most h in one span of a sweep: 512 periods of 56, about 2k rows.
 _SPAN_WIDTH = 56 * 512
 
-#: Spans a pooled sweep keeps submitted but not yet read, per worker.
-_SPANS_IN_FLIGHT_PER_WORKER = 2
-
 
 def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_CompactRow]:
     """The compact rows of the admissible h in [h_min, h_max], in h order.
@@ -330,47 +321,95 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
     The range is cut into spans (lo, hi), with ``parts`` from
-    :func:`pool_size`.  With one part the spans are ``_SPAN_WIDTH`` h wide
-    and are decided here, one at a time, as the results are read.  Otherwise
-    each part gets the same number of spans, all of one width up to
-    ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so
-    the workers finish together instead of one deciding a last span alone;
-    ``decide`` (which must pickle) runs in a pool of at most
-    ``parts`` processes, which holds at most
-    ``_SPANS_IN_FLIGHT_PER_WORKER * parts`` spans submitted and unread, so
-    memory stays bounded however slowly the results are read.  When the
-    reader stops early (it closes the generator, or a span raises), the
-    spans not yet started are cancelled.  Raises :class:`EmptyRangeError` on
-    the first ``next`` when h_min > h_max.
+    :func:`pool_size`, or one part where ``os.fork`` is missing (Windows).
+    With one part the spans are ``_SPAN_WIDTH`` h wide and are decided here,
+    one at a time, as the results are read.  Otherwise each part gets the
+    same number of spans, all of one width up to ``_SPAN_WIDTH`` but the last
+    (narrower by less than the span count), so the parts finish together, and
+    each part is a child forked for this call: child i decides spans i,
+    i + parts, ... and writes each result (or exception) to its own pipe, so
+    what ``decide`` returns and raises must pickle.  The results are read
+    round-robin, in h order; a child blocks once its pipe is full, which
+    bounds memory however slowly they are read.  A child's exception is
+    raised here at its span's turn, and a child that ends without its span's
+    result raises RuntimeError.  When the reading ends, early (the reader
+    closes the generator, or a span raises) or not, every child is killed
+    and reaped, so no span is decided after that and no process outlives the
+    call.  Raises :class:`EmptyRangeError` on the first ``next`` when
+    h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     width = h_max - h_min + 1
-    parts = pool_size(workers or 1, os.cpu_count(), width)
+    parts = pool_size(workers or 1, os.cpu_count(), width) if hasattr(os, "fork") else 1
     if parts == 1:
         step = _SPAN_WIDTH
     else:
         spans_per_part = -(-width // (parts * _SPAN_WIDTH))
         step = -(-width // (parts * spans_per_part))
-    spans = ((lo, min(lo + step - 1, h_max)) for lo in range(h_min, h_max + 1, step))
+    starts = range(h_min, h_max + 1, step)
+
+    def span(lo: int) -> tuple[int, int]:
+        return lo, min(lo + step - 1, h_max)
+
     if parts == 1:
-        yield from map(decide, spans)
+        yield from map(decide, map(span, starts))
         return
-    with _pool_class()(max_workers=min(parts, -(-width // step))) as pool:
-        pending = deque(
-            pool.submit(decide, span)
-            for span in islice(spans, _SPANS_IN_FLIGHT_PER_WORKER * parts)
-        )
-        try:
-            while pending:
-                result = pending.popleft().result()
-                span = next(spans, None)
-                if span is not None:  # refill before handing the result out
-                    pending.append(pool.submit(decide, span))
-                yield result
-        finally:  # a no-op when every span was read
-            for future in pending:
-                future.cancel()
+    import pickle  # here, not at the top: importing the CLI stays cheap
+    import signal
+
+    children = min(parts, -(-width // step))
+    pids, pipes = [], []
+    try:
+        for i in range(children):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _decide_in_child(decide, map(span, starts[i::children]), write_end)
+            pids.append(pid)
+            os.close(write_end)
+            pipes.append(open(read_end, "rb"))
+        for i, (lo, hi) in enumerate(map(span, starts)):
+            try:
+                ok, value = pickle.load(pipes[i % children])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"the worker for h in [{lo}, {hi}] ended without its result"
+                ) from None
+            if not ok:
+                raise value
+            yield value
+    finally:  # ends the children still deciding, and reaps every child
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _decide_in_child(decide: Callable[[tuple[int, int]], object],
+                     spans: Iterator[tuple[int, int]], fd: int) -> None:
+    """Pickle ``(True, decide(span))`` or ``(False, exception)`` to fd per span.
+
+    Runs in a forked child and never returns: it leaves through
+    ``os._exit``, so it never flushes the stdio it inherited nor runs the
+    parent's exit handlers.
+    """
+    import pickle
+
+    try:
+        with open(fd, "wb") as out:
+            for span in spans:
+                try:
+                    result = True, decide(span)
+                except Exception as exc:
+                    result = False, exc
+                pickle.dump(result, out)
+                out.flush()
+    finally:
+        os._exit(0)
 
 
 def pool_size(requested: int, cpus: int | None, width: int) -> int:
@@ -381,13 +420,6 @@ def pool_size(requested: int, cpus: int | None, width: int) -> int:
     ``_SPAN_WIDTH`` h, the same number per worker.
     """
     return max(1, min(requested, cpus or 1, width))
-
-
-def _pool_class() -> type:
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 def _admissible(lo: int, hi: int) -> Iterator[int]:

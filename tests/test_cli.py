@@ -3,6 +3,8 @@ import functools
 import importlib.util
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -226,6 +228,24 @@ class TestUnexpectedErrors:
         # csv has written each row as it came; json and table had nothing to print yet
         rendered = render_verify(verify_range(0, 8), -56, 56, "csv")[0]
         assert out == (rendered if fmt == "csv" else "")
+
+    @pytest.mark.parametrize("how", ["killed", "exited"])
+    def test_a_lost_worker_exits_2_with_one_line(self, capsys, monkeypatch, how):
+        real = cli._verify_chunk
+
+        def dies_on_the_second_span(span):
+            if span[0] > 0:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return real(span)
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_chunk", dies_on_the_second_span)
+        code, _, err = run_cli(capsys, "verify", "--h-range", "-3000..3000", "--parallel", "2")
+        assert code == 2
+        assert err == ("milnor-mu: unexpected RuntimeError: "
+                       "the worker for h in [1, 3000] ended without its result\n")
 
     def test_unexpected_error_in_quotient_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "classify_quotient", lambda bundle: 1 / 0)
@@ -456,8 +476,9 @@ SRC_PATH = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules whose import would make every CLI start slower: ``dataclasses``
 #: pulls in ``inspect``, and ``typing`` and ``concurrent.futures`` cost
-#: milliseconds each (the pool is imported on the first pooled sweep only).
-SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures")
+#: milliseconds each; ``pickle`` and ``signal`` are imported on the first
+#: pooled sweep only.
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures", "pickle", "signal")
 
 
 def test_importing_the_cli_loads_no_slow_module():
@@ -472,3 +493,56 @@ def test_importing_the_cli_loads_no_slow_module():
     loaded = set(done.stdout.split())
     assert "milnor_mu.cli" in loaded
     assert [name for name in SLOW_IMPORTS if name in loaded] == []
+
+
+def test_a_pooled_sweep_loads_no_pool_module():
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); os.cpu_count = lambda: 2; "
+        "from milnor_mu.cli import main; "
+        "code = main(['verify', '--h-range', '-3000..3000', '--parallel', '2']); "
+        "print(code, *sorted({'concurrent.futures', 'multiprocessing', 'pickle'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    # pickle shows that the sweep did fan out
+    assert done.stdout.splitlines()[-1] == "0 pickle"
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--h-range", "-3000..3000", "--format", "csv", "--parallel", "2"],
+    ["verify", "--h-range", "-56..56", "--format", "json"],
+    ["quotient", "--h", "8"],
+])
+def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
+    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
+            "-100000000..100000000", "--format", "csv", "--parallel", "2"]
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == b"h,residue_class,mu_quotient_set,verdict,pass\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+    assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
+    with pytest.raises(ProcessLookupError):  # no process of its session is left
+        os.killpg(proc.pid, 0)

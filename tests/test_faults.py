@@ -1,11 +1,11 @@
 """Fault injection: break one derivation route at a time and watch the checks fail.
 
 Each fault is monkeypatched into a single module binding.  Sequential sweeps
-see it directly; pool workers see it because they are forked from the
-patched process, so the parallel cases need the fork start method.
+see it directly; the children of a pooled sweep see it because they are
+forked from the patched process.
 """
 
-import multiprocessing
+import os
 
 import pytest
 
@@ -18,8 +18,7 @@ ADMISSIBLE_IN_WINDOW = sum(
 )
 
 fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers inherit the patch only when forked",
+    not hasattr(os, "fork"), reason="a pooled sweep forks its children only where os.fork exists"
 )
 WORKERS = [None, pytest.param(2, marks=fork_only)]
 

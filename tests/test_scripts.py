@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_cli import ClosedStdout
 
 from milnor_mu import quotient, verify
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
@@ -169,3 +170,10 @@ class TestMuTable:
         assert len(out.splitlines()) == 2  # the header only
         assert err == ("mu_table.py: unexpected ZeroDivisionError: "
                        "integer division or modulo by zero\n")
+
+
+@pytest.mark.parametrize("name, argv", [("full_verification", SMALL), ("mu_table", [])])
+def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, name, argv):
+    monkeypatch.setattr("sys.stdout", ClosedStdout())
+    assert load(name).main(argv) == 141
+    assert capsys.readouterr().err == ""

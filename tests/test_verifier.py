@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -392,58 +395,35 @@ class TestResidueStepping:
         assert verify_range(lo, lo + width) == _every_h_reference(lo, lo + width)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process.
+#: Bytes in a test result that overflows a pipe (64 KiB by default on Linux),
+#: so a child blocks on each span until the parent has read it.
+BIG = 1 << 18
 
-    A submitted call runs when its result is read or, unless it was cancelled
-    first, when the pool exits, as the real pool's shutdown waits for every
-    call it was given.  ``in_flight`` counts the calls submitted and neither
-    run nor cancelled, with ``peak`` its largest value.
+
+def _logging(path, decide):
+    """``decide``, appending each span it is given to the file at path.
+
+    One short line per span, in append mode, so the log collects the spans
+    of every process that decides one, forked children included.
     """
+    def logged(span):
+        with open(path, "a") as log:
+            log.write("%d %d\n" % span)
+        return decide(span)
 
-    sizes: list = []
-    in_flight = peak = 0
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        self.futures = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for future in self.futures:
-            future.run()
-        return False
-
-    def submit(self, fn, *args):
-        pool = type(self)
-        pool.in_flight += 1
-        pool.peak = max(pool.peak, pool.in_flight)
-        self.futures.append(_InlineFuture(pool, fn, args))
-        return self.futures[-1]
+    return logged
 
 
-class _InlineFuture:
-    def __init__(self, pool, fn, args):
-        self.pool, self.fn, self.args = pool, fn, args
-        self.state = "pending"
+def _logged(path):
+    """The spans ``_logging`` wrote to path, in the order they were written."""
+    if not path.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
 
-    def run(self):
-        if self.state == "pending":
-            self.state = "done"
-            self.pool.in_flight -= 1
-            self.value = self.fn(*self.args)
 
-    def result(self):
-        self.run()
-        return self.value
-
-    def cancel(self):
-        if self.state == "pending":
-            self.state = "cancelled"
-            self.pool.in_flight -= 1
-        return self.state == "cancelled"
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPoolSize:
@@ -469,68 +449,83 @@ class TestPoolSize:
     )
     def test_verify_range_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested,
                                                 expected_pool):
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(verify.os, "fork", counted_fork)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
-        assert _InlinePool.sizes == expected_pool
+        # the children forked by the one pooled call, if there was one
+        assert ([len(forks)] if forks else []) == expected_pool
 
 
 class TestSweepEngine:
     """``_sweep``: spans in h order, rows as they are decided, bounded fan-out."""
 
-    @staticmethod
-    def record_chunks(monkeypatch):
-        calls = []
-        real = verify._verify_chunk
-
-        def recorded(span):
-            calls.append(span)
-            return real(span)
-
-        monkeypatch.setattr(verify, "_verify_chunk", recorded)
-        return calls
-
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_first_row_comes_before_the_last_span_is_decided(self, monkeypatch, workers):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    def test_first_row_comes_before_the_last_span_is_decided(self, monkeypatch, tmp_path,
+                                                             workers):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
-        calls = self.record_chunks(monkeypatch)
+        last = (56 * 9, 56 * 10 - 1)
+        log = tmp_path / "decided"
+        logged = _logging(log, verify._verify_chunk)
+        hold, release = os.pipe()
+
+        def held(span):  # the child of the last span waits for the release
+            if span == last and workers:
+                os.read(hold, 1)
+            return logged(span)
+
+        monkeypatch.setattr(verify, "_verify_chunk", held)
         rows = verify._sweep(0, 56 * 10 - 1, workers)
-        assert next(rows)[0] == 0
-        assert calls and (56 * 9, 56 * 10 - 1) not in calls
-        rest = list(rows)
-        assert calls == [(56 * i, 56 * i + 55) for i in range(10)]
+        try:
+            assert next(rows)[0] == 0
+            assert _logged(log) and last not in _logged(log)
+            os.write(release, b"x")
+            rest = list(rows)
+        finally:
+            rows.close()
+            os.close(hold)
+            os.close(release)
+        assert sorted(_logged(log)) == [(56 * i, 56 * i + 55) for i in range(10)]
         assert len(rest) == 4 * 10 - 1
 
-    def test_pooled_spans_in_flight_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr(_InlinePool, "peak", 0)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    def test_pooled_spans_in_flight_are_bounded(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
-        rows = tuple(verify._sweep(-56 * 20, 56 * 20 - 1, workers=4))
-        assert rows == verify._verify_chunk((-56 * 20, 56 * 20 - 1))
-        assert _InlinePool.sizes == [4]
-        assert _InlinePool.peak == verify._SPANS_IN_FLIGHT_PER_WORKER * 4
-        assert _InlinePool.in_flight == 0
+        log = tmp_path / "decided"
+        spans = verify._map_spans(_logging(log, lambda span: (span, b"x" * BIG)),
+                                  -56 * 20, 56 * 20 - 1, workers=4)
+        try:
+            read = [next(spans) for _ in range(3)]
+            time.sleep(0.3)  # the reader stops; unbounded children would run ahead now
+            assert len(_logged(log)) <= len(read) + 4
+            read += spans
+        finally:
+            spans.close()
+        assert [span for span, _ in read] == [(lo, lo + 55) for lo in range(-56 * 20, 56 * 20, 56)]
+        assert len(_logged(log)) == 40
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_many_spans_keep_h_order(self, monkeypatch, workers):
-        # with a real pool when workers is 2: each span is one submitted task
+        # when workers is 2, two children decide 18 spans each
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
         expected = verify._verify_chunk((-3000, 3000))
         assert tuple(verify._sweep(-3000, 3000, workers)) == expected
 
-    def test_span_width_caps_a_wide_sequential_range(self, monkeypatch):
-        calls = self.record_chunks(monkeypatch)
+    def test_span_width_caps_a_wide_sequential_range(self, monkeypatch, tmp_path):
+        log = tmp_path / "decided"
+        monkeypatch.setattr(verify, "_verify_chunk", _logging(log, verify._verify_chunk))
         width = 2 * verify._SPAN_WIDTH + 1
         assert sum(1 for _ in verify._sweep(0, width - 1)) == len(verify_range(0, width - 1))
-        assert [hi - lo + 1 for lo, hi in calls[:3]] == [verify._SPAN_WIDTH] * 2 + [1]
+        assert [hi - lo + 1 for lo, hi in _logged(log)[:3]] == [verify._SPAN_WIDTH] * 2 + [1]
 
     def test_pooled_spans_come_in_equal_shares_per_worker(self, monkeypatch):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         # 200,001 h: seven spans of at most _SPAN_WIDTH, so eight for two workers
         spans = list(verify._map_spans(tuple, -100000, 100000, workers=2))
@@ -540,33 +535,69 @@ class TestSweepEngine:
         widths = [hi - lo + 1 for lo, hi in spans]
         assert set(widths[:-1]) == {25001} and widths[-1] > 25001 - len(spans)
 
-    def test_closing_early_decides_no_unstarted_span(self, monkeypatch):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
-        calls = self.record_chunks(monkeypatch)
-        spans = verify._map_spans(verify._verify_chunk, 0, 56 * 10 - 1, workers=2)
-        assert next(spans)[0][0] == 0
+        log = tmp_path / "decided"
+        spans = verify._map_spans(_logging(log, lambda span: (span, b"x" * BIG)),
+                                  0, 56 * 10 - 1, workers=2)
+        assert next(spans)[0] == (0, 55)
         spans.close()
-        assert calls == [(0, 55)]
-        assert _InlinePool.in_flight == 0
+        _no_child_left()  # so nothing more can be decided
+        decided = _logged(log)
+        assert (0, 55) in decided and len(decided) <= 1 + 2
 
-    def test_a_failing_span_cancels_the_unstarted_ones(self, monkeypatch):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    def test_a_failing_span_cancels_the_unstarted_ones(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
-        calls = []
 
         def decide(span):
-            calls.append(span)
             if span[0] == 56:
-                raise RuntimeError("worker lost")
+                raise RuntimeError("span 56 refused")
+            return span, b"x" * BIG
+
+        log = tmp_path / "decided"
+        read = []
+        with pytest.raises(RuntimeError, match="^span 56 refused$"):
+            for span, _ in verify._map_spans(_logging(log, decide), 0, 56 * 10 - 1, workers=2):
+                read.append(span)
+        assert read == [(0, 55)]
+        _no_child_left()
+        assert len(_logged(log)) <= 2 + 2
+
+    @pytest.mark.parametrize("how", ["killed", "exited"])
+    def test_a_lost_worker_is_an_error_naming_its_span(self, monkeypatch, how):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+
+        def decide(span):
+            if span[0] == 56 * 3:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
             return span
 
-        with pytest.raises(RuntimeError):
-            list(verify._map_spans(decide, 0, 56 * 10 - 1, workers=2))
-        assert calls == [(0, 55), (56, 111)]
-        assert _InlinePool.in_flight == 0
+        spans = verify._map_spans(decide, 0, 56 * 10 - 1, workers=2)
+        assert [next(spans) for _ in range(3)] == [(0, 55), (56, 111), (112, 167)]
+        with pytest.raises(RuntimeError,
+                           match=r"^the worker for h in \[168, 223\] ended without its result$"):
+            next(spans)
+
+    def test_without_fork_every_span_is_decided_here(self, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        expected = verify._verify_chunk((-3000, 3000))
+        pids = []
+        real = verify._verify_chunk
+
+        def recorded(span):
+            pids.append(os.getpid())
+            return real(span)
+
+        monkeypatch.setattr(verify, "_verify_chunk", recorded)
+        assert tuple(verify._sweep(-3000, 3000, workers=2)) == expected
+        assert pids == [os.getpid()] * -(-6001 // 56)
 
     def test_backwards_range_raises_on_first_row(self):
         rows = verify._sweep(1, 0)
