@@ -123,11 +123,17 @@ _CASE_CONSTANTS: dict[Case, tuple[Fraction, Fraction]] = {
 }
 
 
-#: Period in k of every check in :func:`check_case`.  Each check is an
-#: integer polynomial P(k) taken mod 112, 32 or 224, all divisors of 224, and
-#: P(k + m) = P(k) mod m for any integer polynomial P (every power of k + m
-#: expands to k^i plus multiples of m).  So k and k + 224 get the same verdict,
-#: whatever integer constants quad_112 and linear_32 are.
+#: Period in h of every check in :func:`check_case`.  Each check is an
+#: integer polynomial in h taken mod 112, 32 or 224, all divisors of 224, and
+#: P(h + m) = P(h) mod m for any integer polynomial P (every power of h + m
+#: expands to h^i plus multiples of m; Polya 1915).  With h = 56k + residue,
+#: k + 4 moves h by 224.  In check (a), h(h-1) moves by 224(2h + 223) and
+#: 56k by 224, both 0 mod 112; in check (b), 2h moves by 448 and 16k by 64,
+#: both 0 mod 32; check (c) reads the oracle's pair mod 224.  So k and
+#: k + 4 get the same verdict, whatever integer constants quad_112 and
+#: linear_32 are and whatever the oracle, as long as it depends on h mod 224
+#: only.  This is the general period of the checks, not their true one, so
+#: a wrong constant is still caught at exactly the k it breaks.
 _CASE_PERIOD = 224
 
 
@@ -169,13 +175,14 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     :func:`_direct_mu_pair` for the value set at scale 224 and compares it
     with the sweep's target, ``_pair(_TARGET)``.
 
-    Each of these is an integer polynomial in k taken mod a divisor of 224,
-    so whether k fails depends only on k mod 224 (see ``_CASE_PERIOD``).
-    Every k in the range is still decided: the first period of the range is
-    tested k by k, and each failing k0 there stands for every k0 + 224t in
-    range.  When the case matches, any k-range therefore costs the same.  When
-    it fails, ``failures`` lists every failing k in the range, so time and
-    memory grow linearly with the width.
+    Each of these is an integer polynomial in h taken mod a divisor of 224,
+    so whether k fails depends only on h mod 224, that is on k mod 4 (see
+    ``_CASE_PERIOD``).  Every k in the range is still decided: the first
+    ``_CASE_PERIOD // 56`` k of the range (one period of h) are tested k by
+    k, and each failing k0 there stands for every k0 + 4t in range.  When
+    the case matches, any k-range therefore costs the same, four oracle
+    calls at most.  When it fails, ``failures`` lists every failing k in the
+    range, so time and memory grow linearly with the width.
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
@@ -184,8 +191,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     quad_112 = int(quad * 112)
     linear_32 = int(linear * 32)
     target = _pair(_TARGET)
+    k_period = _CASE_PERIOD // 56
     period_failures = []
-    for k in range(k_min, min(k_max, k_min + _CASE_PERIOD - 1) + 1):
+    for k in range(k_min, min(k_max, k_min + k_period - 1) + 1):
         h = 56 * k + res
         ok = (
             (h * (h - 1) - quad_112 - 56 * k) % 112 == 0
@@ -194,8 +202,8 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
         )
         if not ok:
             period_failures.append(k)
-    # with nothing failing, skip the shifts: a wide range has ~width/224 of them
-    shifts = range(0, k_max - k_min + 1, _CASE_PERIOD) if period_failures else ()
+    # with nothing failing, skip the shifts: a wide range has ~width/4 of them
+    shifts = range(0, k_max - k_min + 1, k_period) if period_failures else ()
     failures = [k0 + t for t in shifts for k0 in period_failures if k0 + t <= k_max]
     return CaseReport(
         case=case,
@@ -334,9 +342,9 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     raised here at its span's turn, and a child that ends without its span's
     result raises RuntimeError.  When the reading ends, early (the reader
     closes the generator, or a span raises) or not, every child is killed
-    and reaped, so no span is decided after that and no process outlives the
-    call.  Raises :class:`EmptyRangeError` on the first ``next`` when
-    h_min > h_max.
+    and reaped, one that something else reaped first passed over, so no span
+    is decided after that and no process outlives the call.  Raises
+    :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
@@ -381,12 +389,20 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                 raise value
             yield value
     finally:  # ends the children still deciding, and reaps every child
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
+        try:  # a child reaped elsewhere first must not spare the others
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            for pid in pids:
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
+        finally:
+            for pipe in pipes:
+                pipe.close()
 
 
 def _decide_in_child(decide: Callable[[tuple[int, int]], object],

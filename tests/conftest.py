@@ -1,6 +1,10 @@
 import os
+import signal
 
 import pytest
+
+#: Seconds a test under ``time_limit`` may run; each takes well under one.
+TIME_LIMIT_S = 20
 
 
 @pytest.fixture(autouse=True)
@@ -19,3 +23,23 @@ def no_child_process_left():
         return
     left = f"child {pid} was left unreaped" if pid else "a child is still running"
     pytest.fail(f"the test left a child process behind: {left}")
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with TimeoutError once it has run ``TIME_LIMIT_S``.
+
+    For tests whose fault would be a hang, such as a sweep engine that waits
+    on a child it never killed.  Not autouse: the benchmark's self-test sets
+    its own SIGALRM timer, so the old handler is put back afterwards.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"the test ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -528,6 +528,7 @@ def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
     argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
             "-100000000..100000000", "--format", "csv", "--parallel", "2"]

@@ -56,6 +56,14 @@ def oracle_off_on_odd_h(monkeypatch):
     monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119) if h % 2 else real(h))
 
 
+def oracle_off_in_one_k_of_four(monkeypatch):
+    # {15/32, 17/32} where h = 56k + r has k = 3 mod 4: a fault that changes
+    # within one period (224) of h, so check_case must test all four k
+    real = verify._direct_mu_pair
+    monkeypatch.setattr(verify, "_direct_mu_pair",
+                        lambda h: (105, 119) if h // 56 % 4 == 3 else real(h))
+
+
 def target_says_sum_14m2(monkeypatch):
     monkeypatch.setattr(verify, "_TARGET", quotient.MU_RP7_SUM_14M2)
 
@@ -126,6 +134,13 @@ def test_cli_cases_fails_only_under_the_oracle_and_target_faults(monkeypatch, ca
     code = cli.main(["cases", "--k-range", "-300..300", "--format", "csv"])
     capsys.readouterr()
     assert code == (2 if fault in ("oracle", "target") else 0)
+
+
+def test_cli_cases_fails_under_an_oracle_fault_in_one_k_of_four(monkeypatch, capsys):
+    oracle_off_in_one_k_of_four(monkeypatch)
+    code = cli.main(["cases", "--k-range", "-300..300", "--format", "csv"])
+    capsys.readouterr()
+    assert code == 2
 
 
 @pytest.mark.parametrize("workers", WORKERS)

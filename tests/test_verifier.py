@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_faults import oracle_off_on_odd_h
+from test_faults import oracle_off_in_one_k_of_four, oracle_off_on_odd_h
 
 from milnor_mu import bundles, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
@@ -223,6 +223,37 @@ class TestCaseOnePeriod:
 
     def test_period_divides_every_modulus(self):
         assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
+
+    @pytest.mark.parametrize("case", list(Case))
+    def test_any_window_costs_at_most_four_oracle_calls(self, monkeypatch, case):
+        calls = []
+        real = verify._direct_mu_pair
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(verify, "_direct_mu_pair", counted)
+        assert check_case(case, -(10**18), 10**18).matches
+        assert 0 < len(calls) <= 4
+
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("k_min,k_max", [(-500, 500), (5, 229),
+                                             (2**70 - 300, 2**70 + 300)])
+    def test_an_oracle_fault_within_one_period_gives_the_per_k_failures(
+            self, monkeypatch, case, k_min, k_max):
+        oracle_off_in_one_k_of_four(monkeypatch)
+        target = verify._pair(verify._TARGET)
+        failures = tuple(
+            k for k in range(k_min, k_max + 1)
+            if not (_case_holds_by_fractions(case, k)
+                    and verify._direct_mu_pair(56 * k + case.h_residue) == target)
+        )
+        quad, linear = verify._CASE_CONSTANTS[case]
+        assert failures
+        assert check_case(case, k_min, k_max) == verify.CaseReport(
+            case, case.h_residue, quad, linear, k_min, k_max, False, failures
+        )
 
 
 class TestDirectMuSet:
@@ -535,6 +566,7 @@ class TestSweepEngine:
         widths = [hi - lo + 1 for lo, hi in spans]
         assert set(widths[:-1]) == {25001} and widths[-1] > 25001 - len(spans)
 
+    @pytest.mark.usefixtures("time_limit")
     def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
@@ -565,6 +597,7 @@ class TestSweepEngine:
         _no_child_left()
         assert len(_logged(log)) <= 2 + 2
 
+    @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("how", ["killed", "exited"])
     def test_a_lost_worker_is_an_error_naming_its_span(self, monkeypatch, how):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
@@ -582,6 +615,27 @@ class TestSweepEngine:
         with pytest.raises(RuntimeError,
                            match=r"^the worker for h in \[168, 223\] ended without its result$"):
             next(spans)
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_a_child_reaped_elsewhere_spares_no_other_child(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        pids = []
+        real_fork = os.fork
+
+        def recorded_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(verify.os, "fork", recorded_fork)
+        spans = verify._map_spans(lambda span: (span, b"x" * BIG), 0, 56 * 20 - 1, workers=4)
+        assert next(spans)[0] == (0, 55)
+        assert len(pids) == 4
+        os.kill(pids[0], signal.SIGKILL)  # the first child goes, reaped by someone else
+        os.waitpid(pids[0], 0)
+        spans.close()  # must still kill and reap the other three, raising nothing
 
     def test_without_fork_every_span_is_decided_here(self, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "fork")
