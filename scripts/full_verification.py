@@ -2,9 +2,8 @@
 """End-to-end exact verification run: residues, case analysis, theorem sweep.
 
 Reproduces the whole classification argument at configurable scale.  Exit
-codes match the ``milnor-mu`` CLI: 0 all checks passed, 1 usage error, 2 a
-check failed or an unexpected error (one line on stderr), 141 stdout was
-closed early.  Example:
+codes are those of the ``milnor-mu`` CLI (see ``milnor_mu.cli._run``); any
+failed check exits 2.  Example:
 
     python scripts/full_verification.py --h-span 100000 --k-span 1000000
 """
@@ -14,14 +13,7 @@ import sys
 import time
 from itertools import zip_longest
 
-from milnor_mu.cli import (
-    EXIT_OK,
-    EXIT_VERIFICATION_FAILED,
-    _Parser,
-    _report_unexpected,
-    _stdout_closed,
-    _worker_count,
-)
+from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _run, _worker_count
 from milnor_mu.verify import (
     _SCAN_LIMIT,
     Case,
@@ -66,14 +58,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{flag} must be non-negative, got {size}")
     if args.crt_periods > _SCAN_LIMIT // 56:
         parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
-    try:
-        code = run(args)
-        sys.stdout.flush()  # so a closed stdout shows here, not at exit
-        return code
-    except BrokenPipeError:
-        return _stdout_closed()
-    except Exception as exc:
-        return _report_unexpected(parser.prog, exc)
+    return _run(parser.prog, lambda: run(args))
 
 
 def run(args) -> int:

@@ -6,6 +6,8 @@ Rationals are always printed as exact ``p/q`` strings and ambiguous values
 as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
 verification check failed or the command hit an unexpected error, 141 stdout was
 closed before the output was all written (as for a process killed by SIGPIPE).
+:func:`_run` maps every outcome of a command to them, for this CLI and for
+both scripts in ``scripts/``.
 
 ``verify`` renders each span of its range where the span is decided (see
 :func:`_render_span`), under ``--parallel`` in a child forked for the call,
@@ -22,7 +24,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .bundles import (
     DerivationMismatch,
@@ -54,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
         )
 
     # usage problems exit 1; argparse's default of 2 is reserved for
-    # verification failures
+    # verification failures.  print_usage would take a stderr of None (fd 2
+    # closed at start) for stdout; _print_message drops the text instead.
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
+        self._print_message(self.format_usage(), sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -180,11 +183,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     bundle = MilnorBundle(args.h)
     data = characteristic_data(bundle)
     disk = disk_bundle_invariants(bundle)
-    try:
-        mu = mu_total_space(bundle)
-    except DerivationMismatch as exc:
-        print(f"milnor-mu: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+    mu = mu_total_space(bundle)
     record = {
         "h": bundle.h,
         "euler": data.euler_coeff,
@@ -200,12 +199,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    bundle = MilnorBundle(args.h)
-    try:
-        report = classify_quotient(bundle)
-    except (DerivationMismatch, DichotomyViolationError) as exc:
-        print(f"milnor-mu: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+    report = classify_quotient(MilnorBundle(args.h))
     contrib = report.contributions
     record = {
         "h": report.h,
@@ -367,17 +361,6 @@ _COMMANDS = {
 }
 
 
-def _report_unexpected(prog: str, exc: Exception) -> int:
-    """One stderr line for an exception no handler expected; exit status 2.
-
-    Such an exception is a bug, not a usage error, so it must never end in a
-    traceback and status 1.
-    """
-    detail = " ".join(str(exc).split())
-    print(f"{prog}: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
-    return EXIT_VERIFICATION_FAILED
-
-
 def _stdout_closed() -> int:
     """Exit status 141 for a reader that closed stdout early, with nothing on stderr.
 
@@ -395,20 +378,40 @@ def _stdout_closed() -> int:
     return EXIT_STDOUT_CLOSED
 
 
+def _run(prog: str, body: Callable[[], int]) -> int:
+    """The exit status of ``body()``, under the contract of the CLI and both scripts.
+
+    ``body`` returns 0 or a status of its own.  A closed stdout ends the run
+    quietly with 141; a failed pipeline check, or any other exception (a
+    bug, never a usage error), writes one ``<prog>: ...`` line to stderr and
+    exits 2, and so does a stderr that cannot take that line.
+    """
+    if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
+        sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
+    try:
+        code = body()
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        return _stdout_closed()
+    except (DerivationMismatch, DichotomyViolationError) as exc:
+        message = str(exc)
+    except Exception as exc:
+        message = f"unexpected {type(exc).__name__}: {exc}"
+    try:
+        print(f"{prog}: {' '.join(message.split())}", file=sys.stderr)
+    except OSError:
+        pass
+    return EXIT_VERIFICATION_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # so a closed stdout shows here, not at exit
-        return code
-    except BrokenPipeError:
-        return _stdout_closed()
-    except Exception as exc:
-        return _report_unexpected(parser.prog, exc)
+    return _run(parser.prog, lambda: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import importlib.util
 import io
@@ -515,6 +516,34 @@ class ClosedStdout(io.StringIO):
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+class UnwritableStderr(io.StringIO):
+    """A stderr whose descriptor is closed: every write raises EBADF."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+def test_an_unwritable_stderr_still_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", UnwritableStderr())
+    argv = ["verify", "--h-range", "0..60", "--format", "csv"]
+    assert main(argv) == 2  # the summary line could not be written
+    assert capsys.readouterr().out == render_verify(verify_range(0, 60), 0, 60, "csv")[0]
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--h-range", "0..60", "--format", "csv"], 2),  # its summary is lost
+    (["verify", "--h-range", "0..60", "--format", "json"], 0),  # it writes no stderr
+    (["bogus"], 1),
+])
+def test_a_closed_stderr_is_an_error_and_leaves_stdout_clean(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+    done = subprocess.run([sys.executable, "-m", "milnor_mu.cli", *argv], stdout=subprocess.PIPE,
+                          env=env, timeout=60, preexec_fn=lambda: os.close(2))
+    out = "" if code == 1 else render_verify(verify_range(0, 60), 0, 60, argv[-1])[0]
+    assert (done.returncode, done.stdout.decode()) == (code, out)
 
 
 @pytest.mark.parametrize("argv", [

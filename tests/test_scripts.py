@@ -1,14 +1,20 @@
 """The two scripts: exit codes and the shared range and worker-count parsing."""
 
 import importlib.util
+import os
 import runpy
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_cli import ClosedStdout
+from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr
+from test_faults import closed_form_off_by_one
 
-from milnor_mu import quotient, verify
+from milnor_mu import cli, quotient, verify
+from milnor_mu.bundles import DerivationMismatch
+from milnor_mu.quotient import DichotomyViolationError
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -177,3 +183,86 @@ def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, name, argv):
     monkeypatch.setattr("sys.stdout", ClosedStdout())
     assert load(name).main(argv) == 141
     assert capsys.readouterr().err == ""
+
+
+def test_mu_table_with_an_unwritable_stderr_still_exits_2(capsys, monkeypatch):
+    closed_form_off_by_one(monkeypatch)
+    monkeypatch.setattr("sys.stderr", UnwritableStderr())
+    assert load("mu_table").main(["--h-range", "0..0"]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 2  # the header only
+
+
+def _raises(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+#: entry point -> (module and name of a function its command calls, how to run it)
+ENTRY_POINTS = {
+    "milnor-mu": ((cli, "classify_quotient"), lambda mp: cli.main(["quotient", "--h", "8"])),
+    "mu_table.py": ((quotient, "classify_quotient"),
+                    lambda mp: run_as_main(mp, "mu_table", ["--h-range", "0..0"])),
+    "full_verification.py": ((verify, "brute_force_theorem"),
+                             lambda mp: run_as_main(mp, "full_verification", SMALL)),
+}
+
+#: outcome -> (the exception the command raises, or None for a closed stdout,
+#: the exit status, the stderr after ``<prog>: ``)
+OUTCOMES = {
+    "derivation_mismatch": (DerivationMismatch("mu(M_8/tau): a != b"), 2, "mu(M_8/tau): a != b\n"),
+    "dichotomy_violation": (DichotomyViolationError("mu(M_8/tau) matches neither"), 2,
+                            "mu(M_8/tau) matches neither\n"),
+    "unexpected": (RuntimeError("injected  fault"), 2, "unexpected RuntimeError: injected fault\n"),
+    "closed_stdout": (None, 141, None),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+@pytest.mark.parametrize("prog", sorted(ENTRY_POINTS))
+def test_every_entry_point_keeps_one_exit_contract(capsysbinary, monkeypatch, prog, outcome):
+    (module, name), run = ENTRY_POINTS[prog]
+    exc, status, message = OUTCOMES[outcome]
+    if exc is None:
+        monkeypatch.setattr("sys.stdout", ClosedStdout())
+    else:
+        monkeypatch.setattr(module, name, _raises(exc))
+    assert run(monkeypatch) == status
+    expected = b"" if message is None else f"{prog}: {message}".encode()
+    assert capsysbinary.readouterr().err == expected
+
+
+def _script(name, *argv):
+    return [sys.executable, str(SCRIPTS / f"{name}.py"), *argv]
+
+
+_ENV = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_mu_table_read_by_head_1_exits_141_quietly(tmp_path):
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(_script("mu_table", "--h-range", "-200000..200000"),
+                                stdout=subprocess.PIPE, stderr=err, env=_ENV)
+        try:
+            assert proc.stdout.readline().split() == [b"h", b"mu(M_h)", b"theta7", b"S^7?",
+                                                      b"quotient"]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_full_verification_read_by_head_0_exits_141_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the script writes a byte
+    try:
+        done = subprocess.run(_script("full_verification", *SMALL), stdout=write_end,
+                              stderr=subprocess.PIPE, env=_ENV, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -497,6 +497,7 @@ class TestPoolSize:
 class TestSweepEngine:
     """``_sweep``: spans in h order, rows as they are decided, bounded fan-out."""
 
+    @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("workers", [None, 2])
     def test_first_row_comes_before_the_last_span_is_decided(self, monkeypatch, tmp_path,
                                                              workers):
@@ -526,6 +527,7 @@ class TestSweepEngine:
         assert sorted(_logged(log)) == [(56 * i, 56 * i + 55) for i in range(10)]
         assert len(rest) == 4 * 10 - 1
 
+    @pytest.mark.usefixtures("time_limit")
     def test_pooled_spans_in_flight_are_bounded(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
@@ -579,6 +581,7 @@ class TestSweepEngine:
         decided = _logged(log)
         assert (0, 55) in decided and len(decided) <= 1 + 2
 
+    @pytest.mark.usefixtures("time_limit")
     def test_a_failing_span_cancels_the_unstarted_ones(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
