@@ -56,11 +56,14 @@ class _Parser(argparse.ArgumentParser):
         )
 
     # usage problems exit 1; argparse's default of 2 is reserved for
-    # verification failures.  print_usage would take a stderr of None (fd 2
-    # closed at start) for stdout; _print_message drops the text instead.
+    # verification failures.  The text is best-effort, so that a stderr of
+    # None (fd 2 closed at start) or one that fails to write keeps status 1.
     def error(self, message: str) -> None:  # type: ignore[override]
-        self._print_message(self.format_usage(), sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        try:
+            sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        except (AttributeError, OSError):
+            pass
+        sys.exit(EXIT_USAGE)
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -361,21 +364,29 @@ _COMMANDS = {
 }
 
 
-def _stdout_closed() -> int:
-    """Exit status 141 for a reader that closed stdout early, with nothing on stderr.
+def _stdout_closed() -> bool:
+    """Whether the reader of stdout has gone, so that a broken pipe was stdout's.
 
     A reader that stops (``| head``) is neither a failed check nor a bug.
-    Where stdout has a file descriptor it is pointed at the null device, so
-    the interpreter's flush at exit meets no broken pipe either.
+    A pipe or socket whose reader has gone polls as an error or a hang-up;
+    it is then pointed at the null device, so the interpreter's flush at
+    exit meets no broken pipe either.  A stdout with no descriptor, as in
+    tests, cannot be told apart and counts as closed.
     """
+    import select  # only a broken pipe comes here
+
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):  # no descriptor, as with io.StringIO
-        return EXIT_STDOUT_CLOSED
+        return True
+    poller = select.poll()
+    poller.register(fd, 0)  # POLLERR and POLLHUP are reported unasked
+    if not poller.poll(0):
+        return False  # the pipe that broke was another stream's, such as stderr
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
-    return EXIT_STDOUT_CLOSED
+    return True
 
 
 def _run(prog: str, body: Callable[[], int]) -> int:
@@ -383,8 +394,9 @@ def _run(prog: str, body: Callable[[], int]) -> int:
 
     ``body`` returns 0 or a status of its own.  A closed stdout ends the run
     quietly with 141; a failed pipeline check, or any other exception (a
-    bug, never a usage error), writes one ``<prog>: ...`` line to stderr and
-    exits 2, and so does a stderr that cannot take that line.
+    bug, never a usage error, and a broken pipe on stderr among them),
+    writes one ``<prog>: ...`` line to stderr and exits 2, and so does a
+    stderr that cannot take that line.
     """
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
         sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
@@ -392,12 +404,11 @@ def _run(prog: str, body: Callable[[], int]) -> int:
         code = body()
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
-    except BrokenPipeError:
-        return _stdout_closed()
-    except (DerivationMismatch, DichotomyViolationError) as exc:
-        message = str(exc)
     except Exception as exc:
-        message = f"unexpected {type(exc).__name__}: {exc}"
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            return EXIT_STDOUT_CLOSED
+        message = (str(exc) if isinstance(exc, (DerivationMismatch, DichotomyViolationError))
+                   else f"unexpected {type(exc).__name__}: {exc}")
     try:
         print(f"{prog}: {' '.join(message.split())}", file=sys.stderr)
     except OSError:

@@ -532,6 +532,27 @@ def test_an_unwritable_stderr_still_exits_2(capsys, monkeypatch):
     assert capsys.readouterr().out == render_verify(verify_range(0, 60), 0, 60, "csv")[0]
 
 
+def test_a_usage_error_with_no_stderr_still_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)  # as when fd 2 was closed at start
+    assert main(["bogus"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_a_stderr_whose_reader_has_gone_exits_2_with_all_of_stdout():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the summary line meets a broken pipe, stdout does not
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+    argv = ["verify", "--h-range", "-3000..3000", "--format", "csv"]
+    try:
+        done = subprocess.run([sys.executable, "-m", "milnor_mu.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    out = render_verify(verify_range(-3000, 3000), -3000, 3000, "csv")[0]
+    assert (done.returncode, done.stdout.decode()) == (2, out)
+
+
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("argv, code", [
     (["verify", "--h-range", "0..60", "--format", "csv"], 2),  # its summary is lost
