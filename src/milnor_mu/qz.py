@@ -1,16 +1,14 @@
-"""Exact arithmetic in Q and Q/Z with first-class sign ambiguity.
+"""Exact residues mod 1 and sign-ambiguous value sets.
 
-Every quantity in this package is an exact rational; the invariants of
-interest live in Q/Z, and several of them are only defined up to an overall
-orientation sign.  This module supplies the three value types used
-throughout:
+The invariants of interest live in Q/Z, and the quotient's is only defined
+up to an overall orientation sign.  The pipeline computes them in integers;
+this module supplies the two value types in which they reach the public
+API:
 
-* ``Rational`` -- an alias for :class:`fractions.Fraction` (arbitrary
-  precision, always stored reduced with positive denominator),
 * :class:`ResidueModZ` -- the canonical representative in [0, 1) of a
   rational residue class mod 1,
-* :class:`AmbiguousResidue` -- an unordered pair ``{v, -v}`` (possibly
-  shifted) standing for a value whose sign was never pinned down.
+* :class:`AmbiguousResidue` -- a set of one or two residues, such as
+  ``{v, -v}``, standing for a value whose sign was never pinned down.
 
 All values are immutable slotted records and all operations are pure
 functions, so they can be shared across threads or worker processes without
@@ -24,10 +22,6 @@ from fractions import Fraction
 
 from ._record import Record
 
-Rational = Fraction
-
-RationalLike = Fraction | int
-
 
 class DoubleAmbiguityError(ValueError):
     """Two independent two-valued sign ambiguities cannot be combined.
@@ -40,7 +34,7 @@ class DoubleAmbiguityError(ValueError):
     """
 
 
-def reduce_mod_z(q: RationalLike) -> "ResidueModZ":
+def reduce_mod_z(q: Fraction | int) -> "ResidueModZ":
     """Canonical representative of ``q`` mod 1, as a fraction in [0, 1)."""
     # a plain Fraction needs no copy: ``% 1`` returns a new, reduced one
     return ResidueModZ((q if type(q) is Fraction else Fraction(q)) % 1)
@@ -50,8 +44,7 @@ class ResidueModZ(Record):
     """A rational residue class mod 1, held by its unique rep in [0, 1).
 
     Construct via :func:`reduce_mod_z`; the constructor itself insists on an
-    already-canonical representative.  Residues are ordered by their
-    representatives, and only against residues of their own class.
+    already-canonical representative.
     """
 
     __slots__ = ("rep",)
@@ -64,43 +57,11 @@ class ResidueModZ(Record):
             raise ValueError(f"representative {rep} lies outside [0, 1)")
         object.__setattr__(self, "rep", rep)
 
-    def __lt__(self, other: "ResidueModZ") -> bool:
-        if other.__class__ is self.__class__:
-            return self.rep < other.rep
-        return NotImplemented
-
-    def __le__(self, other: "ResidueModZ") -> bool:
-        if other.__class__ is self.__class__:
-            return self.rep <= other.rep
-        return NotImplemented
-
-    def __gt__(self, other: "ResidueModZ") -> bool:
-        if other.__class__ is self.__class__:
-            return self.rep > other.rep
-        return NotImplemented
-
-    def __ge__(self, other: "ResidueModZ") -> bool:
-        if other.__class__ is self.__class__:
-            return self.rep >= other.rep
-        return NotImplemented
-
-    def __add__(self, other: "ResidueModZ | RationalLike") -> "ResidueModZ":
+    def __add__(self, other: "ResidueModZ | Fraction | int") -> "ResidueModZ":
         if isinstance(other, ResidueModZ):
             return reduce_mod_z(self.rep + other.rep)
         if isinstance(other, (int, Fraction)):
             return reduce_mod_z(self.rep + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ResidueModZ":
-        return reduce_mod_z(-self.rep)
-
-    def __sub__(self, other: "ResidueModZ | RationalLike") -> "ResidueModZ":
-        if isinstance(other, ResidueModZ):
-            return reduce_mod_z(self.rep - other.rep)
-        if isinstance(other, (int, Fraction)):
-            return reduce_mod_z(self.rep - other)
         return NotImplemented
 
     def __mul__(self, n: int) -> "ResidueModZ":
@@ -121,59 +82,46 @@ def _rep_less(a: ResidueModZ, b: ResidueModZ) -> bool:
     return ra.numerator * rb.denominator < rb.numerator * ra.denominator
 
 
-def ambiguous(q: RationalLike) -> "AmbiguousResidue":
+def ambiguous(q: Fraction | int) -> "AmbiguousResidue":
     """The value set ``{q, -q}`` mod 1 of a rational with undetermined sign."""
     return AmbiguousResidue.of(reduce_mod_z(q), reduce_mod_z(-Fraction(q)))
 
 
 class AmbiguousResidue(Record):
-    """Unordered set of one or two residues mod 1, compared by set equality.
+    """Set of one or two residues mod 1, held sorted, compared by equality.
 
     Fresh out of :func:`ambiguous` the set is negation-closed, ``{v, -v}``,
     collapsing to one element exactly when v is 0 or 1/2.  Adding a definite
     residue shifts both members, so shifted pairs need not stay
     negation-closed; equality remains plain set equality either way.
+    Members are of the exact type :class:`ResidueModZ`.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[ResidueModZ, ...]) -> None:
+        for v in values:
+            if type(v) is not ResidueModZ:
+                raise TypeError("values must be ResidueModZ instances")
         if not 1 <= len(values) <= 2:
             raise ValueError("an ambiguous residue holds one or two values")
-        for v in values:
-            if not isinstance(v, ResidueModZ):
-                raise TypeError("values must be ResidueModZ instances")
-        if len(values) == 2:
-            a, b = values
-            if type(a) is type(b) is ResidueModZ:
-                ordered = _rep_less(a, b)
-            else:
-                ordered = list(values) == sorted(set(values))
-            if not ordered:
-                raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
+        if len(values) == 2 and not _rep_less(*values):
+            raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
         object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls, *values: ResidueModZ) -> "AmbiguousResidue":
+        """The set of one or two residues given in any order, a repeat collapsed."""
         if len(values) == 2 and type(values[0]) is type(values[1]) is ResidueModZ:
             a, b = values
-            if _rep_less(a, b):
-                return cls(values)
-            return cls((b, a) if _rep_less(b, a) else (a,))
-        return cls(tuple(sorted(set(values))))
+            if _rep_less(b, a):
+                values = b, a
+            elif not _rep_less(a, b):
+                values = (a,)
+        return cls(values)
 
     def __iter__(self) -> Iterator[ResidueModZ]:
         return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.values
-
-    @property
-    def is_negation_closed(self) -> bool:
-        return all(-v in self.values for v in self.values)
 
     def __str__(self) -> str:
         inner = ", ".join(str(v.rep) for v in self.values)

@@ -142,23 +142,41 @@ class CaseReport(Record):
 
     The two half-terms are the functions ``quad_constant + k/2`` and
     ``linear_constant + k/2`` (mod 1) that the quadratic and linear mu terms
-    must equal; ``matches`` is the conjunction over the whole range.
+    must equal.  ``period_failures`` holds the failing k of the range's first
+    period (its first ``_CASE_PERIOD // 56`` k); ``matches``, the
+    conjunction over the whole range, and ``failures``, every failing k in
+    it, are derived from them.
     """
 
     __slots__ = ("case", "h_residue", "quad_constant", "linear_constant", "k_min", "k_max",
-                 "matches", "failures")
+                 "period_failures")
 
     def __init__(self, case: Case, h_residue: int, quad_constant: Fraction,
-                 linear_constant: Fraction, k_min: int, k_max: int, matches: bool,
-                 failures: tuple[int, ...] = ()) -> None:
+                 linear_constant: Fraction, k_min: int, k_max: int,
+                 period_failures: tuple[int, ...] = ()) -> None:
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "h_residue", h_residue)
         object.__setattr__(self, "quad_constant", quad_constant)
         object.__setattr__(self, "linear_constant", linear_constant)
         object.__setattr__(self, "k_min", k_min)
         object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "period_failures", period_failures)
+
+    @property
+    def matches(self) -> bool:
+        return not self.period_failures
+
+    @property
+    def failures(self) -> tuple[int, ...]:
+        """Every failing k in the range, ascending.
+
+        Each k0 of ``period_failures`` stands for every k0 + 4t up to k_max,
+        so the tuple grows with the width; ``cases`` reads only ``matches``.
+        """
+        step = _CASE_PERIOD // 56
+        return tuple(sorted(
+            k for k0 in self.period_failures for k in range(k0, self.k_max + 1, step)
+        ))
 
 
 def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
@@ -179,10 +197,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     so whether k fails depends only on h mod 224, that is on k mod 4 (see
     ``_CASE_PERIOD``).  Every k in the range is still decided: the first
     ``_CASE_PERIOD // 56`` k of the range (one period of h) are tested k by
-    k, and each failing k0 there stands for every k0 + 4t in range.  When
-    the case matches, any k-range therefore costs the same, four oracle
-    calls at most.  When it fails, ``failures`` lists every failing k in the
-    range, so time and memory grow linearly with the width.
+    k, and each failing k0 there stands for every k0 + 4t in range.  The
+    report keeps only those k0, so any k-range costs the same, four oracle
+    calls at most, whether the case matches or fails.
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
@@ -202,9 +219,6 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
         )
         if not ok:
             period_failures.append(k)
-    # with nothing failing, skip the shifts: a wide range has ~width/4 of them
-    shifts = range(0, k_max - k_min + 1, k_period) if period_failures else ()
-    failures = [k0 + t for t in shifts for k0 in period_failures if k0 + t <= k_max]
     return CaseReport(
         case=case,
         h_residue=res,
@@ -212,8 +226,7 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
         linear_constant=linear,
         k_min=k_min,
         k_max=k_max,
-        matches=not failures,
-        failures=tuple(failures),
+        period_failures=tuple(period_failures),
     )
 
 

@@ -111,7 +111,7 @@ class TestCases:
         assert constants == [("0", "-1/32"), ("0", "1/32"), ("1/2", "15/32"), ("0", "1/32")]
 
     def test_range_of_two_times_ten_to_the_eighteen(self, capsys):
-        # a per-k loop could never finish this; one period of 224 k decides it
+        # a per-k loop could never finish this; one period of h (4 k) decides it
         code, out, _ = run_cli(
             capsys, "cases", "--k-range", f"{-(10**18)}..{10**18}", "--format", "json"
         )

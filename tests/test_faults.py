@@ -136,6 +136,22 @@ def test_cli_cases_fails_only_under_the_oracle_and_target_faults(monkeypatch, ca
     assert code == (2 if fault in ("oracle", "target") else 0)
 
 
+def test_cli_cases_fails_over_two_times_ten_to_the_eighteen_k(monkeypatch, capsys, time_limit):
+    # a failing case keeps only its period's failing k, so the width costs nothing;
+    # the rows are asserted too, since a MemoryError would also exit 2
+    target_says_sum_14m2(monkeypatch)
+    code = cli.main(["cases", "--k-range", f"{-(10**18)}..{10**18}", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "case,h_residue,quad_constant,linear_constant,matches",
+        "I,0,0,-1/32,false",
+        "II,1,0,1/32,false",
+        "III,8,1/2,15/32,false",
+        "IV,49,0,1/32,false",
+    ]
+
+
 def test_cli_cases_fails_under_an_oracle_fault_in_one_k_of_four(monkeypatch, capsys):
     oracle_off_in_one_k_of_four(monkeypatch)
     code = cli.main(["cases", "--k-range", "-300..300", "--format", "csv"])

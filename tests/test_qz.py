@@ -23,6 +23,11 @@ def res(p, q=1):
     return reduce_mod_z(Fraction(p, q))
 
 
+def negated(a):
+    """The set of the negatives mod 1 of the members of a."""
+    return {reduce_mod_z(-v.rep) for v in a}
+
+
 class TestReduceModZ:
     def test_half_stays_half(self):
         assert reduce_mod_z(Fraction(56, 112)) == res(1, 2)
@@ -55,11 +60,6 @@ class TestReduceModZ:
     def test_reduction_commutes_with_addition(self, a, b):
         assert reduce_mod_z(a) + reduce_mod_z(b) == reduce_mod_z(a + b)
 
-    @given(rationals)
-    def test_neg_is_additive_inverse(self, q):
-        r = reduce_mod_z(q)
-        assert r + (-r) == res(0)
-
     @given(rationals, small_ints)
     def test_integer_multiple(self, q, n):
         assert n * reduce_mod_z(q) == reduce_mod_z(n * q)
@@ -75,7 +75,7 @@ class TestAmbiguous:
 
     def test_zero_collapses(self):
         assert ambiguous(Fraction(0)) == AmbiguousResidue.of(res(0))
-        assert len(ambiguous(Fraction(0))) == 1
+        assert len(ambiguous(Fraction(0)).values) == 1
 
     def test_half_collapses(self):
         assert ambiguous(Fraction(1, 2)) == AmbiguousResidue.of(res(1, 2))
@@ -86,13 +86,14 @@ class TestAmbiguous:
 
     @given(rationals)
     def test_negation_closed(self, q):
-        assert ambiguous(q).is_negation_closed
+        a = ambiguous(q)
+        assert negated(a) == set(a)
 
     @given(rationals)
     def test_singleton_iff_self_negative(self, q):
         a = ambiguous(q)
         r = reduce_mod_z(q)
-        assert (len(a) == 1) == (r.rep in (Fraction(0), Fraction(1, 2)))
+        assert (len(a.values) == 1) == (r.rep in (Fraction(0), Fraction(1, 2)))
 
     def test_of_requires_canonical_construction(self):
         with pytest.raises(ValueError):
@@ -144,11 +145,16 @@ class TestFastPathEdges:
             (res(1, 32), res(1, 32)),
             (res(1, 32), ResidueModZ(Fraction(1, 32))),
             (res(1, 2), res(0)),
+            (res(1, 2), res(0), res(1, 2)),
+            (res(0), res(1, 4), res(1, 2)),
         ],
     )
     def test_unsorted_or_duplicate_pair_is_a_value_error(self, pair):
         with pytest.raises(ValueError):
             AmbiguousResidue(pair)
+        if len(pair) == 3:  # .of sorts and collapses a pair, never a third member
+            with pytest.raises(ValueError):
+                AmbiguousResidue.of(*pair)
 
     def test_sorted_pair_is_accepted(self):
         a = AmbiguousResidue((res(1, 32), res(31, 32)))
@@ -171,6 +177,8 @@ class TestFastPathEdges:
             (1, 2),
             (res(0), "x"),
             (res(1, 32), res(1, 32), 0),
+            (_SubResidue(Fraction(1, 32)),),
+            (_SubResidue(Fraction(1, 32)), _SubResidue(Fraction(31, 32))),
         ],
     )
     def test_of_non_residue_member_is_a_type_error(self, members):
@@ -183,15 +191,10 @@ class TestFastPathEdges:
         with pytest.raises(TypeError):
             AmbiguousResidue.of(_SubResidue(Fraction(31, 32)), res(1, 32))
 
-    def test_of_collapses_three_members_with_a_duplicate(self):
-        assert AmbiguousResidue.of(res(1, 2), res(0), res(1, 2)).values == (res(0), res(1, 2))
-        with pytest.raises(ValueError):
-            AmbiguousResidue.of(res(0), res(1, 4), res(1, 2))
-
     @given(rationals, rationals)
     def test_of_pair_matches_sorted_set(self, p, q):
         a, b = reduce_mod_z(p), reduce_mod_z(q)
-        assert AmbiguousResidue.of(a, b).values == tuple(sorted({a, b}))
+        assert AmbiguousResidue.of(a, b).values == tuple(sorted({a, b}, key=lambda v: v.rep))
 
 
 class TestAddAmbiguous:
@@ -228,7 +231,7 @@ class TestAddAmbiguous:
     @given(rationals)
     def test_shift_by_half_preserves_negation_closure(self, q):
         out = add_ambiguous(res(1, 2), ambiguous(q))
-        assert out.is_negation_closed
+        assert negated(out) == set(out)
 
 
 class TestExactness:

@@ -148,12 +148,16 @@ def _per_k_reference(case: Case, k_min: int, k_max: int) -> tuple[int, ...]:
     return tuple(failures)
 
 
-def _expected_report(case: Case, k_min: int, k_max: int) -> verify.CaseReport:
+def _assert_report(report: verify.CaseReport, case: Case, k_min: int, k_max: int,
+                   failures: tuple[int, ...]) -> None:
+    """report is check_case(case, k_min, k_max) with these failing k in range."""
     quad, linear = verify._CASE_CONSTANTS[case]
-    failures = _per_k_reference(case, k_min, k_max)
-    return verify.CaseReport(
-        case, case.h_residue, quad, linear, k_min, k_max, not failures, failures
+    in_period = tuple(k for k in failures if k < k_min + verify._CASE_PERIOD // 56)
+    assert report == verify.CaseReport(
+        case, case.h_residue, quad, linear, k_min, k_max, in_period
     )
+    assert report.failures == failures
+    assert report.matches == (not failures)
 
 
 #: k windows on which one period of check_case must agree with the per-k loop.
@@ -192,7 +196,7 @@ class TestCaseOnePeriod:
     @pytest.mark.parametrize("k_min,k_max", CASE_WINDOWS)
     def test_matches_per_k_loop(self, case, k_min, k_max):
         report = check_case(case, k_min, k_max)
-        assert report == _expected_report(case, k_min, k_max)
+        _assert_report(report, case, k_min, k_max, _per_k_reference(case, k_min, k_max))
         assert report.matches
 
     @pytest.mark.parametrize("which,shift", CASE_FAULTS)
@@ -204,7 +208,7 @@ class TestCaseOnePeriod:
             verify._CASE_CONSTANTS, case, _shifted_constants(case, which, shift)
         )
         report = check_case(case, k_min, k_max)
-        assert report == _expected_report(case, k_min, k_max)
+        _assert_report(report, case, k_min, k_max, _per_k_reference(case, k_min, k_max))
         assert report.failures and not report.matches
 
     @settings(max_examples=100, deadline=None)
@@ -218,8 +222,9 @@ class TestCaseOnePeriod:
         with pytest.MonkeyPatch.context() as mp:
             if fault is not None:
                 mp.setitem(verify._CASE_CONSTANTS, case, _shifted_constants(case, *fault))
-            expected = _expected_report(case, k_min, k_min + width)
-            assert check_case(case, k_min, k_min + width) == expected
+            k_max = k_min + width
+            _assert_report(check_case(case, k_min, k_max), case, k_min, k_max,
+                           _per_k_reference(case, k_min, k_max))
 
     def test_period_divides_every_modulus(self):
         assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
@@ -249,11 +254,8 @@ class TestCaseOnePeriod:
             if not (_case_holds_by_fractions(case, k)
                     and verify._direct_mu_pair(56 * k + case.h_residue) == target)
         )
-        quad, linear = verify._CASE_CONSTANTS[case]
         assert failures
-        assert check_case(case, k_min, k_max) == verify.CaseReport(
-            case, case.h_residue, quad, linear, k_min, k_max, False, failures
-        )
+        _assert_report(check_case(case, k_min, k_max), case, k_min, k_max, failures)
 
 
 class TestDirectMuSet:
