@@ -75,20 +75,27 @@ class DiskBundleInvariants(Record):
         object.__setattr__(self, "p1_squared", p1_squared)
 
 
+def _p1(h: int) -> int:
+    """The p1 coefficient 2(2h-1) of xi_{h,1-h}, read with one of its two signs.
+
+    The one place p1 is stated: the records below and the quotient kernel,
+    which reads h alone, all take it from here.
+    """
+    return 2 * (2 * h - 1)
+
+
 def characteristic_data(bundle: MilnorBundle) -> CharacteristicData:
     """e = x and p1 = +/- 2(2h-1) x, reported as magnitude."""
-    return CharacteristicData(abs(2 * (2 * bundle.h - 1)))
+    return CharacteristicData(abs(_p1(bundle.h)))
 
 
 def disk_bundle_invariants(bundle: MilnorBundle) -> DiskBundleInvariants:
     """Signature 1 and p1^2 = 4(2h-1)^2 of the disk bundle N_h.
 
     The Pontryagin number is the square of the p1 coefficient +/- 2(2h-1), so
-    the sign ambiguity cancels and an honest integer comes out.  It is
-    squared here directly rather than read off :func:`characteristic_data`,
-    so a caller that needs both builds that object once.
+    the sign ambiguity cancels and an honest integer comes out.
     """
-    return DiskBundleInvariants((2 * (2 * bundle.h - 1)) ** 2)
+    return DiskBundleInvariants(_p1(bundle.h) ** 2)
 
 
 def is_diffeo_s7(bundle: MilnorBundle) -> bool:

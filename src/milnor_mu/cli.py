@@ -4,7 +4,8 @@ Data goes to stdout and is deterministic byte for byte; anything else
 (errors, the csv and table summaries of ``verify``) goes to stderr.
 Rationals are always printed as exact ``p/q`` strings and ambiguous values
 as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1 usage error, 2 a
-verification check failed or the command hit an unexpected error, 141 stdout was
+verification check failed or the command hit an unexpected error, 130 the run
+was interrupted (Ctrl-C, as for a process killed by SIGINT), 141 stdout was
 closed before the output was all written (as for a process killed by SIGPIPE).
 :func:`_run` maps every outcome of a command to them, for this CLI and for
 both scripts in ``scripts/``.
@@ -44,6 +45,7 @@ PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION_FAILED = 2
+EXIT_INTERRUPTED = 128 + 2  # killed by SIGINT (2), as the shell reports it
 EXIT_STDOUT_CLOSED = 128 + 13  # killed by SIGPIPE (13), as the shell reports it
 
 
@@ -182,6 +184,31 @@ def _flat(value: object) -> object:
     return value
 
 
+def _all_digits(
+    command: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """``command`` run with no limit on the digits of an int written as text.
+
+    The parser holds h to the interpreter's limit on such digits (4300 by
+    default), but the records of ``invariants`` and ``quotient`` carry ints
+    of up to twice as many (p1^2 = 4(2h-1)^2, and 2h - 1 itself may have one
+    more).  With the input so bounded, writing them out stays cheap.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no such limit before Python 3.10.7
+        return command
+
+    def run(args: argparse.Namespace) -> int:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return command(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return run
+
+
+@_all_digits
 def _cmd_invariants(args: argparse.Namespace) -> int:
     bundle = MilnorBundle(args.h)
     data = characteristic_data(bundle)
@@ -201,6 +228,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_all_digits
 def _cmd_quotient(args: argparse.Namespace) -> int:
     report = classify_quotient(MilnorBundle(args.h))
     contrib = report.contributions
@@ -393,10 +421,11 @@ def _run(prog: str, body: Callable[[], int]) -> int:
     """The exit status of ``body()``, under the contract of the CLI and both scripts.
 
     ``body`` returns 0 or a status of its own.  A closed stdout ends the run
-    quietly with 141; a failed pipeline check, or any other exception (a
-    bug, never a usage error, and a broken pipe on stderr among them),
-    writes one ``<prog>: ...`` line to stderr and exits 2, and so does a
-    stderr that cannot take that line.
+    quietly with 141.  An interrupt (Ctrl-C) writes one ``<prog>:
+    interrupted`` line to stderr and exits 130; a failed pipeline check, or
+    any other exception (a bug, never a usage error, and a broken pipe on
+    stderr among them), writes one ``<prog>: ...`` line and exits 2, and so
+    does a stderr that cannot take that line.
     """
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
         sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
@@ -404,16 +433,19 @@ def _run(prog: str, body: Callable[[], int]) -> int:
         code = body()
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "interrupted"
     except Exception as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
             return EXIT_STDOUT_CLOSED
+        code = EXIT_VERIFICATION_FAILED
         message = (str(exc) if isinstance(exc, (DerivationMismatch, DichotomyViolationError))
                    else f"unexpected {type(exc).__name__}: {exc}")
     try:
         print(f"{prog}: {' '.join(message.split())}", file=sys.stderr)
     except OSError:
         pass
-    return EXIT_VERIFICATION_FAILED
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,9 @@ the covering sphere, these give
 where the one orientation sign is inherited from A_1.  Both the closed form
 and the term-by-term assembly are computed and compared on every call.
 Every denominator involved divides 1792, so both run on 1792 * mu as plain
-integers mod 1792; ``Fraction`` value sets appear only at the public edges.
+integers mod 1792, in a kernel that reads h alone: p1 from the one helper
+that states it, ``bundles._p1``, and the family constants from the record
+classes.  Records and ``Fraction`` value sets appear only at the public edges.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from ._record import Record
 from .bundles import (
     CharacteristicData,
     DerivationMismatch,
+    DiskBundleInvariants,
     MilnorBundle,
+    _p1,
     characteristic_data,
-    disk_bundle_invariants,
     is_diffeo_s7,
 )
 from .qz import AmbiguousResidue, ResidueModZ
@@ -141,33 +144,32 @@ def _sorted_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _mu_quotient_scaled(bundle: MilnorBundle) -> tuple[int, int]:
+def _mu_quotient_scaled(h: int) -> tuple[int, int]:
     """1792 * mu(M_h/tau_h) as a sorted pair of ints mod 1792.
 
-    Raises :class:`NotDiffeoS7Error` unless 56 | h(h-1).  The closed form is
+    Reads h alone and builds no record: the signed p1 comes from
+    :func:`bundles._p1`, the constants from the record classes.  Raises
+    :class:`NotDiffeoS7Error` unless 56 | h(h-1).  The closed form is
     cross-checked against the term-by-term assembly scaled by 1792: half the
     bounding-manifold term of the covering sphere, p1^2 - 4 signature, plus
     4 A_2, minus 4 times the equivariant signature, plus 1792 * (1/2) A_1 =
-    +/- 28 |p1|.  Any difference raises :class:`DerivationMismatch`.
+    +/- 28 p1, both signs.  Any difference raises :class:`DerivationMismatch`.
     """
-    if not is_diffeo_s7(bundle):
-        raise NotDiffeoS7Error(
-            f"h={bundle.h}: h(h-1) = {bundle.h * (bundle.h - 1)} is not divisible by 56"
-        )
-    closed = _closed_form_scaled(bundle.h)
-    data = characteristic_data(bundle)
-    disk = disk_bundle_invariants(bundle)
+    if h * (h - 1) % 56:
+        raise NotDiffeoS7Error(f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
+    closed = _closed_form_scaled(h)
+    p1 = _p1(h)
     definite = (
-        disk.p1_squared
-        - 4 * disk.signature
-        + 4 * data.euler_coeff  # A_2 is the Euler number
+        p1 * p1
+        - 4 * DiskBundleInvariants.signature
+        + 4 * CharacteristicData.euler_coeff  # A_2 is the Euler number
         - 4 * FixedPointContributions.equivariant_signature
     )
-    spin = 28 * data.p1_magnitude
+    spin = 28 * p1
     assembled = _sorted_pair(definite + spin, definite - spin)
     if assembled != closed:
         raise DerivationMismatch(
-            f"mu(M_{bundle.h}/tau): fixed-point assembly {_residue_set(assembled)} "
+            f"mu(M_{h}/tau): fixed-point assembly {_residue_set(assembled)} "
             f"!= closed form {_residue_set(closed)}"
         )
     return closed
@@ -192,7 +194,7 @@ def mu_quotient(bundle: MilnorBundle) -> AmbiguousResidue:
     extrapolating it would produce numbers with no meaning.  The value is
     computed and cross-checked by :func:`_mu_quotient_scaled`.
     """
-    return _residue_set(_mu_quotient_scaled(bundle))
+    return _residue_set(_mu_quotient_scaled(bundle.h))
 
 
 def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
@@ -200,5 +202,5 @@ def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
     contrib = fixed_point_contributions(bundle)
     if not is_diffeo_s7(bundle):
         return QuotientReport(bundle.h, contrib, None, Verdict.NOT_APPLICABLE)
-    scaled = _mu_quotient_scaled(bundle)
+    scaled = _mu_quotient_scaled(bundle.h)
     return QuotientReport(bundle.h, contrib, _residue_set(scaled), _verdict(bundle.h, scaled))

@@ -31,7 +31,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from ._record import Record
-from .bundles import DerivationMismatch, MilnorBundle
+from .bundles import DerivationMismatch
 from .quotient import (
     MU_SCALE,
     DichotomyViolationError,
@@ -354,9 +354,11 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     bounds memory however slowly they are read.  A child's exception is
     raised here at its span's turn, and a child that ends without its span's
     result raises RuntimeError.  When the reading ends, early (the reader
-    closes the generator, or a span raises) or not, every child is killed
-    and reaped, one that something else reaped first passed over, so no span
-    is decided after that and no process outlives the call.  Raises
+    closes the generator, a span raises, or Ctrl-C interrupts it) or not,
+    every child is killed and reaped, one that something else reaped first
+    passed over, so no span is decided after that and no process outlives
+    the call.  A child never acts on SIGINT: a terminal's Ctrl-C reaches the
+    whole process group, and only this process may end the call.  Raises
     :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
@@ -381,14 +383,20 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
 
     children = min(parts, -(-width // step))
     pids, pipes = [], []
+    # SIGINT is held from each fork until the child is in pids, and again
+    # while the children are ended, so no Ctrl-C can leave one behind; it is
+    # delivered once the mask is back.  A child keeps it held.
+    unheld = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         for i in range(children):
             read_end, write_end = os.pipe()
+            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
                 _decide_in_child(decide, map(span, starts[i::children]), write_end)
             pids.append(pid)
+            signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
             os.close(write_end)
             pipes.append(open(read_end, "rb"))
         for i, (lo, hi) in enumerate(map(span, starts)):
@@ -402,6 +410,7 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                 raise value
             yield value
     finally:  # ends the children still deciding, and reaps every child
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
         try:  # a child reaped elsewhere first must not spare the others
             for pid in pids:
                 try:
@@ -416,6 +425,7 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
         finally:
             for pipe in pipes:
                 pipe.close()
+            signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
 
 
 def _decide_in_child(decide: Callable[[tuple[int, int]], object],
@@ -478,7 +488,7 @@ _ORACLE_TO_KERNEL = MU_SCALE // 224
 def _verify_row(h: int, target: tuple[int, ...]) -> _CompactRow:
     oracle = a, b = _direct_mu_pair(h)
     try:
-        scaled = _mu_quotient_scaled(MilnorBundle(h))
+        scaled = _mu_quotient_scaled(h)
         verdict = _verdict(h, scaled)._value_  # a plain str, without the Enum.value descriptor
         agreed = scaled == (a * _ORACLE_TO_KERNEL, b * _ORACLE_TO_KERNEL)
     except DerivationMismatch:

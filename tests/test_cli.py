@@ -70,6 +70,50 @@ class TestInvariants:
         assert json.loads(out)["h"] == 10**40 + 1
 
 
+def all_digits(n):
+    """str(n) past the interpreter's limit on the digits of an int written as text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def largest_h():
+    """The largest h the parser accepts: every digit the interpreter lets int() read."""
+    return 10 ** sys.get_int_max_str_digits() - 1
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int digits before 3.10.7"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("h", [10**2200 + 8, "largest", "-largest"])
+def test_records_of_an_h_past_half_the_digit_limit_print(capsys, fmt, h):
+    # p1^2 has twice the digits of h, and 2h - 1 may have one more
+    h = {"largest": largest_h(), "-largest": -largest_h()}.get(h, h)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "invariants", "--h", str(h), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert all_digits((2 * (2 * h - 1)) ** 2) in out
+    code, out, err = run_cli(capsys, "quotient", "--h", str(h), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert all_digits(abs(2 * h - 1)) + "/16" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["invariants", "quotient"])
+def test_an_h_past_the_digit_limit_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--h", "9" + str(largest_h()))
+    assert (code, out) == (1, "")
+    assert "invalid int value" in err
+
+
 class TestQuotient:
     def test_rp7_for_h8(self, capsys):
         code, out, _ = run_cli(capsys, "quotient", "--h", "8", "--format", "json")
@@ -597,3 +641,39 @@ def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
     assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
     with pytest.raises(ProcessLookupError):  # no process of its session is left
         os.killpg(proc.pid, 0)
+
+
+def interrupt(argv, target, lines):
+    """Run argv in a session of its own and send it SIGINT once it has written
+    ``lines`` lines, to its first process or to its process group (as a
+    terminal's Ctrl-C does); its exit status and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        if target == "group":
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            os.kill(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):  # no process of its session is left
+        os.killpg(proc.pid, 0)
+    return proc.returncode, err
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("target", ["process", "group"])
+@pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
+def test_an_interrupted_sweep_exits_130_with_one_line(target, workers):
+    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
+            "-50000000..50000000", "--format", "csv"]
+    if workers:
+        argv += ["--parallel", str(workers)]
+    # the header, then a row: the sweep, and under --parallel its children, have begun
+    assert interrupt(argv, target, lines=2) == (130, b"milnor-mu: interrupted\n")

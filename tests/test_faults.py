@@ -10,7 +10,6 @@ import os
 import pytest
 
 from milnor_mu import bundles, cli, quotient, verify
-from milnor_mu.bundles import DiskBundleInvariants
 
 WINDOW = (-200, 200)
 ADMISSIBLE_IN_WINDOW = sum(
@@ -35,14 +34,11 @@ def closed_form_off_by_one(monkeypatch, only_h=None):
     monkeypatch.setattr(quotient, "_closed_form_scaled", faulty)
 
 
-def shifted_p1_squared(monkeypatch, module=quotient):
-    real = module.disk_bundle_invariants
-
-    def faulty(bundle):
-        disk = real(bundle)
-        return DiskBundleInvariants(disk.p1_squared + 1)
-
-    monkeypatch.setattr(module, "disk_bundle_invariants", faulty)
+def shifted_p1(monkeypatch, module=quotient):
+    # the one p1 helper, where module binds it: the quotient kernel reads it
+    # there, and the bundles records (so mu_total_space) in bundles
+    real = module._p1
+    monkeypatch.setattr(module, "_p1", lambda h: real(h) + 1)
 
 
 def oracle_says_sum_14m2(monkeypatch):
@@ -75,7 +71,7 @@ def rp7_pair_forgotten(monkeypatch):
 # fault -> verdict the failed rows must carry
 FAULTS = {
     "closed_form": (closed_form_off_by_one, "derivation_mismatch"),
-    "assembly_input": (shifted_p1_squared, "derivation_mismatch"),
+    "assembly_input": (shifted_p1, "derivation_mismatch"),
     "oracle": (oracle_says_sum_14m2, "RP7"),
     "target": (target_says_sum_14m2, "RP7"),
     "dichotomy": (rp7_pair_forgotten, "dichotomy_violation"),
@@ -168,8 +164,9 @@ def test_fault_at_one_h_fails_only_that_row(monkeypatch, workers):
     assert failed == [(8, "derivation_mismatch")]
 
 
-def test_quotient_derivation_mismatch_exits_2(monkeypatch, capsys):
-    closed_form_off_by_one(monkeypatch)
+@pytest.mark.parametrize("fault", ["closed_form", "assembly_input"])
+def test_quotient_derivation_mismatch_exits_2(monkeypatch, capsys, fault):
+    FAULTS[fault][0](monkeypatch)
     code = cli.main(["quotient", "--h", "8", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 2
@@ -178,7 +175,7 @@ def test_quotient_derivation_mismatch_exits_2(monkeypatch, capsys):
 
 
 def test_invariants_derivation_mismatch_exits_2(monkeypatch, capsys):
-    shifted_p1_squared(monkeypatch, module=bundles)
+    shifted_p1(monkeypatch, module=bundles)
     code = cli.main(["invariants", "--h", "8", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 2

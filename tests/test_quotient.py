@@ -90,7 +90,7 @@ class TestMuQuotient:
 class TestScaledKernel:
     @pytest.mark.parametrize("h", [0, 1, 8, 49, -7, 105])
     def test_admissible_h_gives_the_rp7_pair(self, h):
-        assert _mu_quotient_scaled(MilnorBundle(h)) == (56, 1736)
+        assert _mu_quotient_scaled(h) == (56, 1736)
 
     @given(st.integers(min_value=-(2**128), max_value=2**128))
     def test_closed_form_is_1792_times_the_fraction_formula(self, h):

@@ -9,8 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr
-from test_faults import closed_form_off_by_one
+from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr, interrupt
+from test_faults import FAULTS, closed_form_off_by_one
 
 from milnor_mu import cli, quotient, verify
 from milnor_mu.bundles import DerivationMismatch
@@ -46,6 +46,12 @@ class TestFullVerification:
     def test_failed_check_exits_2(self, capsys, monkeypatch):
         wrong = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
         monkeypatch.setattr(verify, "direct_mu_set", lambda h: wrong)
+        assert load("full_verification").main(SMALL) == 2
+        assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_every_fault_fails_the_run(self, capsys, monkeypatch, fault):
+        FAULTS[fault][0](monkeypatch)
         assert load("full_verification").main(SMALL) == 2
         assert "FAILED" in capsys.readouterr().out
 
@@ -258,3 +264,14 @@ def test_full_verification_read_by_head_0_exits_141_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("target", ["process", "group"])
+@pytest.mark.parametrize("name, argv, lines", [
+    ("full_verification", ["--h-span", "100000000"], 1),
+    ("mu_table", ["--h-range", "-100000000..100000000"], 3),
+])
+def test_an_interrupted_script_exits_130_with_one_line(name, argv, lines, target):
+    code, err = interrupt(_script(name, *argv), target, lines)
+    assert (code, err) == (130, f"{name}.py: interrupted\n".encode())

@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import time
 from fractions import Fraction
 
@@ -622,6 +623,52 @@ class TestSweepEngine:
             next(spans)
 
     @pytest.mark.usefixtures("time_limit")
+    def test_a_child_leaves_sigint_to_this_process(self, monkeypatch):
+        # a terminal's Ctrl-C reaches every child too; only this process may end the call
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        parent = os.getpid()
+
+        def decide(span):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return span
+
+        spans = verify._map_spans(decide, 0, 56 * 4 - 1, workers=2)
+        assert list(spans) == [(0, 55), (56, 111), (112, 167), (168, 223)]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_an_interrupt_at_a_fork_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        real_fork = os.fork
+
+        def interrupted_fork():
+            pid = real_fork()
+            if pid:  # Ctrl-C as the first child is born; the autouse fixture finds any left
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(verify.os, "fork", interrupted_fork)
+        with pytest.raises(KeyboardInterrupt):
+            next(verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2))
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_an_interrupt_while_the_children_are_ended_waits_for_them(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        real_waitpid = os.waitpid
+
+        def interrupted_waitpid(pid, options):
+            os.kill(os.getpid(), signal.SIGINT)  # a second Ctrl-C, as the first child is reaped
+            return real_waitpid(pid, options)
+
+        spans = verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2)
+        assert next(spans) == (0, 55)
+        monkeypatch.setattr(verify.os, "waitpid", interrupted_waitpid)
+        with pytest.raises(KeyboardInterrupt):  # once both are reaped; the autouse fixture checks
+            spans.close()
+
+    @pytest.mark.usefixtures("time_limit")
     def test_a_child_reaped_elsewhere_spares_no_other_child(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
@@ -664,16 +711,20 @@ class TestSweepEngine:
             next(rows)
 
 
-def test_one_characteristic_data_per_row(monkeypatch):
-    calls = []
-    real = bundles.characteristic_data
+def test_a_row_builds_no_record(monkeypatch):
+    # the kernel reads h, p1 from bundles._p1 and the constants off the classes
+    expected = verify._verify_chunk((-200, 200))
+    assert len(expected) == 28 and all(passed for _, _, passed, _ in expected)
 
-    def counted(bundle):
-        calls.append(bundle.h)
-        return real(bundle)
+    def no_record(*args, **kwargs):
+        raise AssertionError("a verify row built a record")
 
-    for module in (bundles, quotient):
-        monkeypatch.setattr(module, "characteristic_data", counted)
-    target = verify._pair(verify._TARGET)
-    assert verify._verify_row(8, target) == (8, "RP7", True, (7, 217))
-    assert calls == [8]
+    for name, module in list(sys.modules.items()):
+        if name == "milnor_mu" or name.startswith("milnor_mu."):
+            for attr in ("MilnorBundle", "characteristic_data", "disk_bundle_invariants"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, no_record)
+    for record in (bundles.MilnorBundle, bundles.CharacteristicData,
+                   bundles.DiskBundleInvariants):
+        monkeypatch.setattr(record, "__init__", no_record)
+    assert verify._verify_chunk((-200, 200)) == expected
