@@ -17,7 +17,8 @@ from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _run, _wor
 from milnor_mu.verify import (
     _SCAN_LIMIT,
     Case,
-    _sweep,
+    _map_spans,
+    _verify_chunk,
     brute_force_theorem,
     check_case,
     enumerate_residues,
@@ -50,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--crt-periods", type=int, default=100,
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
     parser.add_argument("--parallel", type=_worker_count, default=None,
-                        help="worker processes for the h sweep")
+                        help="worker processes for the h sweep (default: sequential)")
     args = parser.parse_args(argv)
     for flag, size in (("--h-span", args.h_span), ("--k-span", args.k_span),
                        ("--crt-periods", args.crt_periods)):
@@ -90,9 +91,9 @@ def run(args) -> int:
     failed = failed or sweep.failed > 0
 
     rows = bad = 0
-    for _, _, passed, _ in _sweep(-args.h_span, args.h_span, args.parallel):
-        rows += 1
-        bad += not passed
+    for chunk in _map_spans(_verify_chunk, -args.h_span, args.h_span, args.parallel):
+        rows += len(chunk)
+        bad += sum(1 for _, _, passed, _ in chunk if not passed)
     print(f"oracle-vs-pipeline sweep: {rows} rows, {bad} disagreements")
     failed = failed or bad > 0
 

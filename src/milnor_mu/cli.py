@@ -38,9 +38,8 @@ from .bundles import (
 )
 from .quotient import DichotomyViolationError, classify_quotient
 from .qz import AmbiguousResidue
-from .verify import Case, _expand, _map_spans, _verify_chunk, check_case, enumerate_residues
-
-PARALLEL_ENV_VAR = "MILNOR_MU_PARALLEL"
+from .verify import (_SCAN_LIMIT, Case, _expand, _map_spans, _verify_chunk, check_case,
+                     enumerate_residues)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +90,16 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _modulus(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 1 <= n <= _SCAN_LIMIT:
+        raise argparse.ArgumentTypeError(f"modulus must be in [1, {_SCAN_LIMIT}], got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="milnor-mu",
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("enumerate", help="residues r mod m with 56 | r(r-1)")
-    p.add_argument("--modulus", type=int, required=True, help="scan modulus (<= 10^6)")
+    p.add_argument("--modulus", type=_modulus, required=True, help="scan modulus (<= 10^6)")
     add_format(p)
 
     p = sub.add_parser("cases", help="check the four residue cases over a k-range")
@@ -132,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_worker_count,
         default=None,
         metavar="N",
-        help=f"worker processes (default: ${PARALLEL_ENV_VAR} or sequential)",
+        help="worker processes (default: sequential)",
     )
     add_format(p)
 
@@ -247,11 +256,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        solution = enumerate_residues(args.modulus)
-    except ValueError as exc:
-        print(f"milnor-mu: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    solution = enumerate_residues(args.modulus)
     if args.format == "json":
         _emit_json({"modulus": solution.modulus, "residues": list(solution.residues)})
     else:
@@ -296,15 +301,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     h_min, h_max = args.h_range
     fmt = args.format
-    workers = args.parallel
-    env = os.environ.get(PARALLEL_ENV_VAR, "")
-    if workers is None and env:
-        try:
-            workers = _worker_count(env)
-        except argparse.ArgumentTypeError as exc:
-            print(f"milnor-mu: error: ${PARALLEL_ENV_VAR}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, workers)
+    spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
     header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
     if fmt == "csv":
         _emit_csv(header, ())
@@ -422,10 +419,12 @@ def _run(prog: str, body: Callable[[], int]) -> int:
 
     ``body`` returns 0 or a status of its own.  A closed stdout ends the run
     quietly with 141.  An interrupt (Ctrl-C) writes one ``<prog>:
-    interrupted`` line to stderr and exits 130; a failed pipeline check, or
-    any other exception (a bug, never a usage error, and a broken pipe on
-    stderr among them), writes one ``<prog>: ...`` line and exits 2, and so
-    does a stderr that cannot take that line.
+    interrupted`` line to stderr and exits 130; the process then ignores any
+    further Ctrl-C, so a second one cuts short neither the ending of a
+    sweep's children nor the exit.  A failed pipeline check, or any other
+    exception (a bug, never a usage error, and a broken pipe on stderr among
+    them), writes one ``<prog>: ...`` line and exits 2, and so does a stderr
+    that cannot take that line.
     """
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
         sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
@@ -434,6 +433,12 @@ def _run(prog: str, body: Callable[[], int]) -> int:
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
     except KeyboardInterrupt:
+        import _signal  # loaded at start; importing signal here would take a millisecond
+
+        try:  # a second Ctrl-C that came meanwhile raises here, before SIG_IGN is set
+            _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+        except KeyboardInterrupt:
+            _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
         code, message = EXIT_INTERRUPTED, "interrupted"
     except Exception as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():

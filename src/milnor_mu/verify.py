@@ -15,9 +15,9 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 That sweep has one engine, :func:`_map_spans`.  It cuts the range into
 spans, decides them in process or in children it forks for the call, each
 streaming its finished spans back through a pipe, and hands each span's
-result out in h order as soon as it is decided.  :func:`_sweep`
-yields the compact int rows of each span, each value set as the oracle's
-sorted int pair at scale 224, and :func:`verify_range` collects them into
+result out in h order as soon as it is decided.  :func:`verify_range`
+runs it with :func:`_verify_chunk`, whose compact int rows give each value
+set as the oracle's sorted int pair at scale 224, and collects them into
 :class:`VerifyRow` objects.  The ``verify`` command gives the engine its own
 per-span renderer, so each span is rendered where it is decided.
 """
@@ -310,14 +310,17 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
     the spans go to at most :func:`pool_size` worker processes; rows come
-    back in h order either way.  The rows are those of :func:`_sweep`, made
-    into :class:`VerifyRow` objects; each distinct oracle pair is expanded
-    once per call, so rows share one :class:`AmbiguousResidue` per value set.
+    back in h order either way.  The rows are those :func:`_verify_chunk`
+    gives for each span of :func:`_map_spans`, made into :class:`VerifyRow`
+    objects; each distinct oracle pair is expanded once per call, so rows
+    share one :class:`AmbiguousResidue` per value set.  Raises
+    :class:`EmptyRangeError` when h_min > h_max.
     """
     expand = functools.cache(_expand)
     return tuple(
         VerifyRow(h, h % 56, expand(mu), verdict, passed)
-        for h, verdict, passed, mu in _sweep(h_min, h_max, workers)
+        for rows in _map_spans(_verify_chunk, h_min, h_max, workers)
+        for h, verdict, passed, mu in rows
     )
 
 
@@ -325,51 +328,35 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
 _SPAN_WIDTH = 56 * 512
 
 
-def _sweep(h_min: int, h_max: int, workers: int | None = None) -> Iterator[_CompactRow]:
-    """The compact rows of the admissible h in [h_min, h_max], in h order.
-
-    Each row is ``(h, verdict, passed, (a, b))``, where (a, b) is the
-    oracle's value set as :func:`_direct_mu_pair` gives it.  The spans are
-    those of :func:`_map_spans`, each decided by :func:`_verify_chunk`; raises
-    :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
-    """
-    for rows in _map_spans(_verify_chunk, h_min, h_max, workers):
-        yield from rows
-
-
 def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: int,
                workers: int | None = None) -> Iterator[object]:
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
-    The range is cut into spans (lo, hi), with ``parts`` from
+    The range is cut into ``parts`` parts, with ``parts`` from
     :func:`pool_size`, or one part where ``os.fork`` is missing (Windows).
-    With one part the spans are ``_SPAN_WIDTH`` h wide and are decided here,
-    one at a time, as the results are read.  Otherwise each part gets the
-    same number of spans, all of one width up to ``_SPAN_WIDTH`` but the last
-    (narrower by less than the span count), so the parts finish together, and
-    each part is a child forked for this call: child i decides spans i,
-    i + parts, ... and writes each result (or exception) to its own pipe, so
-    what ``decide`` returns and raises must pickle.  The results are read
-    round-robin, in h order; a child blocks once its pipe is full, which
-    bounds memory however slowly they are read.  A child's exception is
-    raised here at its span's turn, and a child that ends without its span's
-    result raises RuntimeError.  When the reading ends, early (the reader
-    closes the generator, a span raises, or Ctrl-C interrupts it) or not,
-    every child is killed and reaped, one that something else reaped first
-    passed over, so no span is decided after that and no process outlives
-    the call.  A child never acts on SIGINT: a terminal's Ctrl-C reaches the
-    whole process group, and only this process may end the call.  Raises
-    :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
+    Each part gets the same number of spans (lo, hi), all of one width up to
+    ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so the
+    parts finish together.  With one part the spans are decided here, one at a
+    time, as the results are read.  Otherwise each part is a child forked for
+    this call: child i decides spans i, i + parts, ... and writes each result
+    (or exception) to its own pipe, so what ``decide`` returns and raises must
+    pickle.  The results are read round-robin, in h order; a child blocks once
+    its pipe is full, which bounds memory however slowly they are read.  A
+    child's exception is raised here at its span's turn, and a child that ends
+    without its span's result raises RuntimeError.  When the reading ends,
+    early (the reader closes the generator, a span raises, or Ctrl-C interrupts
+    it) or not, every child is killed and reaped, one that something else
+    reaped first passed over, so no span is decided after that and no process
+    outlives the call.  A child never acts on SIGINT: a terminal's Ctrl-C
+    reaches the whole process group, and only this process may end the call.
+    Raises :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     width = h_max - h_min + 1
     parts = pool_size(workers or 1, os.cpu_count(), width) if hasattr(os, "fork") else 1
-    if parts == 1:
-        step = _SPAN_WIDTH
-    else:
-        spans_per_part = -(-width // (parts * _SPAN_WIDTH))
-        step = -(-width // (parts * spans_per_part))
+    spans_per_part = -(-width // (parts * _SPAN_WIDTH))
+    step = -(-width // (parts * spans_per_part))
     starts = range(h_min, h_max + 1, step)
 
     def span(lo: int) -> tuple[int, int]:
@@ -410,22 +397,24 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                 raise value
             yield value
     finally:  # ends the children still deciding, and reaps every child
-        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
-        try:  # a child reaped elsewhere first must not spare the others
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            for pid in pids:
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass
+        try:  # a Ctrl-C that came just before raises here, once SIGINT is held
+            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
         finally:
-            for pipe in pipes:
-                pipe.close()
-            signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
+            try:  # a child reaped elsewhere first must not spare the others
+                for pid in pids:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                for pid in pids:
+                    try:
+                        os.waitpid(pid, 0)
+                    except ChildProcessError:
+                        pass
+            finally:
+                for pipe in pipes:
+                    pipe.close()
+                signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
 
 
 def _decide_in_child(decide: Callable[[tuple[int, int]], object],

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -219,33 +220,11 @@ class TestVerify:
         assert (code_a, code_b) == (0, 0)
         assert out_a == out_b
 
-    def test_parallel_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("MILNOR_MU_PARALLEL", "2")
-        code, out, _ = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", "csv")
-        assert code == 0
-        assert len(out.splitlines()) == 10
-
-    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
-    def test_bad_parallel_env_var_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MILNOR_MU_PARALLEL", value)
-        code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--format", "csv")
-        assert code == 1
-        assert out == ""
-        assert "MILNOR_MU_PARALLEL" in err and repr(value) in err
-
     @pytest.mark.parametrize("value", ["abc", "-3", "0"])
     def test_bad_parallel_flag_is_usage_error(self, capsys, value):
         code, out, _ = run_cli(capsys, "verify", "--h-range", "-56..56", "--parallel", value)
         assert code == 1
         assert out == ""
-
-    def test_parallel_flag_overrides_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("MILNOR_MU_PARALLEL", "abc")
-        code, out, _ = run_cli(
-            capsys, "verify", "--h-range", "-56..56", "--format", "csv", "--parallel", "1"
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 10
 
 
 class TestUnexpectedErrors:
@@ -602,6 +581,7 @@ def test_a_stderr_whose_reader_has_gone_exits_2_with_all_of_stdout():
     (["verify", "--h-range", "0..60", "--format", "csv"], 2),  # its summary is lost
     (["verify", "--h-range", "0..60", "--format", "json"], 0),  # it writes no stderr
     (["bogus"], 1),
+    (["enumerate", "--modulus", "0"], 1),
 ])
 def test_a_closed_stderr_is_an_error_and_leaves_stdout_clean(argv, code):
     env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
@@ -643,20 +623,22 @@ def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
         os.killpg(proc.pid, 0)
 
 
-def interrupt(argv, target, lines):
+def interrupt(argv, target, lines, again_after=None):
     """Run argv in a session of its own and send it SIGINT once it has written
     ``lines`` lines, to its first process or to its process group (as a
-    terminal's Ctrl-C does); its exit status and stderr."""
+    terminal's Ctrl-C does), and once more ``again_after`` seconds later if
+    that is given; its exit status and stderr."""
     env = {**os.environ, "PYTHONPATH": str(SRC_PATH), "PYTHONUNBUFFERED": "1"}
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                             start_new_session=True)
     try:
         for _ in range(lines):
             assert proc.stdout.readline()
-        if target == "group":
-            os.killpg(proc.pid, signal.SIGINT)
-        else:
-            os.kill(proc.pid, signal.SIGINT)
+        send = os.killpg if target == "group" else os.kill
+        send(proc.pid, signal.SIGINT)
+        if again_after is not None:
+            time.sleep(again_after)
+            send(proc.pid, signal.SIGINT)  # the process is not reaped yet, so it is there
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
@@ -677,3 +659,16 @@ def test_an_interrupted_sweep_exits_130_with_one_line(target, workers):
         argv += ["--parallel", str(workers)]
     # the header, then a row: the sweep, and under --parallel its children, have begun
     assert interrupt(argv, target, lines=2) == (130, b"milnor-mu: interrupted\n")
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("again_after_ms", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
+def test_a_second_interrupt_is_ignored(workers, again_after_ms):
+    # a Ctrl-C pressed twice: the second must not interrupt the exit of the first
+    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
+            "-50000000..50000000", "--format", "csv"]
+    if workers:
+        argv += ["--parallel", str(workers)]
+    assert interrupt(argv, "group", lines=2, again_after=again_after_ms / 1000) == (
+        130, b"milnor-mu: interrupted\n")

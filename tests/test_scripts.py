@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr, interrupt
-from test_faults import FAULTS, closed_form_off_by_one
+from test_faults import FAULTS, WORKERS, closed_form_off_by_one
 
 from milnor_mu import cli, quotient, verify
 from milnor_mu.bundles import DerivationMismatch
@@ -68,6 +69,16 @@ class TestFullVerification:
         monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119))
         assert load("full_verification").main(SMALL) == 2
         assert "oracle-vs-pipeline sweep: 44 rows, 44 disagreements" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_per_span_counts_add_up(self, capsys, monkeypatch, workers):
+        closed_form_off_by_one(monkeypatch, only_h=8)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)  # about a dozen spans over [-300, 300]
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        argv = SMALL if workers is None else [*SMALL, "--parallel", str(workers)]
+        assert load("full_verification").main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle-vs-pipeline sweep: 44 rows, 1 disagreements" in lines
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
     def test_bad_worker_count_is_usage_error(self, capsys, value):
@@ -275,3 +286,35 @@ def test_full_verification_read_by_head_0_exits_141_quietly():
 def test_an_interrupted_script_exits_130_with_one_line(name, argv, lines, target):
     code, err = interrupt(_script(name, *argv), target, lines)
     assert (code, err) == (130, f"{name}.py: interrupted\n".encode())
+
+
+README = SCRIPTS.parent / "README.md"
+
+#: A long option as written in the README and in argparse's help: --h, --h-range.
+OPTION = re.compile(r"(?<![\w-])--[a-z](?:[\w-]*\w)?")
+
+
+def readme_section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_only_options_the_parsers_offer(capsys):
+    documented = {opt for title in ("CLI", "Scripts")
+                  for opt in OPTION.findall(readme_section(title))}
+    helps = []
+    for command in cli._COMMANDS:
+        assert cli.main([command, "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    for name in ("full_verification", "mu_table"):
+        with pytest.raises(SystemExit):
+            load(name).main(["--help"])
+        helps.append(capsys.readouterr().out)
+    offered = {opt for text in helps for opt in OPTION.findall(text)}
+    assert "--parallel" in documented
+    assert sorted(documented - offered) == []
+
+
+def test_readme_names_only_variables_the_program_reads():
+    source = "".join(path.read_text() for path in SRC_PATH.rglob("*.py"))
+    names = set(re.findall(r"MILNOR_MU_\w+", README.read_text()))
+    assert sorted(name for name in names if name not in source) == []

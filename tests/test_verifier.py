@@ -3,6 +3,7 @@ import signal
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -498,7 +499,7 @@ class TestPoolSize:
 
 
 class TestSweepEngine:
-    """``_sweep``: spans in h order, rows as they are decided, bounded fan-out."""
+    """``_map_spans``: spans in h order, each as it is decided, bounded fan-out."""
 
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("workers", [None, 2])
@@ -516,19 +517,19 @@ class TestSweepEngine:
                 os.read(hold, 1)
             return logged(span)
 
-        monkeypatch.setattr(verify, "_verify_chunk", held)
-        rows = verify._sweep(0, 56 * 10 - 1, workers)
+        spans = verify._map_spans(held, 0, 56 * 10 - 1, workers)
         try:
-            assert next(rows)[0] == 0
+            first = next(spans)
+            assert first[0][0] == 0
             assert _logged(log) and last not in _logged(log)
             os.write(release, b"x")
-            rest = list(rows)
+            rest = list(chain.from_iterable(spans))
         finally:
-            rows.close()
+            spans.close()
             os.close(hold)
             os.close(release)
         assert sorted(_logged(log)) == [(56 * i, 56 * i + 55) for i in range(10)]
-        assert len(rest) == 4 * 10 - 1
+        assert len(first) + len(rest) == 4 * 10
 
     @pytest.mark.usefixtures("time_limit")
     def test_pooled_spans_in_flight_are_bounded(self, monkeypatch, tmp_path):
@@ -552,14 +553,17 @@ class TestSweepEngine:
         # when workers is 2, two children decide 18 spans each
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
         expected = verify._verify_chunk((-3000, 3000))
-        assert tuple(verify._sweep(-3000, 3000, workers)) == expected
+        spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
+        assert tuple(chain.from_iterable(spans)) == expected
 
-    def test_span_width_caps_a_wide_sequential_range(self, monkeypatch, tmp_path):
+    def test_span_width_caps_a_wide_sequential_range(self, tmp_path):
+        # equal spans of at most _SPAN_WIDTH h: three for 2 * _SPAN_WIDTH + 1 h
         log = tmp_path / "decided"
-        monkeypatch.setattr(verify, "_verify_chunk", _logging(log, verify._verify_chunk))
         width = 2 * verify._SPAN_WIDTH + 1
-        assert sum(1 for _ in verify._sweep(0, width - 1)) == len(verify_range(0, width - 1))
-        assert [hi - lo + 1 for lo, hi in _logged(log)[:3]] == [verify._SPAN_WIDTH] * 2 + [1]
+        spans = verify._map_spans(_logging(log, verify._verify_chunk), 0, width - 1)
+        assert tuple(chain.from_iterable(spans)) == verify._verify_chunk((0, width - 1))
+        assert [hi - lo + 1 for lo, hi in _logged(log)] == [width // 3] * 3
+        assert width // 3 <= verify._SPAN_WIDTH
 
     def test_pooled_spans_come_in_equal_shares_per_worker(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
@@ -669,6 +673,25 @@ class TestSweepEngine:
             spans.close()
 
     @pytest.mark.usefixtures("time_limit")
+    def test_an_interrupt_just_before_the_children_are_ended_waits_for_them(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        real_sigmask = signal.pthread_sigmask
+
+        def interrupted_sigmask(how, mask):
+            previous = real_sigmask(how, mask)
+            if how == signal.SIG_BLOCK:  # as when a Ctrl-C came just before SIGINT was held
+                raise KeyboardInterrupt
+            return previous
+
+        spans = verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2)
+        assert next(spans) == (0, 55)
+        monkeypatch.setattr(signal, "pthread_sigmask", interrupted_sigmask)
+        with pytest.raises(KeyboardInterrupt):  # once both are reaped; the autouse fixture checks
+            spans.close()
+        assert signal.SIGINT not in real_sigmask(signal.SIG_BLOCK, ())
+
+    @pytest.mark.usefixtures("time_limit")
     def test_a_child_reaped_elsewhere_spares_no_other_child(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
@@ -695,20 +718,19 @@ class TestSweepEngine:
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         expected = verify._verify_chunk((-3000, 3000))
         pids = []
-        real = verify._verify_chunk
 
         def recorded(span):
             pids.append(os.getpid())
-            return real(span)
+            return verify._verify_chunk(span)
 
-        monkeypatch.setattr(verify, "_verify_chunk", recorded)
-        assert tuple(verify._sweep(-3000, 3000, workers=2)) == expected
+        spans = verify._map_spans(recorded, -3000, 3000, workers=2)
+        assert tuple(chain.from_iterable(spans)) == expected
         assert pids == [os.getpid()] * -(-6001 // 56)
 
     def test_backwards_range_raises_on_first_row(self):
-        rows = verify._sweep(1, 0)
+        spans = verify._map_spans(verify._verify_chunk, 1, 0)
         with pytest.raises(EmptyRangeError):
-            next(rows)
+            next(spans)
 
 
 def test_a_row_builds_no_record(monkeypatch):
