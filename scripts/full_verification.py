@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end exact verification run: residues, case analysis, theorem sweep.
 
-Reproduces the whole classification argument at configurable scale.  Exit
-codes are those of the ``milnor-mu`` CLI (see ``milnor_mu.cli._run``); any
-failed check exits 2.  Example:
+Reproduces the whole classification argument.  The case analysis and the
+direct-formula sweep each decide one period, and so every k and h;
+``--h-span`` sizes only the oracle-vs-pipeline sweep.  Exit codes are those
+of the ``milnor-mu`` CLI (see ``milnor_mu.cli._run``); any failed check
+exits 2.  Example:
 
-    python scripts/full_verification.py --h-span 100000 --k-span 1000000
+    python scripts/full_verification.py --h-span 100000
 """
 
 import math
@@ -15,6 +17,7 @@ from itertools import zip_longest
 
 from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _run, _worker_count
 from milnor_mu.verify import (
+    _CASE_PERIOD,
     _SCAN_LIMIT,
     Case,
     _map_spans,
@@ -24,6 +27,11 @@ from milnor_mu.verify import (
     enumerate_residues,
     residues_by_crt,
 )
+
+#: One period of the direct-formula sweep: 224 * direct_mu_set(h) is an
+#: integer polynomial in h mod 224, and P(h + m) = P(h) mod m (Polya 1915).
+#: 1792, the kernel's scale, stays a period under any constant on its grid.
+H_PERIOD = 1792
 
 
 def crt_disagreements(periods: int) -> list[int]:
@@ -45,16 +53,13 @@ def crt_disagreements(periods: int) -> list[int]:
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(description=__doc__)
     parser.add_argument("--h-span", type=int, default=100_000,
-                        help="sweep h over [-H, H] (default 100000)")
-    parser.add_argument("--k-span", type=int, default=1_000_000,
-                        help="check cases over k in [-K, K] (default 10^6)")
+                        help="oracle-vs-pipeline sweep over h in [-H, H] (default 100000)")
     parser.add_argument("--crt-periods", type=int, default=100,
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
     parser.add_argument("--parallel", type=_worker_count, default=None,
                         help="worker processes for the h sweep (default: sequential)")
     args = parser.parse_args(argv)
-    for flag, size in (("--h-span", args.h_span), ("--k-span", args.k_span),
-                       ("--crt-periods", args.crt_periods)):
+    for flag, size in (("--h-span", args.h_span), ("--crt-periods", args.crt_periods)):
         if size < 0:
             parser.error(f"{flag} must be non-negative, got {size}")
     if args.crt_periods > _SCAN_LIMIT // 56:
@@ -76,17 +81,18 @@ def run(args) -> int:
     else:
         print(f"  scan agrees with CRT construction for all 56m, m <= {args.crt_periods}")
 
-    print(f"case analysis over k in [-{args.k_span}, {args.k_span}]:")
+    k_max = _CASE_PERIOD // 56 - 1  # one period of h; see verify._CASE_PERIOD
+    print(f"case analysis over one period, k in [0, {k_max}], so for every k:")
     for case in Case:
-        report = check_case(case, -args.k_span, args.k_span)
+        report = check_case(case, 0, k_max)
         mark = "ok" if report.matches else "FAIL"
         print(f"  case {case.name:>3} (h = 56k + {report.h_residue:>2}): "
               f"h(h-1)/112 = {report.quad_constant} + k/2, "
               f"(2h-1)/32 = {report.linear_constant} + k/2  [{mark}]")
         failed = failed or not report.matches
 
-    sweep = brute_force_theorem(-args.h_span, args.h_span)
-    print(f"direct-formula sweep over [-{args.h_span}, {args.h_span}]: "
+    sweep = brute_force_theorem(0, H_PERIOD - 1)
+    print(f"direct-formula sweep over one period, h in [0, {H_PERIOD - 1}], so for every h: "
           f"{sweep.checked} admissible h, {sweep.failed} failures")
     failed = failed or sweep.failed > 0
 

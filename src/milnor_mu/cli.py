@@ -193,31 +193,6 @@ def _flat(value: object) -> object:
     return value
 
 
-def _all_digits(
-    command: Callable[[argparse.Namespace], int],
-) -> Callable[[argparse.Namespace], int]:
-    """``command`` run with no limit on the digits of an int written as text.
-
-    The parser holds h to the interpreter's limit on such digits (4300 by
-    default), but the records of ``invariants`` and ``quotient`` carry ints
-    of up to twice as many (p1^2 = 4(2h-1)^2, and 2h - 1 itself may have one
-    more).  With the input so bounded, writing them out stays cheap.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # no such limit before Python 3.10.7
-        return command
-
-    def run(args: argparse.Namespace) -> int:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return command(args)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return run
-
-
-@_all_digits
 def _cmd_invariants(args: argparse.Namespace) -> int:
     bundle = MilnorBundle(args.h)
     data = characteristic_data(bundle)
@@ -237,7 +212,6 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@_all_digits
 def _cmd_quotient(args: argparse.Namespace) -> int:
     report = classify_quotient(MilnorBundle(args.h))
     contrib = report.contributions
@@ -459,7 +433,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _run(parser.prog, lambda: _COMMANDS[args.command](args))
+    # the parser holds each int to the interpreter's limit on the digits it writes,
+    # but invariants and quotient write up to twice as many (p1^2 = 4(2h-1)^2)
+    lift = hasattr(sys, "set_int_max_str_digits")  # no such limit before Python 3.10.7
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(parser.prog, lambda: _COMMANDS[args.command](args))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -370,22 +370,23 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
 
     children = min(parts, -(-width // step))
     pids, pipes = [], []
-    # SIGINT is held from each fork until the child is in pids, and again
-    # while the children are ended, so no Ctrl-C can leave one behind; it is
-    # delivered once the mask is back.  A child keeps it held.
+    # SIGINT is held from before the first pipe until every child is in pids
+    # and its pipe in pipes, and again while the children are ended, so no
+    # Ctrl-C can leave a child or a pipe behind; it is delivered once the mask
+    # is back.  A child keeps it held.
     unheld = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
         for i in range(children):
             read_end, write_end = os.pipe()
-            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
                 _decide_in_child(decide, map(span, starts[i::children]), write_end)
             pids.append(pid)
-            signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
             os.close(write_end)
             pipes.append(open(read_end, "rb"))
+        signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
         for i, (lo, hi) in enumerate(map(span, starts)):
             try:
                 ok, value = pickle.load(pipes[i % children])

@@ -36,7 +36,22 @@ def load(name):
     return module
 
 
-SMALL = ["--h-span", "300", "--k-span", "300", "--crt-periods", "2"]
+SMALL = ["--h-span", "300", "--crt-periods", "2"]
+
+#: The stdout of full_verification.py at SMALL, but for its last line, the elapsed time.
+SMALL_STDOUT = """\
+residues mod 56 with 56 | r(r-1): (0, 1, 8, 49)
+  scan agrees with CRT construction for all 56m, m <= 2
+case analysis over one period, k in [0, 3], so for every k:
+  case   I (h = 56k +  0): h(h-1)/112 = 0 + k/2, (2h-1)/32 = -1/32 + k/2  [ok]
+  case  II (h = 56k +  1): h(h-1)/112 = 0 + k/2, (2h-1)/32 = 1/32 + k/2  [ok]
+  case III (h = 56k +  8): h(h-1)/112 = 1/2 + k/2, (2h-1)/32 = 15/32 + k/2  [ok]
+  case  IV (h = 56k + 49): h(h-1)/112 = 0 + k/2, (2h-1)/32 = 1/32 + k/2  [ok]
+direct-formula sweep over one period, h in [0, 1791], so for every h: 128 admissible h, 0 failures
+oracle-vs-pipeline sweep: 44 rows, 0 disagreements
+"""
+
+WRONG = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
 
 
 class TestFullVerification:
@@ -44,11 +59,46 @@ class TestFullVerification:
         assert load("full_verification").main(SMALL) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_stdout_at_small(self, capsys, workers):
+        argv = SMALL if workers is None else [*SMALL, "--parallel", str(workers)]
+        assert load("full_verification").main(argv) == 0
+        *lines, elapsed = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(lines) == SMALL_STDOUT
+        assert re.fullmatch(r"total \d+\.\ds: all checks passed\n", elapsed)
+
     def test_failed_check_exits_2(self, capsys, monkeypatch):
-        wrong = AmbiguousResidue.of(reduce_mod_z(Fraction(15, 32)), reduce_mod_z(Fraction(17, 32)))
-        monkeypatch.setattr(verify, "direct_mu_set", lambda h: wrong)
+        monkeypatch.setattr(verify, "direct_mu_set", lambda h: WRONG)
         assert load("full_verification").main(SMALL) == 2
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h_span", ["0", "300"])
+    def test_referee_and_cases_run_over_one_period(self, monkeypatch, h_span):
+        calls = []
+
+        def record(name):
+            real = getattr(verify, name)
+
+            def recorded(*args):
+                calls.append((name, *args))
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, recorded)
+
+        record("check_case")
+        record("brute_force_theorem")
+        assert load("full_verification").main(["--h-span", h_span, "--crt-periods", "2"]) == 0
+        assert calls == [*(("check_case", case, 0, 3) for case in verify.Case),
+                         ("brute_force_theorem", 0, 1791)]
+
+    def test_a_periodic_referee_fault_fails_whatever_the_h_span(self, capsys, monkeypatch):
+        # off at h = 49 mod 56 only, so the window [0, 0] never meets it
+        real = verify.direct_mu_set
+        monkeypatch.setattr(verify, "direct_mu_set", lambda h: WRONG if h % 56 == 49 else real(h))
+        assert load("full_verification").main(["--h-span", "0", "--crt-periods", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "h in [0, 1791], so for every h: 128 admissible h, 32 failures" in out
+        assert "oracle-vs-pipeline sweep: 1 rows, 0 disagreements" in out
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_every_fault_fails_the_run(self, capsys, monkeypatch, fault):
@@ -91,7 +141,7 @@ class TestFullVerification:
         "flag,value",
         [
             ("--h-span", "-1"),
-            ("--k-span", "-5"),
+            ("--k-span", "5"),  # no longer an option: one period decides every k
             ("--crt-periods", "-1"),
             ("--crt-periods", str(verify._SCAN_LIMIT // 56 + 1)),
         ],
@@ -108,7 +158,7 @@ class TestFullVerification:
         base = verify.enumerate_residues(56)
         monkeypatch.setattr(verify, "enumerate_residues", lambda m: base)
         monkeypatch.setattr(verify, "residues_by_crt", lambda m: base)
-        argv = ["--h-span", "0", "--k-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)]
+        argv = ["--h-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)]
         assert load("full_verification").main(argv) == 0
 
     @pytest.mark.parametrize(
@@ -134,7 +184,7 @@ class TestFullVerification:
         assert per_m == list(range(first_bad_m, 13))
         script = load("full_verification")
         assert script.crt_disagreements(12) == per_m
-        assert script.main(["--h-span", "300", "--k-span", "300", "--crt-periods", "12"]) == 2
+        assert script.main(["--h-span", "300", "--crt-periods", "12"]) == 2
         assert f"scan vs CRT disagree at m = {per_m}" in capsys.readouterr().out
 
     def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
@@ -263,6 +313,15 @@ def test_mu_table_read_by_head_1_exits_141_quietly(tmp_path):
                 proc.kill()
                 proc.wait()
     assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
+
+
+def test_full_verification_passes_at_its_defaults():
+    done = subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / "full_verification.py")],
+                          capture_output=True, env=_ENV, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    for line in (b"128 admissible h, 0 failures", b"14284 rows, 0 disagreements",
+                 b"all checks passed"):
+        assert line in done.stdout
 
 
 @pytest.mark.usefixtures("time_limit")

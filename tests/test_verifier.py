@@ -641,8 +641,8 @@ class TestSweepEngine:
         spans = verify._map_spans(decide, 0, 56 * 4 - 1, workers=2)
         assert list(spans) == [(0, 55), (56, 111), (112, 167), (168, 223)]
 
-    @pytest.mark.usefixtures("time_limit")
-    def test_an_interrupt_at_a_fork_leaves_no_child(self, monkeypatch):
+    @staticmethod
+    def _interrupt_at_a_fork(monkeypatch, calls=1):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         real_fork = os.fork
 
@@ -653,8 +653,21 @@ class TestSweepEngine:
             return pid
 
         monkeypatch.setattr(verify.os, "fork", interrupted_fork)
-        with pytest.raises(KeyboardInterrupt):
-            next(verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2))
+        for _ in range(calls):
+            with pytest.raises(KeyboardInterrupt):
+                next(verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2))
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_an_interrupt_at_a_fork_leaves_no_child(self, monkeypatch):
+        self._interrupt_at_a_fork(monkeypatch)
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc/self/fd")
+    def test_an_interrupt_at_a_fork_leaves_no_pipe(self, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        self._interrupt_at_a_fork(monkeypatch, calls=5)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.usefixtures("time_limit")
     def test_an_interrupt_while_the_children_are_ended_waits_for_them(self, monkeypatch):
