@@ -26,21 +26,25 @@ class DerivationMismatch(RuntimeError):
 
 
 class MilnorBundle(Record):
-    """The pair (h, j) with j = 1 - h.  Plain ints, any magnitude."""
+    """The pair (h, j) with j = 1 - h.  Plain ints, any magnitude.
 
-    __slots__ = ("h", "j")
+    Only h is stored, and ``j`` is read from it; a j passed in is checked.
+    """
+
+    __slots__ = ("h",)
 
     def __init__(self, h: int, j: int | None = None) -> None:
         if not isinstance(h, int):
             raise TypeError(f"h must be an int, got {type(h).__name__}")
-        if j is None:
-            j = 1 - h
-        elif not isinstance(j, int):
+        if j is not None and not isinstance(j, int):
             raise TypeError(f"j must be an int, got {type(j).__name__}")
-        elif j != 1 - h:
+        if j not in (None, 1 - h):
             raise ValueError(f"unsupported clutching pair (h={h}, j={j}): need j = 1 - h")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "j", j)
+
+    @property
+    def j(self) -> int:
+        return 1 - self.h
 
 
 class CharacteristicData(Record):

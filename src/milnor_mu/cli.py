@@ -51,10 +51,10 @@ EXIT_STDOUT_CLOSED = 128 + 13  # killed by SIGPIPE (13), as the shell reports it
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # let range values like -5600..5600 through as arguments, not flags
-        self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.\d+$|^-\d+\.\.-?\d+$"
-        )
+        # a token that starts with a minus and a digit (-1_000, -5600..5600,
+        # -.5) is a value, never a flag, since no option of these parsers starts
+        # so; the option's type function then reads it or reports it malformed
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # usage problems exit 1; argparse's default of 2 is reserved for
     # verification failures.  The text is best-effort, so that a stderr of

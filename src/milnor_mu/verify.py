@@ -43,13 +43,13 @@ from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
 
-#: mu value set every admissible quotient must hit: {1/32, 31/32}.  Spelled
-#: out here rather than imported as ``quotient.MU_RP7`` on purpose: the sweep
-#: checks the pipeline against the theorem, and a target taken from the
-#: pipeline would let one wrong constant pass on both sides.
-_TARGET = AmbiguousResidue.of(
-    reduce_mod_z(Fraction(1, 32)), reduce_mod_z(Fraction(31, 32))
-)
+#: mu value set every admissible quotient must hit, {1/32, 31/32}, stated
+#: once, as the oracle's sorted pair at scale 224, the form in which the
+#: checks compare it; :func:`_expand` gives the value set.  Spelled out here
+#: rather than taken from ``quotient.MU_RP7`` on purpose: the sweep checks the
+#: pipeline against the theorem, and a target taken from the pipeline would
+#: let one wrong constant pass on both sides.
+_TARGET = (7, 217)
 
 
 class EmptyRangeError(ValueError):
@@ -142,25 +142,33 @@ class CaseReport(Record):
 
     The two half-terms are the functions ``quad_constant + k/2`` and
     ``linear_constant + k/2`` (mod 1) that the quadratic and linear mu terms
-    must equal.  ``period_failures`` holds the failing k of the range's first
-    period (its first ``_CASE_PERIOD // 56`` k); ``matches``, the
-    conjunction over the whole range, and ``failures``, every failing k in
-    it, are derived from them.
+    must equal; those constants and ``h_residue`` are read from ``case``.
+    ``period_failures`` holds the failing k of the range's first period (its
+    first ``_CASE_PERIOD // 56`` k); ``matches``, the conjunction over the
+    whole range, and ``failures``, every failing k in it, are derived from
+    them.
     """
 
-    __slots__ = ("case", "h_residue", "quad_constant", "linear_constant", "k_min", "k_max",
-                 "period_failures")
+    __slots__ = ("case", "k_min", "k_max", "period_failures")
 
-    def __init__(self, case: Case, h_residue: int, quad_constant: Fraction,
-                 linear_constant: Fraction, k_min: int, k_max: int,
+    def __init__(self, case: Case, k_min: int, k_max: int,
                  period_failures: tuple[int, ...] = ()) -> None:
         object.__setattr__(self, "case", case)
-        object.__setattr__(self, "h_residue", h_residue)
-        object.__setattr__(self, "quad_constant", quad_constant)
-        object.__setattr__(self, "linear_constant", linear_constant)
         object.__setattr__(self, "k_min", k_min)
         object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "period_failures", period_failures)
+
+    @property
+    def h_residue(self) -> int:
+        return self.case.value
+
+    @property
+    def quad_constant(self) -> Fraction:
+        return _CASE_CONSTANTS[self.case][0]
+
+    @property
+    def linear_constant(self) -> Fraction:
+        return _CASE_CONSTANTS[self.case][1]
 
     @property
     def matches(self) -> bool:
@@ -191,7 +199,7 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     h(h-1) - 112*quad - 56k = 0 mod 112, (b) becomes
     (2h-1) - 32*linear - 16k = 0 mod 32, and (c) asks the sweep's oracle
     :func:`_direct_mu_pair` for the value set at scale 224 and compares it
-    with the sweep's target, ``_pair(_TARGET)``.
+    with the sweep's target, ``_TARGET``.
 
     Each of these is an integer polynomial in h taken mod a divisor of 224,
     so whether k fails depends only on h mod 224, that is on k mod 4 (see
@@ -207,7 +215,6 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     res = case.h_residue
     quad_112 = int(quad * 112)
     linear_32 = int(linear * 32)
-    target = _pair(_TARGET)
     k_period = _CASE_PERIOD // 56
     period_failures = []
     for k in range(k_min, min(k_max, k_min + k_period - 1) + 1):
@@ -215,19 +222,11 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
         ok = (
             (h * (h - 1) - quad_112 - 56 * k) % 112 == 0
             and (2 * h - 1 - linear_32 - 16 * k) % 32 == 0
-            and _direct_mu_pair(h) == target
+            and _direct_mu_pair(h) == _TARGET
         )
         if not ok:
             period_failures.append(k)
-    return CaseReport(
-        case=case,
-        h_residue=res,
-        quad_constant=quad,
-        linear_constant=linear,
-        k_min=k_min,
-        k_max=k_max,
-        period_failures=tuple(period_failures),
-    )
+    return CaseReport(case, k_min, k_max, tuple(period_failures))
 
 
 def direct_mu_set(h: int) -> AmbiguousResidue:
@@ -244,18 +243,27 @@ def direct_mu_set(h: int) -> AmbiguousResidue:
 
 
 class TheoremSweep(Record):
-    """Counts from a brute-force sweep; failures carry the offending h."""
+    """Counts from a brute-force sweep; failures carry the offending h.
 
-    __slots__ = ("h_min", "h_max", "checked", "passed", "failed", "failures")
+    ``failed`` and ``passed`` are counted from ``failures`` and ``checked``.
+    """
 
-    def __init__(self, h_min: int, h_max: int, checked: int, passed: int, failed: int,
+    __slots__ = ("h_min", "h_max", "checked", "failures")
+
+    def __init__(self, h_min: int, h_max: int, checked: int,
                  failures: tuple[int, ...] = ()) -> None:
         object.__setattr__(self, "h_min", h_min)
         object.__setattr__(self, "h_max", h_max)
         object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failed", failed)
         object.__setattr__(self, "failures", failures)
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def passed(self) -> int:
+        return self.checked - len(self.failures)
 
 
 def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
@@ -264,34 +272,30 @@ def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     The admissible h are stepped as h = 56k + r, as in :func:`verify_range`;
     failures are collected, never raised, so a full report always comes back.
     """
+    target = _expand(_TARGET)
     checked = 0
     failures = []
     for h in _admissible(h_min, h_max):
         checked += 1
-        if direct_mu_set(h) != _TARGET:
+        if direct_mu_set(h) != target:
             failures.append(h)
-    return TheoremSweep(
-        h_min=h_min,
-        h_max=h_max,
-        checked=checked,
-        passed=checked - len(failures),
-        failed=len(failures),
-        failures=tuple(failures),
-    )
+    return TheoremSweep(h_min, h_max, checked, tuple(failures))
 
 
 class VerifyRow(Record):
     """One admissible h: oracle mu set, pipeline verdict, agreement flag."""
 
-    __slots__ = ("h", "residue_class", "mu_set", "verdict", "passed")
+    __slots__ = ("h", "mu_set", "verdict", "passed")
 
-    def __init__(self, h: int, residue_class: int, mu_set: AmbiguousResidue, verdict: str,
-                 passed: bool) -> None:
+    def __init__(self, h: int, mu_set: AmbiguousResidue, verdict: str, passed: bool) -> None:
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "residue_class", residue_class)
         object.__setattr__(self, "mu_set", mu_set)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "passed", passed)
+
+    @property
+    def residue_class(self) -> int:
+        return self.h % 56
 
 
 #: What a sweep worker returns per row: (h, verdict, passed, (a, b)), with
@@ -318,7 +322,7 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     """
     expand = functools.cache(_expand)
     return tuple(
-        VerifyRow(h, h % 56, expand(mu), verdict, passed)
+        VerifyRow(h, expand(mu), verdict, passed)
         for rows in _map_spans(_verify_chunk, h_min, h_max, workers)
         for h, verdict, passed, mu in rows
     )
@@ -467,8 +471,7 @@ def _admissible(lo: int, hi: int) -> Iterator[int]:
 
 def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
     """Compact rows for the admissible h in span."""
-    target = _pair(_TARGET)
-    return tuple([_verify_row(h, target) for h in _admissible(*span)])
+    return tuple([_verify_row(h, _TARGET) for h in _admissible(*span)])
 
 
 #: 1792 / 224: the kernel's scale over the oracle's.
@@ -495,28 +498,19 @@ def _direct_mu_pair(h: int) -> tuple[int, int]:
     224 * (h(h-1)/112 +/- (2h-1)/32) = 2h(h-1) +/- 7(2h-1), so the members are
     a/224 and b/224 with a < b those two sums mod 224.  Both sums are odd
     (even plus or minus odd), so no member is 0, and they never coincide,
-    since a - b = 14(2h-1) and 16 does not divide 2h - 1.  Equal to
-    ``_pair(direct_mu_set(h))`` for every integer h; shares no code or scale
-    with the quotient kernel (1792).
+    since a - b = 14(2h-1) and 16 does not divide 2h - 1.  Expands to
+    ``direct_mu_set(h)`` for every integer h; shares no code or scale with
+    the quotient kernel (1792).
     """
     quad, odd = 2 * h * (h - 1), 7 * (2 * h - 1)
     a, b = (quad + odd) % 224, (quad - odd) % 224
     return (a, b) if a < b else (b, a)
 
 
-def _pair(mu: AmbiguousResidue) -> tuple[int, ...]:
-    """224 * v for each member v of mu, in order: the oracle's form of mu.
-
-    Raises ValueError when a member is not a multiple of 1/224.  Members are
-    canonical reps in [0, 1), sorted and distinct, so two value sets are
-    equal exactly when their pairs are.
-    """
-    scaled = [divmod(224 * v.rep.numerator, v.rep.denominator) for v in mu.values]
-    if any(rem for _, rem in scaled):
-        raise ValueError(f"{mu} has a member off the 1/224 grid")
-    return tuple([a for a, _ in scaled])
-
-
 def _expand(pair: tuple[int, ...]) -> AmbiguousResidue:
-    """Inverse of :func:`_pair`."""
+    """The value set {a/224, ...} of an oracle pair (a, ...) at scale 224.
+
+    The one bridge from the oracle's sorted ints in [0, 224) to ``Fraction``
+    residues; distinct pairs give distinct value sets.
+    """
     return AmbiguousResidue(tuple([ResidueModZ(Fraction(v, 224)) for v in pair]))

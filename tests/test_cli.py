@@ -474,9 +474,9 @@ class TestVerifyBytes:
 
 README_PATH = Path(__file__).resolve().parent.parent / "README.md"
 
-#: README examples printed in full; the cases and verify blocks are marked
-#: there as reformatted or elided.
-VERBATIM_EXAMPLES = ("invariants", "quotient", "enumerate")
+#: Every README example.  The cases block is reformatted there, so it is
+#: compared as parsed json; the verify block is cut after its first lines.
+README_EXAMPLES = ("invariants", "quotient", "enumerate", "cases", "verify")
 
 
 def readme_examples():
@@ -490,10 +490,33 @@ def readme_examples():
     return examples
 
 
-@pytest.mark.parametrize("command", VERBATIM_EXAMPLES)
+@pytest.mark.parametrize("command", README_EXAMPLES)
 def test_readme_example_is_the_real_output(capsys, command):
     argv, expected = readme_examples()[command]
-    assert run_cli(capsys, *argv) == (0, expected, "")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if command == "cases":
+        assert (json.loads(out), err) == (json.loads(expected), "")
+    elif command == "verify":  # the lines before "..." start the output
+        shown, elided = expected.split("...\n")
+        assert elided == "" and out.startswith(shown) and len(out) > len(shown)
+    else:
+        assert (out, err) == (expected, "")
+
+
+def test_readme_library_snippet_gives_its_commented_results():
+    snippet = README_PATH.read_text().split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope, results = {}, []
+    for line in snippet.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            results.append((comment.strip(), eval(code, scope)))
+        except SyntaxError:  # a statement: an import or an assignment
+            exec(code, scope)
+    (mu_text, mu), (verdict_text, verdict), (residue_text, residue) = results
+    assert mu_text == f"{type(mu).__name__}: {mu}"
+    assert verdict_text == str(verdict)
+    assert residue_text == str(residue)
 
 
 SRC_PATH = Path(__file__).resolve().parent.parent / "src"

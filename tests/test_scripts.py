@@ -377,3 +377,26 @@ def test_readme_names_only_variables_the_program_reads():
     source = "".join(path.read_text() for path in SRC_PATH.rglob("*.py"))
     names = set(re.findall(r"MILNOR_MU_\w+", README.read_text()))
     assert sorted(name for name in names if name not in source) == []
+
+
+#: (entry point, argv with a negative number written with ``_``, the same argv without)
+UNDERSCORED = [
+    ("milnor-mu", ["invariants", "--h", "-1_000"], ["invariants", "--h", "-1000"]),
+    ("milnor-mu", ["verify", "--h-range", "-1_000..-900"], ["verify", "--h-range", "-1000..-900"]),
+    ("milnor-mu", ["cases", "--k-range", "-1_0..5"], ["cases", "--k-range", "-10..5"]),
+    ("mu_table", ["--h-range", "-1_0..-8"], ["--h-range", "-10..-8"]),
+    ("full_verification", ["--h-span", "-1_0"], ["--h-span", "-10"]),
+]
+
+
+@pytest.mark.parametrize("prog, underscored, plain", UNDERSCORED,
+                         ids=[argv[0] if prog == "milnor-mu" else prog
+                              for prog, argv, _ in UNDERSCORED])
+def test_a_negative_number_written_with_underscores_is_a_value(capsys, monkeypatch, prog,
+                                                               underscored, plain):
+    def run(argv):
+        code = cli.main(argv) if prog == "milnor-mu" else run_as_main(monkeypatch, prog, argv)
+        return code, *capsys.readouterr()
+
+    assert run(underscored) == run(plain)
+    assert "expected one argument" not in run(underscored)[2]

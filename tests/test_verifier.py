@@ -13,7 +13,7 @@ from test_faults import oracle_off_in_one_k_of_four, oracle_off_on_odd_h
 from milnor_mu import bundles, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import MU_RP7_SUM_14M2, mu_quotient
-from milnor_mu.qz import ambiguous, reduce_mod_z
+from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
 from milnor_mu.verify import (
     Case,
     EmptyRangeError,
@@ -153,11 +153,10 @@ def _per_k_reference(case: Case, k_min: int, k_max: int) -> tuple[int, ...]:
 def _assert_report(report: verify.CaseReport, case: Case, k_min: int, k_max: int,
                    failures: tuple[int, ...]) -> None:
     """report is check_case(case, k_min, k_max) with these failing k in range."""
-    quad, linear = verify._CASE_CONSTANTS[case]
     in_period = tuple(k for k in failures if k < k_min + verify._CASE_PERIOD // 56)
-    assert report == verify.CaseReport(
-        case, case.h_residue, quad, linear, k_min, k_max, in_period
-    )
+    assert report == verify.CaseReport(case, k_min, k_max, in_period)
+    assert report.h_residue == case.value
+    assert (report.quad_constant, report.linear_constant) == verify._CASE_CONSTANTS[case]
     assert report.failures == failures
     assert report.matches == (not failures)
 
@@ -250,11 +249,10 @@ class TestCaseOnePeriod:
     def test_an_oracle_fault_within_one_period_gives_the_per_k_failures(
             self, monkeypatch, case, k_min, k_max):
         oracle_off_in_one_k_of_four(monkeypatch)
-        target = verify._pair(verify._TARGET)
         failures = tuple(
             k for k in range(k_min, k_max + 1)
             if not (_case_holds_by_fractions(case, k)
-                    and verify._direct_mu_pair(56 * k + case.h_residue) == target)
+                    and verify._direct_mu_pair(56 * k + case.h_residue) == verify._TARGET)
         )
         assert failures
         _assert_report(check_case(case, k_min, k_max), case, k_min, k_max, failures)
@@ -271,11 +269,11 @@ class TestDirectMuSet:
 class TestDirectMuPair:
     def test_equals_fraction_oracle_on_every_h_of_a_window(self):
         for h in range(-3000, 3001):  # admissible or not, negative or not
-            assert verify._direct_mu_pair(h) == verify._pair(direct_mu_set(h))
+            assert verify._expand(verify._direct_mu_pair(h)) == direct_mu_set(h)
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
     def test_equals_fraction_oracle_on_wide_h(self, h):
-        assert verify._direct_mu_pair(h) == verify._pair(direct_mu_set(h))
+        assert verify._expand(verify._direct_mu_pair(h)) == direct_mu_set(h)
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
     def test_two_odd_members_in_order(self, h):
@@ -286,9 +284,11 @@ class TestDirectMuPair:
     def test_shares_no_name_with_the_quotient_module(self):
         assert not set(verify._direct_mu_pair.__code__.co_names) & set(vars(quotient))
 
-    def test_pair_refuses_a_member_off_the_224_grid(self):
-        with pytest.raises(ValueError, match="1/224 grid"):
-            verify._pair(ambiguous(Fraction(1, 3)))
+    def test_the_target_expands_to_the_rp7_value_set(self):
+        assert verify._TARGET == (7, 217)
+        assert verify._expand(verify._TARGET) == AmbiguousResidue.of(
+            reduce_mod_z(Fraction(1, 32)), reduce_mod_z(Fraction(31, 32))
+        )
 
 
 class TestSweepStaysOffFractions:
@@ -396,16 +396,11 @@ class TestCompactWorkerRows:
     def test_row_layout(self):
         assert verify._verify_chunk((8, 8)) == ((8, "RP7", True, (7, 217)),)
 
-    @given(st.integers(min_value=-(2**64), max_value=2**64))
-    def test_pair_round_trips(self, h):
-        mu = direct_mu_set(h)
-        assert verify._expand(verify._pair(mu)) == mu
-
 
 def _every_h_reference(lo, hi):
     """The rows a correct sweep must give, found by scanning every h."""
     return tuple(
-        VerifyRow(h, h % 56, direct_mu_set(h), "RP7", True)
+        VerifyRow(h, direct_mu_set(h), "RP7", True)
         for h in range(lo, hi + 1)
         if h * (h - 1) % 56 == 0
     )
