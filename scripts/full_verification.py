@@ -15,7 +15,7 @@ import sys
 import time
 from itertools import zip_longest
 
-from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _Parser, _run, _worker_count
+from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _int_in, _Parser, _run
 from milnor_mu.verify import (
     _CASE_PERIOD,
     _SCAN_LIMIT,
@@ -52,18 +52,13 @@ def crt_disagreements(periods: int) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(description=__doc__)
-    parser.add_argument("--h-span", type=int, default=100_000,
+    parser.add_argument("--h-span", type=_int_in(0), default=100_000,
                         help="oracle-vs-pipeline sweep over h in [-H, H] (default 100000)")
-    parser.add_argument("--crt-periods", type=int, default=100,
+    parser.add_argument("--crt-periods", type=_int_in(0, _SCAN_LIMIT // 56), default=100,
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
-    parser.add_argument("--parallel", type=_worker_count, default=None,
+    parser.add_argument("--parallel", type=_int_in(1), default=None,
                         help="worker processes for the h sweep (default: sequential)")
     args = parser.parse_args(argv)
-    for flag, size in (("--h-span", args.h_span), ("--crt-periods", args.crt_periods)):
-        if size < 0:
-            parser.error(f"{flag} must be non-negative, got {size}")
-    if args.crt_periods > _SCAN_LIMIT // 56:
-        parser.error(f"--crt-periods must be at most {_SCAN_LIMIT // 56}, got {args.crt_periods}")
     return _run(parser.prog, lambda: run(args))
 
 

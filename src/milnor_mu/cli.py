@@ -80,24 +80,20 @@ def _parse_span(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive worker count, got {text!r}")
-    return n
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """An argparse type for an int in [lo, hi], or at least lo when hi is None."""
+    bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
 
+    def read(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"expected an int {bounds}, got {n}")
+        return n
 
-def _modulus(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not 1 <= n <= _SCAN_LIMIT:
-        raise argparse.ArgumentTypeError(f"modulus must be in [1, {_SCAN_LIMIT}], got {n}")
-    return n
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("enumerate", help="residues r mod m with 56 | r(r-1)")
-    p.add_argument("--modulus", type=_modulus, required=True, help="scan modulus (<= 10^6)")
+    p.add_argument("--modulus", type=_int_in(1, _SCAN_LIMIT), required=True,
+                   help="scan modulus (<= 10^6)")
     add_format(p)
 
     p = sub.add_parser("cases", help="check the four residue cases over a k-range")
@@ -138,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-range", type=_parse_span, required=True, metavar="A..B")
     p.add_argument(
         "--parallel",
-        type=_worker_count,
+        type=_int_in(1),
         default=None,
         metavar="N",
         help="worker processes (default: sequential)",
@@ -152,14 +149,30 @@ def _mu_strings(mu: AmbiguousResidue) -> list[str]:
     return [str(v.rep) for v in mu]
 
 
-def _emit_json(payload: object) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
+          rows: Iterable[Iterable[object]] = ()) -> None:
+    """Write a command's output to stdout in ``fmt``.
 
-
-def _emit_csv(header: list[str], rows: Iterable[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    json prints ``payload``.  With no header, ``payload`` is one record: a
+    csv row under its keys, or a table line per key.  Otherwise ``rows`` go
+    under ``header`` as csv or table cells, each value through :func:`_flat`.
+    """
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    if header is None:
+        if fmt == "table":
+            for key, value in payload.items():
+                print(f"{key:>22}  {_flat(value)}")
+            return
+        header, rows = list(payload), [payload.values()]
+    cells = [[_flat(v) for v in row] for row in rows]
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+    else:
+        _emit_table(header, cells)
 
 
 def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
@@ -172,17 +185,7 @@ def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _emit_record(record: dict, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(record)
-    elif fmt == "csv":
-        _emit_csv(list(record), [[_flat(v) for v in record.values()]])
-    else:
-        for key, value in record.items():
-            print(f"{key:>22}  {_flat(value)}")
-
-
-def _flat(value: object) -> object:
+def _flat(value: object) -> str:
     # csv/table cells: lists join with ';', booleans lowercase, None empty
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
@@ -190,7 +193,7 @@ def _flat(value: object) -> object:
         return "true" if value else "false"
     if value is None:
         return ""
-    return value
+    return str(value)
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -208,7 +211,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "diffeo_s7": is_diffeo_s7(bundle),
         "theta7": theta7_class(bundle),
     }
-    _emit_record(record, args.format)
+    _emit(args.format, record)
     return EXIT_OK
 
 
@@ -225,51 +228,26 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         else _mu_strings(report.mu_quotient),
         "verdict": report.verdict.value,
     }
-    _emit_record(record, args.format)
+    _emit(args.format, record)
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     solution = enumerate_residues(args.modulus)
-    if args.format == "json":
-        _emit_json({"modulus": solution.modulus, "residues": list(solution.residues)})
-    else:
-        header = ["modulus", "residue"]
-        rows = [[str(solution.modulus), str(r)] for r in solution.residues]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, rows)
+    _emit(args.format, {"modulus": solution.modulus, "residues": list(solution.residues)},
+          ["modulus", "residue"], ([solution.modulus, r] for r in solution.residues))
     return EXIT_OK
 
 
 def _cmd_cases(args: argparse.Namespace) -> int:
     k_min, k_max = args.k_range
     reports = [check_case(case, k_min, k_max) for case in Case]
-    if args.format == "json":
-        _emit_json(
-            {
-                "k_min": k_min,
-                "k_max": k_max,
-                "cases": [
-                    {
-                        "case": r.case.name,
-                        "h_residue": r.h_residue,
-                        "quad_constant": str(r.quad_constant),
-                        "linear_constant": str(r.linear_constant),
-                        "matches": r.matches,
-                    }
-                    for r in reports
-                ],
-                "all_match": all(r.matches for r in reports),
-            }
-        )
-    else:
-        header = ["case", "h_residue", "quad_constant", "linear_constant", "matches"]
-        rows = [
-            [r.case.name, str(r.h_residue), str(r.quad_constant), str(r.linear_constant),
-             _flat(r.matches)]
-            for r in reports
-        ]
-        (_emit_csv if args.format == "csv" else _emit_table)(header, rows)
-    return EXIT_OK if all(r.matches for r in reports) else EXIT_VERIFICATION_FAILED
+    cases = [{"case": r.case.name, "h_residue": r.h_residue, "quad_constant": str(r.quad_constant),
+              "linear_constant": str(r.linear_constant), "matches": r.matches} for r in reports]
+    all_match = all(r.matches for r in reports)
+    _emit(args.format, {"k_min": k_min, "k_max": k_max, "cases": cases, "all_match": all_match},
+          list(cases[0]), (case.values() for case in cases))
+    return EXIT_OK if all_match else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -278,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
     header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
     if fmt == "csv":
-        _emit_csv(header, ())
+        _emit(fmt, None, header)
     checked = failed = 0
     kept = []  # json needs the counts first, table every row for its widths
     for span_checked, span_failed, chunk in spans:
@@ -400,6 +378,8 @@ def _run(prog: str, body: Callable[[], int]) -> int:
     them), writes one ``<prog>: ...`` line and exits 2, and so does a stderr
     that cannot take that line.
     """
+    if sys.stdout is None:  # fd 1 was closed at start; a sweep's pipe would take fd 1
+        return EXIT_STDOUT_CLOSED
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
         sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
     try:

@@ -313,8 +313,8 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     classification pipeline agrees on the set, and its verdict is RP7.  A
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
-    the spans go to at most :func:`pool_size` worker processes; rows come
-    back in h order either way.  The rows are those :func:`_verify_chunk`
+    the spans go to at most that many worker processes, and to no more than
+    the CPUs; rows come back in h order either way.  The rows are those :func:`_verify_chunk`
     gives for each span of :func:`_map_spans`, made into :class:`VerifyRow`
     objects; each distinct oracle pair is expanded once per call, so rows
     share one :class:`AmbiguousResidue` per value set.  Raises
@@ -336,43 +336,45 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                workers: int | None = None) -> Iterator[object]:
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
-    The range is cut into ``parts`` parts, with ``parts`` from
-    :func:`pool_size`, or one part where ``os.fork`` is missing (Windows).
-    Each part gets the same number of spans (lo, hi), all of one width up to
+    The range is cut into ``parts`` parts, ``workers`` capped at the CPU count
+    and at least 1, or one part where ``os.fork`` is missing (Windows).  Each
+    part gets the same number of spans (lo, hi), all of one width up to
     ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so the
-    parts finish together.  With one part the spans are decided here, one at a
-    time, as the results are read.  Otherwise each part is a child forked for
-    this call: child i decides spans i, i + parts, ... and writes each result
-    (or exception) to its own pipe, so what ``decide`` returns and raises must
-    pickle.  The results are read round-robin, in h order; a child blocks once
-    its pipe is full, which bounds memory however slowly they are read.  A
-    child's exception is raised here at its span's turn, and a child that ends
-    without its span's result raises RuntimeError.  When the reading ends,
-    early (the reader closes the generator, a span raises, or Ctrl-C interrupts
-    it) or not, every child is killed and reaped, one that something else
-    reaped first passed over, so no span is decided after that and no process
-    outlives the call.  A child never acts on SIGINT: a terminal's Ctrl-C
-    reaches the whole process group, and only this process may end the call.
+    parts finish together; a range of fewer h than parts has one span per h,
+    and as many children as spans.  With one part, or one h, the spans are
+    decided here, one at a time, as the results are read.  Otherwise each part
+    is a child forked for this call: child i decides spans i, i + parts, ...
+    and writes each result (or exception) to its own pipe, so what ``decide``
+    returns and raises must pickle.  The results are read round-robin, in h
+    order; a child blocks once its pipe is full, which bounds memory however
+    slowly they are read.  A child's exception is raised here at its span's
+    turn, and a child that ends without its span's result raises RuntimeError.
+    When the reading ends, early (the reader closes the generator, a span
+    raises, or Ctrl-C interrupts it) or not, every child is killed and reaped,
+    one that something else reaped first passed over, so no span is decided
+    after that and no process outlives the call.  A child never acts on SIGINT:
+    a terminal's Ctrl-C reaches the whole process group, and only this process
+    may end the call.
     Raises :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     width = h_max - h_min + 1
-    parts = pool_size(workers or 1, os.cpu_count(), width) if hasattr(os, "fork") else 1
+    parts = max(1, min(workers or 1, os.cpu_count() or 1)) if hasattr(os, "fork") else 1
     spans_per_part = -(-width // (parts * _SPAN_WIDTH))
     step = -(-width // (parts * spans_per_part))
     starts = range(h_min, h_max + 1, step)
+    children = min(parts, -(-width // step))  # a range narrower than parts has fewer spans
 
     def span(lo: int) -> tuple[int, int]:
         return lo, min(lo + step - 1, h_max)
 
-    if parts == 1:
+    if children == 1:
         yield from map(decide, map(span, starts))
         return
     import pickle  # here, not at the top: importing the CLI stays cheap
     import signal
 
-    children = min(parts, -(-width // step))
     pids, pipes = [], []
     # SIGINT is held from before the first pipe until every child is in pids
     # and its pipe in pipes, and again while the children are ended, so no
@@ -443,16 +445,6 @@ def _decide_in_child(decide: Callable[[tuple[int, int]], object],
                 out.flush()
     finally:
         os._exit(0)
-
-
-def pool_size(requested: int, cpus: int | None, width: int) -> int:
-    """Worker count for a sweep: min(requested, cpus, width), at least 1.
-
-    A narrow range is cut into at most this many spans, one worker each, so
-    no worker ever sits idle; a wide one into spans of at most
-    ``_SPAN_WIDTH`` h, the same number per worker.
-    """
-    return max(1, min(requested, cpus or 1, width))
 
 
 def _admissible(lo: int, hi: int) -> Iterator[int]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import functools
@@ -13,6 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_faults import FAULTS, closed_form_off_by_one, fork_only, oracle_off_on_odd_h
 
 from milnor_mu import cli, verify
@@ -140,10 +143,17 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out) == {"modulus": 56, "residues": [0, 1, 8, 49]}
 
-    def test_oversized_modulus_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--modulus", str(10**6 + 1))
-        assert code == 1
-        assert "modulus" in err
+    @pytest.mark.parametrize("modulus", ["0", str(10**6 + 1)])
+    def test_modulus_out_of_range_is_usage_error(self, capsys, modulus):
+        code, out, err = run_cli(capsys, "enumerate", "--modulus", modulus)
+        assert (code, out) == (1, "")
+        assert f"argument --modulus: expected an int in [1, 1000000], got {modulus}\n" in err
+
+    @pytest.mark.parametrize("modulus", [1, 10**6])
+    def test_modulus_at_either_bound_is_accepted(self, capsys, modulus):
+        code, out, _ = run_cli(capsys, "enumerate", "--modulus", str(modulus), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["modulus"] == modulus
 
 
 class TestCases:
@@ -212,19 +222,21 @@ class TestVerify:
             "h_min": 2, "h_max": 7, "checked": 0, "passed": 0, "failed": 0, "rows": []
         }
 
-    def test_parallel_output_matches_sequential(self, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])  # 1 is the least count accepted
+    def test_parallel_output_matches_sequential(self, capsys, workers):
         code_a, out_a, _ = run_cli(capsys, "verify", "--h-range", "-200..200", "--format", "csv")
         code_b, out_b, _ = run_cli(
-            capsys, "verify", "--h-range", "-200..200", "--format", "csv", "--parallel", "2"
+            capsys, "verify", "--h-range", "-200..200", "--format", "csv", "--parallel", workers
         )
         assert (code_a, code_b) == (0, 0)
         assert out_a == out_b
 
     @pytest.mark.parametrize("value", ["abc", "-3", "0"])
     def test_bad_parallel_flag_is_usage_error(self, capsys, value):
-        code, out, _ = run_cli(capsys, "verify", "--h-range", "-56..56", "--parallel", value)
+        code, out, err = run_cli(capsys, "verify", "--h-range", "-56..56", "--parallel", value)
         assert code == 1
         assert out == ""
+        assert "argument --parallel: " in err
 
 
 class TestUnexpectedErrors:
@@ -322,6 +334,41 @@ class TestCliContract:
             _, out, _ = run_cli(capsys, *argv, "--format", "json")
             payload = json.loads(out)
             assert json.loads(json.dumps(payload)) == payload
+
+
+def stdout_of(*argv):
+    """What ``milnor-mu *argv`` writes to stdout, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+
+class TestFormatsAgree:
+    """csv and table carry the json values: the csv header is the json keys, and
+    each csv and table cell is the json value through ``_flat``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["invariants", "quotient"]), st.integers(-(10**30), 10**30))
+    def test_record(self, command, h):
+        argv = [command, "--h", str(h), "--format"]
+        record = json.loads(stdout_of(*argv, "json"))
+        flat = [cli._flat(value) for value in record.values()]
+        assert list(csv.reader(io.StringIO(stdout_of(*argv, "csv")))) == [list(record), flat]
+        table = stdout_of(*argv, "table").splitlines()
+        assert [(line[:22].lstrip(), line[24:]) for line in table] == list(zip(record, flat))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-(10**18), 10**18), st.integers(0, 10**18))
+    def test_cases(self, k_min, width):
+        argv = ["cases", "--k-range", f"{k_min}..{k_min + width}", "--format"]
+        cases = json.loads(stdout_of(*argv, "json"))["cases"]
+        header = list(cases[0])
+        assert all(list(case) == header for case in cases)
+        cells = [[cli._flat(value) for value in case.values()] for case in cases]
+        assert list(csv.reader(io.StringIO(stdout_of(*argv, "csv")))) == [header, *cells]
+        table = stdout_of(*argv, "table").splitlines()
+        assert [line.split() for line in table] == [header, *cells]
 
 
 FORMATS = ["csv", "json", "table"]

@@ -135,7 +135,9 @@ class TestFullVerification:
         with pytest.raises(SystemExit) as exc:
             load("full_verification").main([*SMALL, "--parallel", value])
         assert exc.value.code == 1
-        assert "positive worker count" in capsys.readouterr().err
+        reason = (f"invalid int value: {value!r}" if value in ("abc", "2.5")
+                  else f"expected an int at least 1, got {value}")
+        assert f"argument --parallel: {reason}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -153,12 +155,15 @@ class TestFullVerification:
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
-    def test_zero_spans_and_largest_crt_periods_are_accepted(self, monkeypatch):
-        # scanning every 56m up to the limit takes minutes; only the bound is under test
+    @pytest.mark.parametrize("argv", [
+        ["--h-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)],
+        ["--h-span", "0", "--crt-periods", "0", "--parallel", "1"],
+    ])
+    def test_zero_spans_and_largest_crt_periods_are_accepted(self, monkeypatch, argv):
+        # only the bounds are under test, not the residue scans
         base = verify.enumerate_residues(56)
         monkeypatch.setattr(verify, "enumerate_residues", lambda m: base)
         monkeypatch.setattr(verify, "residues_by_crt", lambda m: base)
-        argv = ["--h-span", "0", "--crt-periods", str(verify._SCAN_LIMIT // 56)]
         assert load("full_verification").main(argv) == 0
 
     @pytest.mark.parametrize(
@@ -400,3 +405,24 @@ def test_a_negative_number_written_with_underscores_is_a_value(capsys, monkeypat
 
     assert run(underscored) == run(plain)
     assert "expected one argument" not in run(underscored)[2]
+
+
+#: Each entry point with a command line that writes to stdout, the sweeps with and without
+#: forked workers among them.
+STDOUT_WRITERS = {
+    "quotient": ["-m", "milnor_mu.cli", "quotient", "--h", "8"],
+    "verify": ["-m", "milnor_mu.cli", "verify", "--h-range", "-3000..3000", "--format", "csv"],
+    "verify-parallel": ["-m", "milnor_mu.cli", "verify", "--h-range", "-3000..3000",
+                        "--format", "csv", "--parallel", "2"],
+    "mu_table": [str(SCRIPTS / "mu_table.py")],
+    "full_verification": [str(SCRIPTS / "full_verification.py"), *SMALL],
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("argv", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS)
+def test_a_stdout_closed_at_start_exits_141_quietly(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+    done = subprocess.run([sys.executable, *argv], stderr=subprocess.PIPE, env=env, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -22,7 +22,6 @@ from milnor_mu.verify import (
     check_case,
     direct_mu_set,
     enumerate_residues,
-    pool_size,
     residues_by_crt,
     verify_range,
 )
@@ -458,26 +457,19 @@ def _no_child_left():
 
 class TestPoolSize:
     @pytest.mark.parametrize(
-        "requested,cpus,width,expected",
+        "lo,hi,requested,cpus,expected_pool",
         [
-            (2, 2, 2, 2),
-            (8, 2, 8, 2),
-            (10**9, 4, 10**6, 4),
-            (-3, 4, 10, 1),
-            (4, 8, 3, 3),
-            (3, None, 10, 1),
-            (1, 8, 8, 1),
-            (2, 2, 0, 1),
+            (-56, 56, 10**6, 4, [4]),
+            (0, 2, 8, 4, [3]),
+            (0, 0, 8, 4, []),
+            (0, 1, 2, 2, [2]),
+            (0, 7, 8, 2, [2]),
+            (0, 9, -3, 4, []),
+            (0, 9, 3, None, []),
+            (0, 7, 1, 8, []),
         ],
     )
-    def test_clamp(self, requested, cpus, width, expected):
-        assert pool_size(requested, cpus, width) == expected
-
-    @pytest.mark.parametrize(
-        "lo,hi,requested,expected_pool",
-        [(-56, 56, 10**6, [4]), (0, 2, 8, [3]), (0, 0, 8, [])],
-    )
-    def test_verify_range_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested,
+    def test_verify_range_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested, cpus,
                                                 expected_pool):
         forks = []
         real_fork = os.fork
@@ -487,7 +479,7 @@ class TestPoolSize:
             return real_fork()
 
         monkeypatch.setattr(verify.os, "fork", counted_fork)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
         # the children forked by the one pooled call, if there was one
         assert ([len(forks)] if forks else []) == expected_pool
