@@ -58,8 +58,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
     parser.add_argument("--parallel", type=_int_in(1), default=None,
                         help="worker processes for the h sweep (default: sequential)")
-    args = parser.parse_args(argv)
-    return _run(parser.prog, lambda: run(args))
+    # parsed under _run, so that --help with stdout closed at start exits 141
+    return _run(parser.prog, lambda: run(parser.parse_args(argv)))
+
+
+def count_span(span: tuple[int, int]) -> tuple[int, int]:
+    """(rows, disagreements) of the oracle-vs-pipeline sweep over span.
+
+    Under ``--parallel`` a child sends these two ints per span, not the rows.
+    """
+    chunk = _verify_chunk(span)
+    return len(chunk), sum(1 for _, _, passed, _ in chunk if not passed)
 
 
 def run(args) -> int:
@@ -92,9 +101,9 @@ def run(args) -> int:
     failed = failed or sweep.failed > 0
 
     rows = bad = 0
-    for chunk in _map_spans(_verify_chunk, -args.h_span, args.h_span, args.parallel):
-        rows += len(chunk)
-        bad += sum(1 for _, _, passed, _ in chunk if not passed)
+    for span_rows, span_bad in _map_spans(count_span, -args.h_span, args.h_span, args.parallel):
+        rows += span_rows
+        bad += span_bad
     print(f"oracle-vs-pipeline sweep: {rows} rows, {bad} disagreements")
     failed = failed or bad > 0
 

@@ -18,10 +18,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _Parser(description=__doc__)
     parser.add_argument("--h-range", type=_parse_span, default="-7..10", metavar="A..B",
                         help="inclusive h interval (default -7..10)")
-    args = parser.parse_args(argv)
-    lo, hi = args.h_range
 
-    def table() -> int:
+    def table() -> int:  # parses under _run, so that --help with stdout closed exits 141
+        lo, hi = parser.parse_args(argv).h_range
         header = f"{'h':>8}  {'mu(M_h)':>10}  {'theta7':>6}  {'S^7?':>5}  quotient"
         print(header)
         print("-" * len(header))

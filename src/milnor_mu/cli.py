@@ -11,8 +11,9 @@ closed before the output was all written (as for a process killed by SIGPIPE).
 both scripts in ``scripts/``.
 
 ``verify`` renders each span of its range where the span is decided (see
-:func:`_render_span`), under ``--parallel`` in a child forked for the call,
-so this process only adds up the counts and writes finished text.
+:func:`_render_span`): under ``--parallel N`` this process is worker 0 of N
+and the others are children forked for the call, so for their spans this
+process only adds up the counts and writes finished text.
 """
 
 from __future__ import annotations
@@ -293,10 +294,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[list[str]]]:
     """Decide one span of ``verify`` and render its rows: (checked, failed, chunk).
 
-    It runs where the span is decided, in a forked child under
-    ``--parallel``, so the parent only adds counts and writes text.  The
-    chunk is the csv lines, the json row objects joined by ``",\n"`` at
-    their indentation in the whole payload, or the table cells.  The tail
+    It runs where the span is decided: under ``--parallel``, this process
+    for the spans of worker 0 and a forked child for the others, so the
+    children send back only counts and text.  The chunk is the csv lines,
+    the json row objects joined by ``",\n"`` at their indentation in the
+    whole payload, or the table cells.  The tail
     of a row (value set, verdict, pass) is rendered once per distinct value
     in the span; per row only h and h mod 56 are formatted.
     """
@@ -408,6 +410,8 @@ def _run(prog: str, body: Callable[[], int]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # fd 1 closed at start; argparse would write --help to stderr
+        return EXIT_STDOUT_CLOSED
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

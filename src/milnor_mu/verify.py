@@ -13,13 +13,14 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
   the oracle-vs-pipeline sweep, where the quotient kernel works at scale 1792.
 
 That sweep has one engine, :func:`_map_spans`.  It cuts the range into
-spans, decides them in process or in children it forks for the call, each
-streaming its finished spans back through a pipe, and hands each span's
-result out in h order as soon as it is decided.  :func:`verify_range`
-runs it with :func:`_verify_chunk`, whose compact int rows give each value
-set as the oracle's sorted int pair at scale 224, and collects them into
-:class:`VerifyRow` objects.  The ``verify`` command gives the engine its own
-per-span renderer, so each span is rendered where it is decided.
+spans, decides them in process, alone or together with children it forks
+for the call, which stream their finished spans back through a pipe each,
+and hands each span's result out in h order as soon as it is decided.
+:func:`verify_range` runs it with :func:`_verify_chunk`, whose compact int
+rows give each value set as the oracle's sorted int pair at scale 224, and
+collects them into :class:`VerifyRow` objects.  The ``verify`` command
+gives the engine its own per-span renderer, so each span is rendered where
+it is decided.
 """
 
 from __future__ import annotations
@@ -341,19 +342,21 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     part gets the same number of spans (lo, hi), all of one width up to
     ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so the
     parts finish together; a range of fewer h than parts has one span per h,
-    and as many children as spans.  With one part, or one h, the spans are
-    decided here, one at a time, as the results are read.  Otherwise each part
-    is a child forked for this call: child i decides spans i, i + parts, ...
-    and writes each result (or exception) to its own pipe, so what ``decide``
-    returns and raises must pickle.  The results are read round-robin, in h
-    order; a child blocks once its pipe is full, which bounds memory however
-    slowly they are read.  A child's exception is raised here at its span's
-    turn, and a child that ends without its span's result raises RuntimeError.
-    When the reading ends, early (the reader closes the generator, a span
-    raises, or Ctrl-C interrupts it) or not, every child is killed and reaped,
-    one that something else reaped first passed over, so no span is decided
-    after that and no process outlives the call.  A child never acts on SIGINT:
-    a terminal's Ctrl-C reaches the whole process group, and only this process
+    and as many parts as spans.  With one part, or one h, the spans are
+    decided here, one at a time, as the results are read.  Otherwise part i
+    decides spans i, i + parts, ...: part 0 is this process, which decides
+    each of its spans at its turn, and every other part is a child forked for
+    this call, which writes each result (or exception) to its own pipe, so
+    what ``decide`` returns and raises must pickle.  The results are read
+    round-robin, in h order; a child blocks once its pipe is full, which
+    bounds memory however slowly they are read.  A span's exception, this
+    process's or a child's, is raised here at its span's turn, and a child
+    that ends without its span's result raises RuntimeError.  When the
+    reading ends, early (the reader closes the generator, a span raises, or
+    Ctrl-C interrupts it) or not, every child is killed and reaped, one that
+    something else reaped first passed over, so no span is decided after that
+    and no process outlives the call.  A child never acts on SIGINT: a
+    terminal's Ctrl-C reaches the whole process group, and only this process
     may end the call.
     Raises :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
@@ -364,12 +367,12 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     spans_per_part = -(-width // (parts * _SPAN_WIDTH))
     step = -(-width // (parts * spans_per_part))
     starts = range(h_min, h_max + 1, step)
-    children = min(parts, -(-width // step))  # a range narrower than parts has fewer spans
+    parts = min(parts, -(-width // step))  # a range narrower than parts has fewer spans
 
     def span(lo: int) -> tuple[int, int]:
         return lo, min(lo + step - 1, h_max)
 
-    if children == 1:
+    if parts == 1:
         yield from map(decide, map(span, starts))
         return
     import pickle  # here, not at the top: importing the CLI stays cheap
@@ -383,19 +386,22 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     unheld = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
-        for i in range(children):
+        for i in range(1, parts):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
-                _decide_in_child(decide, map(span, starts[i::children]), write_end)
+                _decide_in_child(decide, map(span, starts[i::parts]), write_end)
             pids.append(pid)
             os.close(write_end)
             pipes.append(open(read_end, "rb"))
         signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
         for i, (lo, hi) in enumerate(map(span, starts)):
+            if i % parts == 0:  # part 0, this process's own
+                yield decide((lo, hi))
+                continue
             try:
-                ok, value = pickle.load(pipes[i % children])
+                ok, value = pickle.load(pipes[i % parts - 1])
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(
                     f"the worker for h in [{lo}, {hi}] ended without its result"

@@ -481,14 +481,16 @@ class TestVerifyBytes:
         [
             (PARTIAL_WINDOW, None, 1),
             (WINDOWS[0], None, 4),
-            # each span is rendered in the worker that decides it, none here
-            pytest.param(PARTIAL_WINDOW, 2, 0, marks=fork_only),
+            # each span is rendered in the process that decides it: of the two
+            # spans, this process decides the first and a child the second
+            pytest.param(PARTIAL_WINDOW, 2, 1, marks=fork_only),
         ],
     )
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
     def test_renders_each_value_set_once_per_span(self, capsys, monkeypatch, odd_h_fault,
                                                   value_sets, fmt, window, workers, spans):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         if odd_h_fault:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
@@ -602,6 +604,20 @@ def test_a_pooled_sweep_loads_no_pool_module():
     )
     # pickle shows that the sweep did fan out
     assert done.stdout.splitlines()[-1] == "0 pickle"
+
+
+@pytest.mark.parametrize("parallel", [[], ["--parallel", "1"]], ids=["sequential", "parallel-1"])
+def test_a_sequential_sweep_loads_neither_pickle_nor_signal(parallel):
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from milnor_mu.cli import main; "
+        "code = main(['verify', '--h-range', '-1000..1000', '--format', 'csv', *sys.argv[2:]]); "
+        "print(code, *sorted({'pickle', 'signal'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH), *parallel],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0"
 
 
 class ClosedStdout(io.StringIO):

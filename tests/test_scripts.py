@@ -408,7 +408,8 @@ def test_a_negative_number_written_with_underscores_is_a_value(capsys, monkeypat
 
 
 #: Each entry point with a command line that writes to stdout, the sweeps with and without
-#: forked workers among them.
+#: forked workers among them, and each with its help, which argparse would write to
+#: stderr when stdout is None.
 STDOUT_WRITERS = {
     "quotient": ["-m", "milnor_mu.cli", "quotient", "--h", "8"],
     "verify": ["-m", "milnor_mu.cli", "verify", "--h-range", "-3000..3000", "--format", "csv"],
@@ -416,6 +417,10 @@ STDOUT_WRITERS = {
                         "--format", "csv", "--parallel", "2"],
     "mu_table": [str(SCRIPTS / "mu_table.py")],
     "full_verification": [str(SCRIPTS / "full_verification.py"), *SMALL],
+    "milnor-mu-help": ["-m", "milnor_mu.cli", "--help"],
+    "verify-help": ["-m", "milnor_mu.cli", "verify", "-h"],
+    "mu_table-help": [str(SCRIPTS / "mu_table.py"), "-h"],
+    "full_verification-help": [str(SCRIPTS / "full_verification.py"), "-h"],
 }
 
 

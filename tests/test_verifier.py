@@ -481,8 +481,9 @@ class TestPoolSize:
         monkeypatch.setattr(verify.os, "fork", counted_fork)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
-        # the children forked by the one pooled call, if there was one
-        assert ([len(forks)] if forks else []) == expected_pool
+        # the processes of the one pooled call, if there was one: this one and
+        # the children it forked
+        assert ([1 + len(forks)] if forks else []) == expected_pool
 
 
 class TestSweepEngine:
@@ -537,7 +538,7 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_many_spans_keep_h_order(self, monkeypatch, workers):
-        # when workers is 2, two children decide 18 spans each
+        # when workers is 2, this process and one child decide 18 spans each
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
         expected = verify._verify_chunk((-3000, 3000))
         spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
@@ -594,14 +595,45 @@ class TestSweepEngine:
         _no_child_left()
         assert len(_logged(log)) <= 2 + 2
 
+    def test_this_process_decides_the_first_part(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        spans = verify._map_spans(lambda span: (span, os.getpid()), 0, 56 * 10 - 1, workers=2)
+        read = list(spans)
+        assert [span for span, _ in read] == [(lo, lo + 55) for lo in range(0, 560, 56)]
+        deciders = [pid for _, pid in read]
+        assert deciders[0::2] == [os.getpid()] * 5  # spans 0, 2, 4, ...
+        assert len(set(deciders[1::2])) == 1 and os.getpid() not in deciders[1::2]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_a_failing_span_decided_here_cancels_the_unstarted_ones(self, monkeypatch,
+                                                                    tmp_path):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+
+        def decide(span):
+            if span[0] == 56 * 2:  # the second span of this process's part
+                raise RuntimeError(f"span 112 refused in {os.getpid()}")
+            return span, b"x" * BIG
+
+        log = tmp_path / "decided"
+        read = []
+        with pytest.raises(RuntimeError, match=f"^span 112 refused in {os.getpid()}$"):
+            for span, _ in verify._map_spans(_logging(log, decide), 0, 56 * 10 - 1, workers=2):
+                read.append(span)
+        assert read == [(0, 55), (56, 111)]
+        _no_child_left()
+        assert len(_logged(log)) <= 3 + 2
+
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("how", ["killed", "exited"])
     def test_a_lost_worker_is_an_error_naming_its_span(self, monkeypatch, how):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
+        parent = os.getpid()
 
         def decide(span):
-            if span[0] == 56 * 3:
+            if span[0] == 56 * 3 and os.getpid() != parent:
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 os._exit(0)
@@ -669,7 +701,7 @@ class TestSweepEngine:
         spans = verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2)
         assert next(spans) == (0, 55)
         monkeypatch.setattr(verify.os, "waitpid", interrupted_waitpid)
-        with pytest.raises(KeyboardInterrupt):  # once both are reaped; the autouse fixture checks
+        with pytest.raises(KeyboardInterrupt):  # once the child is reaped; the fixture checks
             spans.close()
 
     @pytest.mark.usefixtures("time_limit")
@@ -687,7 +719,7 @@ class TestSweepEngine:
         spans = verify._map_spans(tuple, 0, 56 * 4 - 1, workers=2)
         assert next(spans) == (0, 55)
         monkeypatch.setattr(signal, "pthread_sigmask", interrupted_sigmask)
-        with pytest.raises(KeyboardInterrupt):  # once both are reaped; the autouse fixture checks
+        with pytest.raises(KeyboardInterrupt):  # once the child is reaped; the fixture checks
             spans.close()
         assert signal.SIGINT not in real_sigmask(signal.SIG_BLOCK, ())
 
@@ -707,10 +739,10 @@ class TestSweepEngine:
         monkeypatch.setattr(verify.os, "fork", recorded_fork)
         spans = verify._map_spans(lambda span: (span, b"x" * BIG), 0, 56 * 20 - 1, workers=4)
         assert next(spans)[0] == (0, 55)
-        assert len(pids) == 4
+        assert len(pids) == 3  # four parts: this process and three children
         os.kill(pids[0], signal.SIGKILL)  # the first child goes, reaped by someone else
         os.waitpid(pids[0], 0)
-        spans.close()  # must still kill and reap the other three, raising nothing
+        spans.close()  # must still kill and reap the other two, raising nothing
 
     def test_without_fork_every_span_is_decided_here(self, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "fork")
