@@ -270,17 +270,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         elif chunk:  # a span with no admissible h adds no json text
             kept.append(chunk)
     if fmt == "json":
-        payload = json.dumps(
-            {
-                "h_min": h_min,
-                "h_max": h_max,
-                "checked": checked,
-                "passed": checked - failed,
-                "failed": failed,
-                "rows": [],
-            },
-            indent=2,
-        )
+        payload = json.dumps({"h_min": h_min, "h_max": h_max, "checked": checked,
+                              "passed": checked - failed, "failed": failed, "rows": []}, indent=2)
         if kept:  # the row blocks go where json.dumps put the empty list
             payload = payload.removesuffix("[]\n}") + "[\n" + ",\n".join(kept) + "\n  ]\n}"
         print(payload)
@@ -298,25 +289,27 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
     for the spans of worker 0 and a forked child for the others, so the
     children send back only counts and text.  The chunk is the csv lines,
     the json row objects joined by ``",\n"`` at their indentation in the
-    whole payload, or the table cells.  The tail
-    of a row (value set, verdict, pass) is rendered once per distinct value
-    in the span; per row only h and h mod 56 are formatted.
+    whole payload, or the table cells.  One pass counts the failed rows and
+    renders them all: a row's tail (value set, verdict, pass) is rendered
+    once per distinct value in the span and looked up once per row.
     """
     rows = _verify_chunk(span)
-    tail = functools.cache(functools.partial(_render_tail, fmt))
-    failed = sum(1 for row in rows if not row[2])
-    if fmt == "csv":
-        chunk = "".join([f"{h},{h % 56},{tail(mu, verdict, passed)}"
-                         for h, verdict, passed, mu in rows])
-    elif fmt == "json":
-        chunk = ",\n".join([
-            f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
-            f"    {tail(mu, verdict, passed)}\n    }}"
-            for h, verdict, passed, mu in rows
-        ])
-    else:
-        chunk = [[str(h), str(h % 56), *tail(mu, verdict, passed)]
-                 for h, verdict, passed, mu in rows]
+    tails, failed, chunk = {}, 0, []
+    for h, verdict, passed, mu in rows:
+        tail = tails.get((verdict, passed, mu))
+        if tail is None:
+            tail = tails[verdict, passed, mu] = _render_tail(fmt, mu, verdict, passed)
+        if not passed:
+            failed += 1
+        if fmt == "csv":
+            chunk.append(f"{h},{h % 56},{tail}")
+        elif fmt == "json":
+            chunk.append(f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
+                         f"    {tail}\n    }}")
+        else:
+            chunk.append([str(h), str(h % 56), *tail])
+    if fmt != "table":
+        chunk = ("" if fmt == "csv" else ",\n").join(chunk)
     return len(rows), failed, chunk
 
 

@@ -133,19 +133,21 @@ def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:
     return FixedPointContributions(Fraction(characteristic_data(bundle).p1_magnitude, 32))
 
 
+#: The h-free terms of the scaled assembly, read once from the record classes:
+#: -4 signature + 4 A_2 (the Euler number) - 4 equivariant signature.
+_ASSEMBLY_CONSTANT = 4 * (CharacteristicData.euler_coeff - DiskBundleInvariants.signature
+                          - FixedPointContributions.equivariant_signature)
+
+
 def _closed_form_scaled(h: int) -> tuple[int, int]:
     """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792."""
     quad, linear = 16 * h * (h - 1), 56 * (2 * h - 1)
-    return _sorted_pair(quad + linear, quad - linear)
-
-
-def _sorted_pair(a: int, b: int) -> tuple[int, int]:
-    a, b = a % MU_SCALE, b % MU_SCALE
+    a, b = (quad + linear) % MU_SCALE, (quad - linear) % MU_SCALE
     return (a, b) if a <= b else (b, a)
 
 
-def _mu_quotient_scaled(h: int) -> tuple[int, int]:
-    """1792 * mu(M_h/tau_h) as a sorted pair of ints mod 1792.
+def _mu_quotient_scaled(h: int) -> tuple[tuple[int, int], str]:
+    """1792 * mu(M_h/tau_h) as a sorted pair of ints mod 1792, and its verdict.
 
     Reads h alone and builds no record: the signed p1 comes from
     :func:`bundles._p1`, the constants from the record classes.  Raises
@@ -154,35 +156,26 @@ def _mu_quotient_scaled(h: int) -> tuple[int, int]:
     bounding-manifold term of the covering sphere, p1^2 - 4 signature, plus
     4 A_2, minus 4 times the equivariant signature, plus 1792 * (1/2) A_1 =
     +/- 28 p1, both signs.  Any difference raises :class:`DerivationMismatch`.
+    The verdict is the value of a :class:`Verdict`, "RP7" or "RP7#14M2"; a
+    pair that is neither raises :class:`DichotomyViolationError`.
     """
     if h * (h - 1) % 56:
         raise NotDiffeoS7Error(f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
     closed = _closed_form_scaled(h)
     p1 = _p1(h)
-    definite = (
-        p1 * p1
-        - 4 * DiskBundleInvariants.signature
-        + 4 * CharacteristicData.euler_coeff  # A_2 is the Euler number
-        - 4 * FixedPointContributions.equivariant_signature
-    )
-    spin = 28 * p1
-    assembled = _sorted_pair(definite + spin, definite - spin)
-    if assembled != closed:
+    definite, spin = p1 * p1 + _ASSEMBLY_CONSTANT, 28 * p1
+    a, b = (definite + spin) % MU_SCALE, (definite - spin) % MU_SCALE
+    if closed != ((a, b) if a <= b else (b, a)):
         raise DerivationMismatch(
-            f"mu(M_{h}/tau): fixed-point assembly {_residue_set(assembled)} "
+            f"mu(M_{h}/tau): fixed-point assembly {_residue_set((a, b))} "
             f"!= closed form {_residue_set(closed)}"
         )
-    return closed
-
-
-def _verdict(h: int, scaled: tuple[int, int]) -> Verdict:
-    """RP7 or RP7#14M2 from a scaled mu pair; anything else is a bug."""
-    if scaled == _RP7_SCALED:
-        return Verdict.REAL_PROJECTIVE_7
-    if scaled == _RP7_SUM_14M2_SCALED:
-        return Verdict.REAL_PROJECTIVE_7_SUM_14M2
+    if closed == _RP7_SCALED:
+        return closed, "RP7"
+    if closed == _RP7_SUM_14M2_SCALED:
+        return closed, "RP7#14M2"
     raise DichotomyViolationError(
-        f"mu(M_{h}/tau) = {_residue_set(scaled)} matches neither RP^7 nor RP^7 # 14 M_2"
+        f"mu(M_{h}/tau) = {_residue_set(closed)} matches neither RP^7 nor RP^7 # 14 M_2"
     )
 
 
@@ -194,7 +187,7 @@ def mu_quotient(bundle: MilnorBundle) -> AmbiguousResidue:
     extrapolating it would produce numbers with no meaning.  The value is
     computed and cross-checked by :func:`_mu_quotient_scaled`.
     """
-    return _residue_set(_mu_quotient_scaled(bundle.h))
+    return _residue_set(_mu_quotient_scaled(bundle.h)[0])
 
 
 def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
@@ -202,5 +195,5 @@ def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
     contrib = fixed_point_contributions(bundle)
     if not is_diffeo_s7(bundle):
         return QuotientReport(bundle.h, contrib, None, Verdict.NOT_APPLICABLE)
-    scaled = _mu_quotient_scaled(bundle.h)
-    return QuotientReport(bundle.h, contrib, _residue_set(scaled), _verdict(bundle.h, scaled))
+    scaled, verdict = _mu_quotient_scaled(bundle.h)
+    return QuotientReport(bundle.h, contrib, _residue_set(scaled), Verdict(verdict))

@@ -15,11 +15,12 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 That sweep has one engine, :func:`_map_spans`.  It cuts the range into
 spans, decides them in process, alone or together with children it forks
 for the call, which stream their finished spans back through a pipe each,
-and hands each span's result out in h order as soon as it is decided.
-:func:`verify_range` runs it with :func:`_verify_chunk`, whose compact int
-rows give each value set as the oracle's sorted int pair at scale 224, and
-collects them into :class:`VerifyRow` objects.  The ``verify`` command
-gives the engine its own per-span renderer, so each span is rendered where
+and hands each span's result out in h order as soon as it is decided.  A
+span is decided by :func:`_verify_chunk`, one loop that per admissible h
+calls the oracle and the kernel once each, and the kernel its closed form
+and p1 once each; its compact int rows give each value set as the oracle's
+sorted pair at scale 224.  :func:`verify_range` collects them into
+:class:`VerifyRow` objects; the ``verify`` command renders each span where
 it is decided.
 """
 
@@ -33,13 +34,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .bundles import DerivationMismatch
-from .quotient import (
-    MU_SCALE,
-    DichotomyViolationError,
-    Verdict,
-    _mu_quotient_scaled,
-    _verdict,
-)
+from .quotient import MU_SCALE, DichotomyViolationError, _mu_quotient_scaled
 from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
@@ -200,7 +195,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     h(h-1) - 112*quad - 56k = 0 mod 112, (b) becomes
     (2h-1) - 32*linear - 16k = 0 mod 32, and (c) asks the sweep's oracle
     :func:`_direct_mu_pair` for the value set at scale 224 and compares it
-    with the sweep's target, ``_TARGET``.
+    with the sweep's target, ``_TARGET``.  A constant off its 1/112 or 1/32
+    grid stays a non-integer ``Fraction`` there, never 0 mod 112 or 32, so
+    every k of its case fails.
 
     Each of these is an integer polynomial in h taken mod a divisor of 224,
     so whether k fails depends only on h mod 224, that is on k mod 4 (see
@@ -214,8 +211,9 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
     quad, linear = _CASE_CONSTANTS[case]
     res = case.h_residue
-    quad_112 = int(quad * 112)
-    linear_32 = int(linear * 32)
+    quad_112, linear_32 = quad * 112, linear * 32
+    if quad_112.denominator == linear_32.denominator == 1:  # on the grid: int arithmetic
+        quad_112, linear_32 = int(quad_112), int(linear_32)
     k_period = _CASE_PERIOD // 56
     period_failures = []
     for k in range(k_min, min(k_max, k_min + k_period - 1) + 1):
@@ -299,12 +297,9 @@ class VerifyRow(Record):
         return self.h % 56
 
 
-#: What a sweep worker returns per row: (h, verdict, passed, (a, b)), with
-#: (a, b) the oracle's value set {a/224, b/224}; ints, strs and bools only, so
-#: results pickle small and unpickle fast.
+#: A sweep row: (h, verdict, passed, (a, b)), (a, b) the oracle's value set
+#: {a/224, b/224}; ints, strs and bools only, so results pickle small and fast.
 _CompactRow = tuple[int, str, bool, tuple[int, int]]
-
-_RP7_VERDICT = Verdict.REAL_PROJECTIVE_7.value
 
 
 def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[VerifyRow, ...]:
@@ -315,11 +310,10 @@ def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[Ve
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
     the spans go to at most that many worker processes, and to no more than
-    the CPUs; rows come back in h order either way.  The rows are those :func:`_verify_chunk`
-    gives for each span of :func:`_map_spans`, made into :class:`VerifyRow`
-    objects; each distinct oracle pair is expanded once per call, so rows
-    share one :class:`AmbiguousResidue` per value set.  Raises
-    :class:`EmptyRangeError` when h_min > h_max.
+    the CPUs; rows come back in h order either way.  They are the rows of
+    :func:`_verify_chunk` for each span of :func:`_map_spans`, and share one
+    :class:`AmbiguousResidue` per value set.  Raises :class:`EmptyRangeError`
+    when h_min > h_max.
     """
     expand = functools.cache(_expand)
     return tuple(
@@ -355,9 +349,10 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     reading ends, early (the reader closes the generator, a span raises, or
     Ctrl-C interrupts it) or not, every child is killed and reaped, one that
     something else reaped first passed over, so no span is decided after that
-    and no process outlives the call.  A child never acts on SIGINT: a
-    terminal's Ctrl-C reaches the whole process group, and only this process
-    may end the call.
+    and no process outlives the call; a SIGTERM that would kill this process
+    outright does the same first, and then kills it, until the call ends.  A
+    child never acts on SIGINT: a terminal's Ctrl-C reaches the whole process
+    group, and only this process may end the call.
     Raises :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
     if h_min > h_max:
@@ -379,22 +374,46 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     import signal
 
     pids, pipes = [], []
-    # SIGINT is held from before the first pipe until every child is in pids
-    # and its pipe in pipes, and again while the children are ended, so no
-    # Ctrl-C can leave a child or a pipe behind; it is delivered once the mask
-    # is back.  A child keeps it held.
+
+    def end_children(signum: int | None = None, frame: object = None) -> None:
+        # kill and reap every child; as the SIGTERM handler, then die by it
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+        if signum is not None:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    # SIGINT and SIGTERM are held from before the first pipe until every child
+    # is in pids and its pipe in pipes, and again while the children are
+    # ended, so neither can leave a child or a pipe behind; each is delivered
+    # once the mask is back.  A child keeps SIGINT held.
+    held = {signal.SIGINT, signal.SIGTERM}
     unheld = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
+        signal.pthread_sigmask(signal.SIG_BLOCK, held)
         for i in range(1, parts):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
+                signal.pthread_sigmask(signal.SIG_SETMASK, unheld | {signal.SIGINT})
                 _decide_in_child(decide, map(span, starts[i::parts]), write_end)
             pids.append(pid)
             os.close(write_end)
             pipes.append(open(read_end, "rb"))
+        if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:  # it would kill us outright
+            try:
+                signal.signal(signal.SIGTERM, end_children)
+            except ValueError:  # not the main thread, which alone may set a handler
+                pass
         signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
         for i, (lo, hi) in enumerate(map(span, starts)):
             if i % parts == 0:  # part 0, this process's own
@@ -410,23 +429,16 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                 raise value
             yield value
     finally:  # ends the children still deciding, and reaps every child
-        try:  # a Ctrl-C that came just before raises here, once SIGINT is held
-            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
+        try:  # a signal that came just before raises here, once both are held
+            signal.pthread_sigmask(signal.SIG_BLOCK, held)
         finally:
-            try:  # a child reaped elsewhere first must not spare the others
-                for pid in pids:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                for pid in pids:
-                    try:
-                        os.waitpid(pid, 0)
-                    except ChildProcessError:
-                        pass
+            try:
+                end_children()
             finally:
                 for pipe in pipes:
                     pipe.close()
+                if signal.getsignal(signal.SIGTERM) is end_children:
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
 
 
@@ -453,41 +465,42 @@ def _decide_in_child(decide: Callable[[tuple[int, int]], object],
         os._exit(0)
 
 
-def _admissible(lo: int, hi: int) -> Iterator[int]:
+def _admissible(lo: int, hi: int) -> list[int]:
     """The h in [lo, hi] with 56 | h(h-1), ascending, stepping h = 56k + r.
 
     The residues r come from the scan :func:`enumerate_residues`, and the
-    divisibility is still checked per h.  A backwards range yields nothing.
+    divisibility is still checked per h.  A backwards range gives [].
     """
     residues = enumerate_residues(56).residues
-    for k in range(lo // 56, hi // 56 + 1):
-        for r in residues:
-            h = 56 * k + r
-            if lo <= h <= hi and h * (h - 1) % 56 == 0:
-                yield h
+    return [h for k in range(lo // 56, hi // 56 + 1) for r in residues
+            if lo <= (h := 56 * k + r) <= hi and h * (h - 1) % 56 == 0]
 
 
 def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
-    """Compact rows for the admissible h in span."""
-    return tuple([_verify_row(h, _TARGET) for h in _admissible(*span)])
+    """Compact rows for the admissible h in span, in one loop.
 
-
-#: 1792 / 224: the kernel's scale over the oracle's.
-_ORACLE_TO_KERNEL = MU_SCALE // 224
-
-
-def _verify_row(h: int, target: tuple[int, ...]) -> _CompactRow:
-    oracle = a, b = _direct_mu_pair(h)
-    try:
-        scaled = _mu_quotient_scaled(h)
-        verdict = _verdict(h, scaled)._value_  # a plain str, without the Enum.value descriptor
-        agreed = scaled == (a * _ORACLE_TO_KERNEL, b * _ORACLE_TO_KERNEL)
-    except DerivationMismatch:
-        verdict, agreed = "derivation_mismatch", False
-    except DichotomyViolationError:
-        verdict, agreed = "dichotomy_violation", False
-    passed = agreed and oracle == target and verdict == _RP7_VERDICT
-    return h, verdict, passed, oracle
+    The oracle, the target and the kernel are read from this module once
+    per call, so a fault patched into any of them is seen.  Per h the loop
+    calls the oracle and the kernel, which calls the closed form and p1 and
+    gives the verdict string, once each; nothing else.  A row passes when the
+    oracle's pair is the target, the kernel's is it at scale 1792 and the
+    verdict is RP7.  A kernel fault fails its row, named in the verdict.
+    """
+    oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
+    scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
+    rows = []
+    for h in _admissible(*span):
+        pair = oracle(h)
+        try:
+            scaled, verdict = kernel(h)
+        except DerivationMismatch:
+            rows.append((h, "derivation_mismatch", False, pair))
+        except DichotomyViolationError:
+            rows.append((h, "dichotomy_violation", False, pair))
+        else:  # once pair == target, the kernel agrees with the oracle iff it gives scaled_target
+            rows.append((h, verdict, pair == target and scaled == scaled_target
+                         and verdict == "RP7", pair))
+    return tuple(rows)
 
 
 def _direct_mu_pair(h: int) -> tuple[int, int]:

@@ -709,6 +709,30 @@ def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
         os.killpg(proc.pid, 0)
 
 
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
+def test_a_terminated_sweep_dies_by_sigterm_and_leaves_no_process(workers):
+    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
+            "-100000000..100000000", "--format", "csv"]
+    if workers:
+        argv += ["--parallel", str(workers)]
+    env = {**os.environ, "PYTHONPATH": str(SRC_PATH), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+    try:
+        for _ in range(2):  # the header, then a row: the sweep and its children have begun
+            assert proc.stdout.readline()
+        os.kill(proc.pid, signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (-signal.SIGTERM, b"")
+    with pytest.raises(ProcessLookupError):  # no process of its session is left
+        os.killpg(proc.pid, 0)
+
+
 def interrupt(argv, target, lines, again_after=None):
     """Run argv in a session of its own and send it SIGINT once it has written
     ``lines`` lines, to its first process or to its process group (as a

@@ -6,6 +6,7 @@ forked from the patched process.
 """
 
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -34,16 +35,19 @@ def closed_form_off_by_one(monkeypatch, only_h=None):
     monkeypatch.setattr(quotient, "_closed_form_scaled", faulty)
 
 
-def shifted_p1(monkeypatch, module=quotient):
+def shifted_p1(monkeypatch, module=quotient, only_h=None):
     # the one p1 helper, where module binds it: the quotient kernel reads it
     # there, and the bundles records (so mu_total_space) in bundles
     real = module._p1
-    monkeypatch.setattr(module, "_p1", lambda h: real(h) + 1)
+    monkeypatch.setattr(module, "_p1",
+                        lambda h: real(h) + 1 if only_h is None or h == only_h else real(h))
 
 
-def oracle_says_sum_14m2(monkeypatch):
+def oracle_says_sum_14m2(monkeypatch, only_h=None):
     # the sweep's own oracle, at its scale 224: {15/32, 17/32}
-    monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (105, 119))
+    real = verify._direct_mu_pair
+    monkeypatch.setattr(verify, "_direct_mu_pair",
+                        lambda h: (105, 119) if only_h is None or h == only_h else real(h))
 
 
 def oracle_off_on_odd_h(monkeypatch):
@@ -149,6 +153,21 @@ def test_cli_cases_fails_over_two_times_ten_to_the_eighteen_k(monkeypatch, capsy
     ]
 
 
+@pytest.mark.parametrize("which, constant, line", [
+    (1, Fraction(-1, 31), "I,0,0,-1/31,false"),  # off the 1/32 grid of the linear constant
+    (0, Fraction(1, 113), "I,0,1/113,-1/32,false"),  # off the 1/112 grid of the quadratic one
+])
+def test_cli_cases_fails_under_a_constant_off_its_grid(monkeypatch, capsys, which, constant,
+                                                       line):
+    constants = list(verify._CASE_CONSTANTS[verify.Case.I])
+    constants[which] = constant
+    monkeypatch.setitem(verify._CASE_CONSTANTS, verify.Case.I, tuple(constants))
+    code = cli.main(["cases", "--k-range", "-1000..1000", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out.splitlines()[1] == line
+
+
 def test_cli_cases_fails_under_an_oracle_fault_in_one_k_of_four(monkeypatch, capsys):
     oracle_off_in_one_k_of_four(monkeypatch)
     code = cli.main(["cases", "--k-range", "-300..300", "--format", "csv"])
@@ -156,13 +175,19 @@ def test_cli_cases_fails_under_an_oracle_fault_in_one_k_of_four(monkeypatch, cap
     assert code == 2
 
 
+#: The faults that take only_h: fault -> verdict of the one row they fail.
+ONLY_H_FAULTS = {name: FAULTS[name] for name in ("closed_form", "assembly_input", "oracle")}
+
+
 @pytest.mark.parametrize("workers", WORKERS)
-def test_fault_at_one_h_fails_only_that_row(monkeypatch, workers):
-    closed_form_off_by_one(monkeypatch, only_h=8)
+@pytest.mark.parametrize("fault", sorted(ONLY_H_FAULTS))
+def test_fault_at_one_h_fails_only_that_row(monkeypatch, fault, workers):
+    inject, verdict = ONLY_H_FAULTS[fault]
+    inject(monkeypatch, only_h=8)
     rows = verify.verify_range(*WINDOW, workers=workers)
     assert len(rows) == ADMISSIBLE_IN_WINDOW
     failed = [(r.h, r.verdict) for r in rows if not r.passed]
-    assert failed == [(8, "derivation_mismatch")]
+    assert failed == [(8, verdict)]
 
 
 @pytest.mark.parametrize("fault", ["closed_form", "assembly_input"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from milnor_mu import quotient
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import (
     MU_RP7,
@@ -14,7 +15,6 @@ from milnor_mu.quotient import (
     Verdict,
     _closed_form_scaled,
     _mu_quotient_scaled,
-    _verdict,
     classify_quotient,
     fixed_point_contributions,
     mu_quotient,
@@ -90,7 +90,7 @@ class TestMuQuotient:
 class TestScaledKernel:
     @pytest.mark.parametrize("h", [0, 1, 8, 49, -7, 105])
     def test_admissible_h_gives_the_rp7_pair(self, h):
-        assert _mu_quotient_scaled(h) == (56, 1736)
+        assert _mu_quotient_scaled(h) == ((56, 1736), "RP7")
 
     @given(st.integers(min_value=-(2**128), max_value=2**128))
     def test_closed_form_is_1792_times_the_fraction_formula(self, h):
@@ -100,14 +100,19 @@ class TestScaledKernel:
         assert 0 <= lo <= hi < 1792
         assert sorted({lo, hi}) == expected
 
-    def test_verdicts(self):
-        assert _verdict(0, (56, 1736)) is Verdict.REAL_PROJECTIVE_7
-        assert _verdict(0, (840, 952)) is Verdict.REAL_PROJECTIVE_7_SUM_14M2
+    def test_verdicts(self, monkeypatch):
+        # the kernel's verdict strings are the values of the Verdict members
+        assert _mu_quotient_scaled(8)[1] == Verdict.REAL_PROJECTIVE_7.value
+        monkeypatch.setattr(quotient, "_RP7_SCALED", (840, 952))
+        monkeypatch.setattr(quotient, "_RP7_SUM_14M2_SCALED", (56, 1736))
+        assert _mu_quotient_scaled(8) == ((56, 1736), Verdict.REAL_PROJECTIVE_7_SUM_14M2.value)
 
     @pytest.mark.parametrize("pair", [(0, 0), (56, 952), (1736, 56), (57, 1735)])
-    def test_any_other_pair_violates_the_dichotomy(self, pair):
+    def test_any_other_pair_violates_the_dichotomy(self, monkeypatch, pair):
+        # the kernel's pair, (56, 1736), is then neither RP7's nor RP7#14M2's
+        monkeypatch.setattr(quotient, "_RP7_SCALED", pair)
         with pytest.raises(DichotomyViolationError):
-            _verdict(0, pair)
+            _mu_quotient_scaled(8)
 
 
 class TestClassifyQuotient:

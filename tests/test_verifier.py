@@ -1,6 +1,8 @@
+import contextlib
 import os
 import signal
 import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import chain
@@ -225,6 +227,17 @@ class TestCaseOnePeriod:
             k_max = k_min + width
             _assert_report(check_case(case, k_min, k_max), case, k_min, k_max,
                            _per_k_reference(case, k_min, k_max))
+
+    @pytest.mark.parametrize("which,constant", [(1, Fraction(-1, 31)), (0, Fraction(1, 113))])
+    @pytest.mark.parametrize("case", list(Case))
+    def test_a_constant_off_its_grid_fails_every_k(self, monkeypatch, case, which, constant):
+        # -1/31 is off the 1/32 grid of the linear constant, 1/113 off the 1/112
+        # grid of the quadratic one; no k can meet such a congruence
+        constants = list(verify._CASE_CONSTANTS[case])
+        constants[which] = constant
+        monkeypatch.setitem(verify._CASE_CONSTANTS, case, tuple(constants))
+        report = check_case(case, -1000, 1000)
+        _assert_report(report, case, -1000, 1000, tuple(range(-1000, 1001)))
 
     def test_period_divides_every_modulus(self):
         assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
@@ -626,7 +639,7 @@ class TestSweepEngine:
         assert len(_logged(log)) <= 3 + 2
 
     @pytest.mark.usefixtures("time_limit")
-    @pytest.mark.parametrize("how", ["killed", "exited"])
+    @pytest.mark.parametrize("how", ["killed", "terminated", "exited"])
     def test_a_lost_worker_is_an_error_naming_its_span(self, monkeypatch, how):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
@@ -634,9 +647,10 @@ class TestSweepEngine:
 
         def decide(span):
             if span[0] == 56 * 3 and os.getpid() != parent:
-                if how == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(0)
+                if how == "exited":
+                    os._exit(0)
+                # a child dies by SIGTERM too, as it would with no engine around it
+                os.kill(os.getpid(), signal.SIGKILL if how == "killed" else signal.SIGTERM)
             return span
 
         spans = verify._map_spans(decide, 0, 56 * 10 - 1, workers=2)
@@ -759,6 +773,42 @@ class TestSweepEngine:
         assert tuple(chain.from_iterable(spans)) == expected
         assert pids == [os.getpid()] * -(-6001 // 56)
 
+    @pytest.mark.parametrize("end", ["read to the end", "closed early", "raised"])
+    def test_the_default_sigterm_action_is_back_however_the_call_ends(self, monkeypatch, end):
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+
+        def decide(span):  # the second span, a child's, raises under "raised"
+            if end == "raised" and span[0] > 0:
+                raise ValueError(span)
+            return span
+
+        spans = verify._map_spans(decide, -3000, 3000, workers=2)
+        assert next(spans) == (-3000, 0)
+        assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL  # it ends the children
+        if end == "closed early":
+            spans.close()
+        else:
+            with pytest.raises(ValueError) if end == "raised" else contextlib.nullcontext():
+                assert list(spans) == [(1, 3000)]
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        _no_child_left()
+
+    # Python 3.12 and later warn at a fork with a second thread running
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_pooled_call_off_the_main_thread_sets_no_handler(self, monkeypatch):
+        # only the main thread may set a signal handler; elsewhere the call
+        # runs as before, and SIGTERM keeps its default action
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(verify_range(-300, 300, workers=2)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert results == [verify_range(-300, 300)]
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
     def test_backwards_range_raises_on_first_row(self):
         spans = verify._map_spans(verify._verify_chunk, 1, 0)
         with pytest.raises(EmptyRangeError):
@@ -782,3 +832,22 @@ def test_a_row_builds_no_record(monkeypatch):
                    bundles.DiskBundleInvariants):
         monkeypatch.setattr(record, "__init__", no_record)
     assert verify._verify_chunk((-200, 200)) == expected
+
+
+def test_each_per_h_check_runs_once_per_row_in_order(monkeypatch):
+    # the oracle, then the kernel's closed form and its p1, once each per
+    # admissible h, and nothing is skipped or repeated for any h
+    calls = []
+    for module, name in ((verify, "_direct_mu_pair"), (quotient, "_closed_form_scaled"),
+                         (quotient, "_p1")):
+        def logged(h, real=getattr(module, name), name=name):
+            calls.append((name, h))
+            return real(h)
+
+        monkeypatch.setattr(module, name, logged)
+    rows = verify._verify_chunk((-2000, 2000))
+    admissible = [h for h in range(-2000, 2001) if h * (h - 1) % 56 == 0]
+    assert [h for h, _, _, _ in rows] == admissible
+    assert all(passed for _, _, passed, _ in rows)
+    assert calls == [(name, h) for h in admissible
+                     for name in ("_direct_mu_pair", "_closed_form_scaled", "_p1")]
