@@ -58,8 +58,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="cross-check scan vs CRT for moduli 56m, m <= this")
     parser.add_argument("--parallel", type=_int_in(1), default=None,
                         help="worker processes for the h sweep (default: sequential)")
-    # parsed under _run, so that --help with stdout closed at start exits 141
-    return _run(parser.prog, lambda: run(parser.parse_args(argv)))
+    return _run(parser, argv, run)
 
 
 def count_span(span: tuple[int, int]) -> tuple[int, int]:

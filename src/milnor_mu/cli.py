@@ -7,8 +7,9 @@ as sorted arrays, so textual equality is set equality.  Exit codes: 0 success, 1
 verification check failed or the command hit an unexpected error, 130 the run
 was interrupted (Ctrl-C, as for a process killed by SIGINT), 141 stdout was
 closed before the output was all written (as for a process killed by SIGPIPE).
-:func:`_run` maps every outcome of a command to them, for this CLI and for
-both scripts in ``scripts/``.
+One runner, :func:`_run`, parses the command line, runs the command and
+maps every outcome to them, for this CLI and for both scripts in
+``scripts/``; each entry point's ``main`` returns the status it gives.
 
 ``verify`` renders each span of its range where the span is decided (see
 :func:`_render_span`): under ``--parallel N`` this process is worker 0 of N
@@ -58,12 +59,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # usage problems exit 1; argparse's default of 2 is reserved for
-    # verification failures.  The text is best-effort, so that a stderr of
-    # None (fd 2 closed at start) or one that fails to write keeps status 1.
+    # verification failures.  The text is best-effort, so that a stderr that
+    # fails to write (fd 2 closed at start, see _run) keeps status 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         try:
             sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
-        except (AttributeError, OSError):
+        except OSError:
             pass
         sys.exit(EXIT_USAGE)
 
@@ -361,33 +362,55 @@ def _stdout_closed() -> bool:
     return True
 
 
-def _run(prog: str, body: Callable[[], int]) -> int:
-    """The exit status of ``body()``, under the contract of the CLI and both scripts.
+def _run(parser: argparse.ArgumentParser, argv: Sequence[str] | None,
+         command: Callable[[argparse.Namespace], int]) -> int:
+    """The exit status of ``command(parser.parse_args(argv))``, for the CLI and both scripts.
 
-    ``body`` returns 0 or a status of its own.  A closed stdout ends the run
-    quietly with 141.  An interrupt (Ctrl-C) writes one ``<prog>:
-    interrupted`` line to stderr and exits 130; the process then ignores any
-    further Ctrl-C, so a second one cuts short neither the ending of a
-    sweep's children nor the exit.  A failed pipeline check, or any other
-    exception (a bug, never a usage error, and a broken pipe on stderr among
-    them), writes one ``<prog>: ...`` line and exits 2, and so does a stderr
-    that cannot take that line.
+    A stdout closed at start ends the run at once with 141, before the
+    parser could write ``--help`` anywhere.  ``--help`` returns 0 and a
+    usage error 1.  ``command`` runs with the interpreter's limit on the
+    digits of an int written as text lifted, and returns 0 or a status of
+    its own.  A stdout closed later ends the run quietly with 141.  An
+    interrupt (Ctrl-C) writes one ``<prog>: interrupted`` line to stderr and
+    exits 130; the process then ignores any further Ctrl-C, so a second one
+    cuts short neither the ending of a sweep's children nor the exit.  A
+    failed pipeline check, or any other exception (a bug, never a usage
+    error, and a broken pipe on stderr among them), writes one ``<prog>:
+    ...`` line and exits 2, and so does a stderr that cannot take that line.
     """
     if sys.stdout is None:  # fd 1 was closed at start; a sweep's pipe would take fd 1
         return EXIT_STDOUT_CLOSED
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would go to stdout
         sys.stderr = io.TextIOBase()  # whose write raises, as a closed descriptor's does
+    # the parser holds each int to the interpreter's limit on the digits it writes,
+    # but invariants and quotient write up to twice as many (p1^2 = 4(2h-1)^2);
+    # before Python 3.10.7 there is no such limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
-        code = body()
+        args = parser.parse_args(argv)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        code = command(args)
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
+    except SystemExit as exc:  # the parser's: 0 after --help, 1 for a usage error
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except KeyboardInterrupt:
         import _signal  # loaded at start; importing signal here would take a millisecond
 
-        try:  # a second Ctrl-C that came meanwhile raises here, before SIG_IGN is set
+        # held, no SIGINT can come while signal() switches the handler (CPython
+        # would report it as "ignored due to race condition"), and SIG_IGN drops
+        # one held meanwhile.  The interrupt came by an unheld SIGINT, so the
+        # release puts the mask back.  A call before the try would let a second
+        # Ctrl-C that came meanwhile raise out of _run.
+        try:  # it raises here instead, at the latest in the hold
+            if hasattr(_signal, "pthread_sigmask"):  # not on Windows
+                _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGINT})
             _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
         except KeyboardInterrupt:
             _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+        if hasattr(_signal, "pthread_sigmask"):
+            _signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGINT})
         code, message = EXIT_INTERRUPTED, "interrupted"
     except Exception as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
@@ -395,32 +418,18 @@ def _run(prog: str, body: Callable[[], int]) -> int:
         code = EXIT_VERIFICATION_FAILED
         message = (str(exc) if isinstance(exc, (DerivationMismatch, DichotomyViolationError))
                    else f"unexpected {type(exc).__name__}: {exc}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     try:
-        print(f"{prog}: {' '.join(message.split())}", file=sys.stderr)
+        print(f"{parser.prog}: {' '.join(message.split())}", file=sys.stderr)
     except OSError:
         pass
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    if sys.stdout is None:  # fd 1 closed at start; argparse would write --help to stderr
-        return EXIT_STDOUT_CLOSED
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the parser holds each int to the interpreter's limit on the digits it writes,
-    # but invariants and quotient write up to twice as many (p1^2 = 4(2h-1)^2)
-    lift = hasattr(sys, "set_int_max_str_digits")  # no such limit before Python 3.10.7
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        return _run(parser.prog, lambda: _COMMANDS[args.command](args))
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
+    return _run(build_parser(), argv, lambda args: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":

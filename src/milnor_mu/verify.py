@@ -268,7 +268,7 @@ class TheoremSweep(Record):
 def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     """Check mu(M_h/tau_h) = {1/32, 31/32} for every admissible h in range.
 
-    The admissible h are stepped as h = 56k + r, as in :func:`verify_range`;
+    The admissible h are stepped as h = 56k + r by :func:`_admissible`;
     failures are collected, never raised, so a full report always comes back.
     """
     target = _expand(_TARGET)

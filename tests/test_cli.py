@@ -771,6 +771,39 @@ def test_an_interrupted_sweep_exits_130_with_one_line(target, workers):
     assert interrupt(argv, target, lines=2) == (130, b"milnor-mu: interrupted\n")
 
 
+@pytest.fixture
+def sigint_restored():
+    previous = signal.getsignal(signal.SIGINT)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no signal mask to hold")
+def test_an_interrupt_ignores_sigint_only_while_sigint_is_held(sigint_restored, capsys,
+                                                                monkeypatch):
+    # signal() runs pending handlers before it switches, so a SIGINT that came in
+    # between would be reported on stderr as "Signal 2 ignored due to race condition"
+    import _signal
+
+    real = _signal.signal
+    held_at_ignore = []
+
+    def spy(signum, handler):
+        if signum == signal.SIGINT and handler == signal.SIG_IGN:
+            held_at_ignore.append(signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ()))
+        return real(signum, handler)
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_signal, "signal", spy)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert cli._run(cli._Parser(prog="prog"), [], interrupted) == 130
+    assert held_at_ignore == [True]
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+    assert capsys.readouterr().err == "prog: interrupted\n"
+
+
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("again_after_ms", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])

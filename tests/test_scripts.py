@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr, interrupt
-from test_faults import FAULTS, WORKERS, closed_form_off_by_one
+from test_faults import FAULTS, WORKERS, closed_form_off_by_one, fork_only
 
 from milnor_mu import cli, quotient, verify
 from milnor_mu.bundles import DerivationMismatch
@@ -132,9 +132,7 @@ class TestFullVerification:
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
     def test_bad_worker_count_is_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            load("full_verification").main([*SMALL, "--parallel", value])
-        assert exc.value.code == 1
+        assert load("full_verification").main([*SMALL, "--parallel", value]) == 1
         reason = (f"invalid int value: {value!r}" if value in ("abc", "2.5")
                   else f"expected an int at least 1, got {value}")
         assert f"argument --parallel: {reason}\n" in capsys.readouterr().err
@@ -149,9 +147,7 @@ class TestFullVerification:
         ],
     )
     def test_out_of_range_size_is_usage_error(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            load("full_verification").main([*SMALL, flag, value])
-        assert exc.value.code == 1
+        assert load("full_verification").main([*SMALL, flag, value]) == 1
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
@@ -218,9 +214,7 @@ class TestMuTable:
 
     @pytest.mark.parametrize("text", ["5..1", "5", "a..b", ""])
     def test_empty_or_malformed_range_is_usage_error(self, capsys, text):
-        with pytest.raises(SystemExit) as exc:
-            load("mu_table").main(["--h-range", text])
-        assert exc.value.code == 1
+        assert load("mu_table").main(["--h-range", text]) == 1
         assert "--h-range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["closed_form", "dichotomy"])
@@ -254,6 +248,21 @@ class TestMuTable:
 def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, name, argv):
     monkeypatch.setattr("sys.stdout", ClosedStdout())
     assert load(name).main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["milnor-mu", "full_verification", "mu_table"])
+def test_every_main_returns_the_status_of_help_usage_errors_and_a_closed_stdout(
+        capsys, monkeypatch, name):
+    main = cli.main if name == "milnor-mu" else load(name).main
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ") and err == ""
+    assert main(["--no-such-option"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and ": error: " in err.splitlines()[-1]
+    monkeypatch.setattr("sys.stdout", None)  # as when fd 1 was closed at start
+    assert main(["--help"]) == 141
     assert capsys.readouterr().err == ""
 
 
@@ -341,14 +350,22 @@ def test_full_verification_read_by_head_0_exits_141_quietly():
     assert (done.returncode, done.stderr) == (141, b"")
 
 
+#: (script, argv, lines it writes before the first SIGINT, seconds to a second SIGINT)
+INTERRUPTS = [
+    pytest.param("full_verification", ["--h-span", "100000000"], 1, None, id="full_verification"),
+    pytest.param("mu_table", ["--h-range", "-100000000..100000000"], 3, None, id="mu_table"),
+    # a Ctrl-C pressed twice: the second must not interrupt the exit of the first
+    *(pytest.param("full_verification", ["--h-span", "100000000", *parallel], 1, ms / 1000,
+                   marks=marks, id=f"full_verification{'-parallel' if parallel else ''}-again-{ms}ms")
+      for parallel, marks in [([], ()), (["--parallel", "2"], fork_only)] for ms in (0, 2)),
+]
+
+
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("target", ["process", "group"])
-@pytest.mark.parametrize("name, argv, lines", [
-    ("full_verification", ["--h-span", "100000000"], 1),
-    ("mu_table", ["--h-range", "-100000000..100000000"], 3),
-])
-def test_an_interrupted_script_exits_130_with_one_line(name, argv, lines, target):
-    code, err = interrupt(_script(name, *argv), target, lines)
+@pytest.mark.parametrize("name, argv, lines, again_after", INTERRUPTS)
+def test_an_interrupted_script_exits_130_with_one_line(name, argv, lines, again_after, target):
+    code, err = interrupt(_script(name, *argv), target, lines, again_after)
     assert (code, err) == (130, f"{name}.py: interrupted\n".encode())
 
 
@@ -370,8 +387,7 @@ def test_readme_names_only_options_the_parsers_offer(capsys):
         assert cli.main([command, "--help"]) == 0
         helps.append(capsys.readouterr().out)
     for name in ("full_verification", "mu_table"):
-        with pytest.raises(SystemExit):
-            load(name).main(["--help"])
+        assert load(name).main(["--help"]) == 0
         helps.append(capsys.readouterr().out)
     offered = {opt for text in helps for opt in OPTION.findall(text)}
     assert "--parallel" in documented
