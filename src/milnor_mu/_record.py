@@ -6,10 +6,10 @@ from operator import attrgetter
 class Record:
     """An immutable value whose fields are its ``__slots__``.
 
-    A subclass names its fields in ``__slots__``, in order, and sets each of
-    them once in its own ``__init__`` with ``object.__setattr__``.  It then
-    behaves as a frozen dataclass: it equals only an instance of its exact
-    class with equal fields, hashes by its fields, reprs as
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` ends by passing their values in that order to :meth:`_set`.
+    It then behaves as a frozen dataclass: it equals only an instance of its
+    exact class with equal fields, hashes by its fields, reprs as
     ``Name(field=value, ...)``, refuses assignment and deletion, and pickles
     and copies by calling its constructor with its field values.
     """
@@ -20,6 +20,14 @@ class Record:
         super().__init_subclass__(**kwargs)
         # one field gives its value, several a tuple: either serves == and hash
         cls._key = attrgetter(*cls.__slots__)
+
+    def _set(self, *values: object) -> None:
+        """Store ``values`` into the fields in ``__slots__`` order, one value each.
+
+        A count that differs from the number of fields raises ValueError.
+        """
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -40,7 +40,7 @@ class MilnorBundle(Record):
             raise TypeError(f"j must be an int, got {type(j).__name__}")
         if j not in (None, 1 - h):
             raise ValueError(f"unsupported clutching pair (h={h}, j={j}): need j = 1 - h")
-        object.__setattr__(self, "h", h)
+        self._set(h)
 
     @property
     def j(self) -> int:
@@ -62,7 +62,7 @@ class CharacteristicData(Record):
     def __init__(self, p1_magnitude: int) -> None:
         if p1_magnitude < 0:
             raise ValueError("p1 magnitude is non-negative by construction")
-        object.__setattr__(self, "p1_magnitude", p1_magnitude)
+        self._set(p1_magnitude)
 
 
 class DiskBundleInvariants(Record):
@@ -76,7 +76,7 @@ class DiskBundleInvariants(Record):
     def __init__(self, p1_squared: int) -> None:
         if p1_squared < 0:
             raise ValueError("p1^2 is a square, hence non-negative")
-        object.__setattr__(self, "p1_squared", p1_squared)
+        self._set(p1_squared)
 
 
 def _p1(h: int) -> int:

@@ -344,7 +344,8 @@ def _stdout_closed() -> bool:
     A pipe or socket whose reader has gone polls as an error or a hang-up;
     it is then pointed at the null device, so the interpreter's flush at
     exit meets no broken pipe either.  A stdout with no descriptor, as in
-    tests, cannot be told apart and counts as closed.
+    tests, cannot be told apart and counts as closed, and so does one with a
+    descriptor where ``select.poll`` is missing (Windows).
     """
     import select  # only a broken pipe comes here
 
@@ -352,10 +353,11 @@ def _stdout_closed() -> bool:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):  # no descriptor, as with io.StringIO
         return True
-    poller = select.poll()
-    poller.register(fd, 0)  # POLLERR and POLLHUP are reported unasked
-    if not poller.poll(0):
-        return False  # the pipe that broke was another stream's, such as stderr
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(fd, 0)  # POLLERR and POLLHUP are reported unasked
+        if not poller.poll(0):
+            return False  # the pipe that broke was another stream's, such as stderr
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)

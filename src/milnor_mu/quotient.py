@@ -96,7 +96,7 @@ class FixedPointContributions(Record):
     def __init__(self, a1_magnitude: Fraction) -> None:
         if a1_magnitude < 0:
             raise ValueError("a1 is recorded as a non-negative magnitude")
-        object.__setattr__(self, "a1_magnitude", a1_magnitude)
+        self._set(a1_magnitude)
 
     @property
     def a1_pair(self) -> tuple[Fraction, Fraction]:
@@ -116,10 +116,7 @@ class QuotientReport(Record):
             raise ValueError("a classification verdict requires M_h ~ S^7")
         if verdict is Verdict.REAL_PROJECTIVE_7 and mu_quotient != MU_RP7:
             raise ValueError("RP7 verdict requires mu = {1/32, 31/32}")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "contributions", contributions)
-        object.__setattr__(self, "mu_quotient", mu_quotient)
-        object.__setattr__(self, "verdict", verdict)
+        self._set(h, contributions, mu_quotient, verdict)
 
 
 def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:

@@ -36,8 +36,7 @@ class DoubleAmbiguityError(ValueError):
 
 def reduce_mod_z(q: Fraction | int) -> "ResidueModZ":
     """Canonical representative of ``q`` mod 1, as a fraction in [0, 1)."""
-    # a plain Fraction needs no copy: ``% 1`` returns a new, reduced one
-    return ResidueModZ((q if type(q) is Fraction else Fraction(q)) % 1)
+    return ResidueModZ(Fraction(q) % 1)
 
 
 class ResidueModZ(Record):
@@ -55,7 +54,7 @@ class ResidueModZ(Record):
         # denominators are positive, so 0 <= rep < 1 is an int comparison
         if not 0 <= rep.numerator < rep.denominator:
             raise ValueError(f"representative {rep} lies outside [0, 1)")
-        object.__setattr__(self, "rep", rep)
+        self._set(rep)
 
     def __add__(self, other: "ResidueModZ | Fraction | int") -> "ResidueModZ":
         if isinstance(other, ResidueModZ):
@@ -74,12 +73,6 @@ class ResidueModZ(Record):
 
     def __str__(self) -> str:
         return f"{self.rep} mod 1"
-
-
-def _rep_less(a: ResidueModZ, b: ResidueModZ) -> bool:
-    """a.rep < b.rep, cross-multiplied: denominators are positive."""
-    ra, rb = a.rep, b.rep
-    return ra.numerator * rb.denominator < rb.numerator * ra.denominator
 
 
 def ambiguous(q: Fraction | int) -> "AmbiguousResidue":
@@ -105,18 +98,18 @@ class AmbiguousResidue(Record):
                 raise TypeError("values must be ResidueModZ instances")
         if not 1 <= len(values) <= 2:
             raise ValueError("an ambiguous residue holds one or two values")
-        if len(values) == 2 and not _rep_less(*values):
+        if len(values) == 2 and values[0].rep >= values[1].rep:
             raise ValueError("values must be sorted and distinct; use AmbiguousResidue.of")
-        object.__setattr__(self, "values", values)
+        self._set(values)
 
     @classmethod
     def of(cls, *values: ResidueModZ) -> "AmbiguousResidue":
         """The set of one or two residues given in any order, a repeat collapsed."""
         if len(values) == 2 and type(values[0]) is type(values[1]) is ResidueModZ:
             a, b = values
-            if _rep_less(b, a):
+            if b.rep < a.rep:
                 values = b, a
-            elif not _rep_less(a, b):
+            elif a.rep == b.rep:
                 values = (a,)
         return cls(values)
 

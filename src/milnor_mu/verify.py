@@ -58,8 +58,7 @@ class ResidueSolution(Record):
     __slots__ = ("modulus", "residues")
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
+        self._set(modulus, residues)
 
 
 def enumerate_residues(modulus: int) -> ResidueSolution:
@@ -96,6 +95,7 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
+@enum.unique
 class Case(enum.Enum):
     """The four admissible residue classes of h mod 56."""
 
@@ -140,19 +140,16 @@ class CaseReport(Record):
     ``linear_constant + k/2`` (mod 1) that the quadratic and linear mu terms
     must equal; those constants and ``h_residue`` are read from ``case``.
     ``period_failures`` holds the failing k of the range's first period (its
-    first ``_CASE_PERIOD // 56`` k); ``matches``, the conjunction over the
-    whole range, and ``failures``, every failing k in it, are derived from
-    them.
+    first ``_CASE_PERIOD // 56`` k), each standing for every k0 + 4t in
+    range; ``matches``, the conjunction over the whole range, is derived
+    from them.
     """
 
     __slots__ = ("case", "k_min", "k_max", "period_failures")
 
     def __init__(self, case: Case, k_min: int, k_max: int,
                  period_failures: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "k_min", k_min)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "period_failures", period_failures)
+        self._set(case, k_min, k_max, period_failures)
 
     @property
     def h_residue(self) -> int:
@@ -169,18 +166,6 @@ class CaseReport(Record):
     @property
     def matches(self) -> bool:
         return not self.period_failures
-
-    @property
-    def failures(self) -> tuple[int, ...]:
-        """Every failing k in the range, ascending.
-
-        Each k0 of ``period_failures`` stands for every k0 + 4t up to k_max,
-        so the tuple grows with the width; ``cases`` reads only ``matches``.
-        """
-        step = _CASE_PERIOD // 56
-        return tuple(sorted(
-            k for k0 in self.period_failures for k in range(k0, self.k_max + 1, step)
-        ))
 
 
 def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
@@ -251,10 +236,7 @@ class TheoremSweep(Record):
 
     def __init__(self, h_min: int, h_max: int, checked: int,
                  failures: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "h_min", h_min)
-        object.__setattr__(self, "h_max", h_max)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
+        self._set(h_min, h_max, checked, failures)
 
     @property
     def failed(self) -> int:
@@ -287,10 +269,7 @@ class VerifyRow(Record):
     __slots__ = ("h", "mu_set", "verdict", "passed")
 
     def __init__(self, h: int, mu_set: AmbiguousResidue, verdict: str, passed: bool) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "mu_set", mu_set)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "passed", passed)
+        self._set(h, mu_set, verdict, passed)
 
     @property
     def residue_class(self) -> int:

@@ -688,6 +688,25 @@ def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_a_closed_stdout_exits_141_quietly_where_select_has_no_poll(capsys, monkeypatch):
+    # as on Windows: a stdout with a descriptor cannot be polled, so it counts
+    # as closed and is pointed at the null device
+    import select
+
+    monkeypatch.delattr(select, "poll")
+    read_end, write_end = os.pipe()  # the stub's own descriptor, not the runner's fd 1
+    try:
+        stdout = ClosedStdout()
+        stdout.fileno = lambda: write_end
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["quotient", "--h", "8"]) == 141
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.usefixtures("time_limit")
 def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
     argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",

@@ -4,6 +4,7 @@ import copy
 import inspect
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from milnor_mu import (
     Verdict,
     VerifyRow,
 )
-from milnor_mu import verify
+from milnor_mu import _record, verify
 from milnor_mu._record import Record
 from milnor_mu.verify import Case
 
@@ -166,6 +167,28 @@ def test_every_record_takes_its_slots_first_and_in_order():
     for cls in records:
         params = list(inspect.signature(cls.__init__).parameters)[1:]
         assert tuple(params[:len(cls.__slots__)]) == cls.__slots__, cls.__name__
+
+
+class _Pair(Record):
+    """A throwaway record whose constructor hands ``_set`` whatever it is given."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, *values: object) -> None:
+        self._set(*values)
+
+
+@pytest.mark.parametrize("values", [(1,), (1, 2, 3)], ids=["one-fewer", "one-more"])
+def test_set_refuses_a_value_count_other_than_the_slots(values):
+    with pytest.raises(ValueError):
+        _Pair(*values)
+
+
+def test_only_the_base_class_writes_fields():
+    package = Path(_record.__file__).parent
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if "object.__setattr__" in path.read_text()]
+    assert writers == ["_record.py"]
 
 
 # (record, property, its value, the value it is derived from)

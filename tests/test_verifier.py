@@ -4,8 +4,10 @@ import signal
 import sys
 import threading
 import time
+import types
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,17 @@ class TestCheckCase:
     def test_wide_ranges_match(self, case):
         assert check_case(case, -3000, 3000).matches
 
+    def test_a_case_that_aliases_another_fails_at_import(self):
+        # with I = 1, Case.I would be an alias of Case.II and `for case in Case`
+        # would silently decide three cases; @enum.unique refuses the alias
+        source = Path(verify.__file__).read_text()
+        assert source.count("\n    I = 0\n") == 1
+        module = types.ModuleType("verify_with_an_alias")
+        module.__package__ = "milnor_mu"
+        code = compile(source.replace("\n    I = 0\n", "\n    I = 1\n"), verify.__file__, "exec")
+        with pytest.raises(ValueError, match="duplicate"):
+            exec(code, module.__dict__)
+
     @settings(max_examples=200)
     @given(st.sampled_from(list(Case)), st.integers(min_value=-(2**64), max_value=2**64))
     def test_integer_engine_agrees_with_fraction_referee(self, case, k):
@@ -154,11 +167,14 @@ def _per_k_reference(case: Case, k_min: int, k_max: int) -> tuple[int, ...]:
 def _assert_report(report: verify.CaseReport, case: Case, k_min: int, k_max: int,
                    failures: tuple[int, ...]) -> None:
     """report is check_case(case, k_min, k_max) with these failing k in range."""
-    in_period = tuple(k for k in failures if k < k_min + verify._CASE_PERIOD // 56)
+    step = verify._CASE_PERIOD // 56
+    in_period = tuple(k for k in failures if k < k_min + step)
     assert report == verify.CaseReport(case, k_min, k_max, in_period)
     assert report.h_residue == case.value
     assert (report.quad_constant, report.linear_constant) == verify._CASE_CONSTANTS[case]
-    assert report.failures == failures
+    # each failing k0 of the first period stands for every k0 + 4t in range
+    expanded = sorted(k for k0 in report.period_failures for k in range(k0, k_max + 1, step))
+    assert tuple(expanded) == failures
     assert report.matches == (not failures)
 
 
@@ -211,7 +227,7 @@ class TestCaseOnePeriod:
         )
         report = check_case(case, k_min, k_max)
         _assert_report(report, case, k_min, k_max, _per_k_reference(case, k_min, k_max))
-        assert report.failures and not report.matches
+        assert report.period_failures and not report.matches
 
     @settings(max_examples=100, deadline=None)
     @given(
