@@ -39,7 +39,6 @@ from .bundles import (
     theta7_class,
 )
 from .quotient import DichotomyViolationError, classify_quotient
-from .qz import AmbiguousResidue
 from .verify import (_SCAN_LIMIT, Case, _expand, _map_spans, _verify_chunk, check_case,
                      enumerate_residues)
 
@@ -147,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mu_strings(mu: AmbiguousResidue) -> list[str]:
-    return [str(v.rep) for v in mu]
-
-
 def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
           rows: Iterable[Iterable[object]] = ()) -> None:
     """Write a command's output to stdout in ``fmt``.
@@ -227,7 +222,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         "equivariant_signature": contrib.equivariant_signature,
         "mu_quotient": None
         if report.mu_quotient is None
-        else _mu_strings(report.mu_quotient),
+        else [str(v.rep) for v in report.mu_quotient],
         "verdict": report.verdict.value,
     }
     _emit(args.format, record)
@@ -268,14 +263,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.write(chunk)
         elif fmt == "table":
             kept.extend(chunk)
-        elif chunk:  # a span with no admissible h adds no json text
-            kept.append(chunk)
-    if fmt == "json":
-        payload = json.dumps({"h_min": h_min, "h_max": h_max, "checked": checked,
-                              "passed": checked - failed, "failed": failed, "rows": []}, indent=2)
-        if kept:  # the row blocks go where json.dumps put the empty list
-            payload = payload.removesuffix("[]\n}") + "[\n" + ",\n".join(kept) + "\n  ]\n}"
-        print(payload)
+        elif chunk:  # json: a separator and the span's rows; no text for a span with no rows
+            kept += [",\n" if kept else "\n", chunk]
+    if fmt == "json":  # the kept text goes, piece by piece, where json.dumps put the empty list
+        head, _, tail = json.dumps({"h_min": h_min, "h_max": h_max, "checked": checked,
+                                    "passed": checked - failed, "failed": failed, "rows": []},
+                                   indent=2).rpartition("[]")
+        sys.stdout.writelines([head, "[", *kept, "\n  ]" if kept else "]", tail, "\n"])
     else:
         if fmt == "table":
             _emit_table(header, kept)
@@ -315,7 +309,7 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
 
 
 def _render_tail(fmt: str, mu: tuple[int, ...], verdict: str, passed: bool) -> str | list[str]:
-    members = _mu_strings(_expand(mu))
+    members = [str(v.rep) for v in _expand(mu)]
     if fmt == "json":
         # the last three members of a row object, indented as json.dumps puts them
         text = json.dumps({"mu_quotient": members, "verdict": verdict, "pass": passed}, indent=2)

@@ -57,9 +57,10 @@ class DichotomyViolationError(RuntimeError):
 #: divides 2^8 * 7, so the pipeline runs on 1792 * mu as integers mod 1792.
 MU_SCALE = 2**8 * 7
 
-#: 1792 * {1/32, 31/32} and 1792 * {15/32, 17/32}.
+#: 1792 * {1/32, 31/32}, and 1792 * {15/32, 17/32}, the same set shifted by
+#: 1/2 (the 14 M_2 summand), derived from it so that the two cannot drift apart.
 _RP7_SCALED = (56, 1736)
-_RP7_SUM_14M2_SCALED = (840, 952)
+_RP7_SUM_14M2_SCALED = tuple(sorted((v + MU_SCALE // 2) % MU_SCALE for v in _RP7_SCALED))
 
 
 def _residue_set(scaled: tuple[int, int]) -> AmbiguousResidue:

@@ -277,27 +277,27 @@ class VerifyRow(Record):
 
 
 #: A sweep row: (h, verdict, passed, (a, b)), (a, b) the oracle's value set
-#: {a/224, b/224}; ints, strs and bools only, so results pickle small and fast.
+#: {a/224, b/224}; ints, strs and bools only, so hashable: ``cli._render_span``
+#: keys the text it renders on them.
 _CompactRow = tuple[int, str, bool, tuple[int, int]]
 
 
-def verify_range(h_min: int, h_max: int, workers: int | None = None) -> tuple[VerifyRow, ...]:
+def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
     """Oracle-vs-pipeline sweep over every admissible h in [h_min, h_max].
 
     Each row passes when the oracle value set is {1/32, 31/32}, the
     classification pipeline agrees on the set, and its verdict is RP7.  A
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
-    or ``dichotomy_violation``) and the sweep goes on.  With ``workers`` > 1
-    the spans go to at most that many worker processes, and to no more than
-    the CPUs; rows come back in h order either way.  They are the rows of
-    :func:`_verify_chunk` for each span of :func:`_map_spans`, and share one
+    or ``dichotomy_violation``) and the sweep goes on.  The rows, in h
+    order, are those of :func:`_verify_chunk` for each span of
+    :func:`_map_spans`, decided in this process, and share one
     :class:`AmbiguousResidue` per value set.  Raises :class:`EmptyRangeError`
     when h_min > h_max.
     """
     expand = functools.cache(_expand)
     return tuple(
         VerifyRow(h, expand(mu), verdict, passed)
-        for rows in _map_spans(_verify_chunk, h_min, h_max, workers)
+        for rows in _map_spans(_verify_chunk, h_min, h_max)
         for h, verdict, passed, mu in rows
     )
 

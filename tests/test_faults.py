@@ -5,6 +5,7 @@ see it directly; the children of a pooled sweep see it because they are
 forked from the patched process.
 """
 
+import functools
 import os
 from fractions import Fraction
 
@@ -83,28 +84,54 @@ FAULTS = {
 }
 
 
+def rendered(workers):
+    """(checked, failed, csv lines) of ``verify --format csv`` over WINDOW.
+
+    They are added up over the spans that ``--parallel workers`` decides, each
+    rendered in the process that decides it, so with workers a forked child's
+    spans come through its pipe.
+    """
+    checked, failed, chunks = zip(*verify._map_spans(
+        functools.partial(cli._render_span, "csv"), *WINDOW, workers))
+    return sum(checked), sum(failed), "".join(chunks)
+
+
+def swept(workers):
+    """(h, verdict, passed) of each row over WINDOW, in h order.
+
+    Without workers these are the rows of ``verify_range``.  With them they
+    are read back from the csv lines of :func:`rendered`, after its counts
+    are checked against the lines.
+    """
+    if workers is None:
+        return [(r.h, r.verdict, r.passed) for r in verify.verify_range(*WINDOW)]
+    checked, failed, text = rendered(workers)
+    lines = [line.split(",") for line in text.splitlines()]
+    assert (checked, failed) == (len(lines), sum(1 for *_, ok in lines if ok != "true"))
+    return [(int(h), verdict, ok == "true") for h, _, _, verdict, ok in lines]
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_every_row_fails_and_the_sweep_completes(monkeypatch, fault, workers):
     inject, verdict = FAULTS[fault]
     inject(monkeypatch)
-    rows = verify.verify_range(*WINDOW, workers=workers)
+    rows = swept(workers)
     assert len(rows) == ADMISSIBLE_IN_WINDOW
-    assert not any(r.passed for r in rows)
-    assert {r.verdict for r in rows} == {verdict}
+    assert not any(passed for _, _, passed in rows)
+    assert {row_verdict for _, row_verdict, _ in rows} == {verdict}
 
 
 @fork_only
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_pooled_rows_equal_sequential_rows(monkeypatch, fault):
     FAULTS[fault][0](monkeypatch)
-    assert verify.verify_range(*WINDOW, workers=2) == verify.verify_range(*WINDOW)
+    assert rendered(2) == rendered(None)
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_off_target_oracle_set_reaches_the_rows(monkeypatch, workers):
+def test_off_target_oracle_set_reaches_the_rows(monkeypatch):
     oracle_says_sum_14m2(monkeypatch)
-    rows = verify.verify_range(*WINDOW, workers=workers)
+    rows = verify.verify_range(*WINDOW)
     assert {r.mu_set for r in rows} == {quotient.MU_RP7_SUM_14M2}
     assert len({id(r.mu_set) for r in rows}) == 1
 
@@ -184,9 +211,9 @@ ONLY_H_FAULTS = {name: FAULTS[name] for name in ("closed_form", "assembly_input"
 def test_fault_at_one_h_fails_only_that_row(monkeypatch, fault, workers):
     inject, verdict = ONLY_H_FAULTS[fault]
     inject(monkeypatch, only_h=8)
-    rows = verify.verify_range(*WINDOW, workers=workers)
+    rows = swept(workers)
     assert len(rows) == ADMISSIBLE_IN_WINDOW
-    failed = [(r.h, r.verdict) for r in rows if not r.passed]
+    failed = [(h, row_verdict) for h, row_verdict, passed in rows if not passed]
     assert failed == [(8, verdict)]
 
 

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from itertools import chain
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_faults import oracle_off_in_one_k_of_four, oracle_off_on_odd_h
 
-from milnor_mu import bundles, quotient, qz, verify
+from milnor_mu import bundles, cli, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
 from milnor_mu.quotient import MU_RP7_SUM_14M2, mu_quotient
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
@@ -395,7 +396,10 @@ class TestVerifyRange:
             verify_range(1, 0)
 
     def test_parallel_matches_sequential(self):
-        assert verify_range(-300, 300, workers=3) == verify_range(-300, 300)
+        # the compact rows of a pooled sweep are the rows of verify_range
+        pooled = [(h, verdict, passed, verify._expand(mu))
+                  for h, verdict, passed, mu in _compact_rows(-300, 300, workers=3)]
+        assert pooled == [(r.h, r.verdict, r.passed, r.mu_set) for r in verify_range(-300, 300)]
 
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
     def test_one_value_set_object_per_distinct_set(self, monkeypatch, odd_h_fault, value_sets):
@@ -479,6 +483,12 @@ def _logged(path):
     return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
 
 
+def _compact_rows(lo, hi, workers=None):
+    """The compact rows of [lo, hi], from the spans ``_map_spans`` decides with workers."""
+    return [row for span in verify._map_spans(verify._verify_chunk, lo, hi, workers)
+            for row in span]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -498,8 +508,8 @@ class TestPoolSize:
             (0, 7, 1, 8, []),
         ],
     )
-    def test_verify_range_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested, cpus,
-                                                expected_pool):
+    def test_a_sweep_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested, cpus,
+                                           expected_pool):
         forks = []
         real_fork = os.fork
 
@@ -509,7 +519,7 @@ class TestPoolSize:
 
         monkeypatch.setattr(verify.os, "fork", counted_fork)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        assert verify_range(lo, hi, workers=requested) == verify_range(lo, hi)
+        assert _compact_rows(lo, hi, requested) == _compact_rows(lo, hi)
         # the processes of the one pooled call, if there was one: this one and
         # the children it forked
         assert ([1 + len(forks)] if forks else []) == expected_pool
@@ -818,11 +828,11 @@ class TestSweepEngine:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         results = []
         worker = threading.Thread(
-            target=lambda: results.append(verify_range(-300, 300, workers=2)))
+            target=lambda: results.append(_compact_rows(-300, 300, workers=2)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert results == [verify_range(-300, 300)]
+        assert results == [_compact_rows(-300, 300)]
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
 
     def test_backwards_range_raises_on_first_row(self):
@@ -867,3 +877,19 @@ def test_each_per_h_check_runs_once_per_row_in_order(monkeypatch):
     assert all(passed for _, _, passed, _ in rows)
     assert calls == [(name, h) for h in admissible
                      for name in ("_direct_mu_pair", "_closed_form_scaled", "_p1")]
+
+
+def test_a_json_sweep_holds_its_row_text_once(capsys):
+    # json keeps its span text until the counts are known and then writes it
+    # piece by piece, so at its peak it holds about one copy of its rows
+    argv = ["verify", "--h-range", "-100000..100000", "--format", "json"]
+    assert cli.main(argv) == 0
+    size = len(capsys.readouterr().out)
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * size
