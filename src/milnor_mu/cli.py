@@ -15,15 +15,17 @@ maps every outcome to them, for this CLI and for both scripts in
 :func:`_render_span`): under ``--parallel N`` this process is worker 0 of N
 and the others are children forked for the call, so for their spans this
 process only adds up the counts and writes finished text.
+
+Only what a command uses is imported for it: ``json`` and ``csv`` by the
+format that writes them (a table loads neither), and ``pickle`` and
+``signal`` by the first pooled sweep, so importing the CLI stays cheap.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import re
 import sys
@@ -155,6 +157,8 @@ def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
     under ``header`` as csv or table cells, each value through :func:`_flat`.
     """
     if fmt == "json":
+        import json  # here, not at the top: only json output needs it
+
         print(json.dumps(payload, indent=2))
         return
     if header is None:
@@ -165,11 +169,18 @@ def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
         header, rows = list(payload), [payload.values()]
     cells = [[_flat(v) for v in row] for row in rows]
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
+        sys.stdout.write(_csv_lines([header, *cells]))
     else:
         _emit_table(header, cells)
+
+
+def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
+    """The csv text of ``rows``; every csv line the CLI writes is made here."""
+    import csv  # here, not at the top: only csv output needs it
+
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
@@ -250,6 +261,8 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     h_min, h_max = args.h_range
     fmt = args.format
+    if fmt == "json":  # before _map_spans forks, so that no child imports it again
+        import json
     spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
     header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
     if fmt == "csv":
@@ -311,15 +324,13 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
 def _render_tail(fmt: str, mu: tuple[int, ...], verdict: str, passed: bool) -> str | list[str]:
     members = [str(v.rep) for v in _expand(mu)]
     if fmt == "json":
+        import json  # loaded already: _cmd_verify imports it before the sweep forks
+
         # the last three members of a row object, indented as json.dumps puts them
         text = json.dumps({"mu_quotient": members, "verdict": verdict, "pass": passed}, indent=2)
         return text[2:-2].replace("\n", "\n    ")
     cells = [";".join(members), verdict, _flat(passed)]
-    if fmt == "table":
-        return cells
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(cells)
-    return line.getvalue()
+    return cells if fmt == "table" else _csv_lines([cells])
 
 
 _COMMANDS = {

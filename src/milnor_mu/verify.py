@@ -310,11 +310,11 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                workers: int | None = None) -> Iterator[object]:
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
-    The range is cut into ``parts`` parts, ``workers`` capped at the CPU count
-    and at least 1, or one part where ``os.fork`` is missing (Windows).  Each
-    part gets the same number of spans (lo, hi), all of one width up to
-    ``_SPAN_WIDTH`` but the last (narrower by less than the span count), so the
-    parts finish together; a range of fewer h than parts has one span per h,
+    The range is cut into ``parts`` parts, ``workers`` capped at
+    :func:`_usable_cpus` and at least 1, or one part where ``os.fork`` is
+    missing (Windows).  Each part gets the same number of spans (lo, hi), all
+    of one width up to ``_SPAN_WIDTH`` but the last (narrower by less than the
+    span count), so the parts finish together; a range of fewer h than parts has one span per h,
     and as many parts as spans.  With one part, or one h, the spans are
     decided here, one at a time, as the results are read.  Otherwise part i
     decides spans i, i + parts, ...: part 0 is this process, which decides
@@ -337,7 +337,7 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     width = h_max - h_min + 1
-    parts = max(1, min(workers or 1, os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    parts = max(1, min(workers or 1, _usable_cpus())) if hasattr(os, "fork") else 1
     spans_per_part = -(-width // (parts * _SPAN_WIDTH))
     step = -(-width // (parts * spans_per_part))
     starts = range(h_min, h_max + 1, step)
@@ -419,6 +419,17 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
                 if signal.getsignal(signal.SIGTERM) is end_children:
                     signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 signal.pthread_sigmask(signal.SIG_SETMASK, unheld)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one.
+
+    ``os.cpu_count()`` counts the host's CPUs, so a process pinned to fewer
+    (``taskset``, a cpuset container) would fork more workers than it can run.
+    """
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _decide_in_child(decide: Callable[[tuple[int, int]], object],

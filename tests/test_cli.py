@@ -223,7 +223,8 @@ class TestVerify:
         }
 
     @pytest.mark.parametrize("workers", ["1", "2"])  # 1 is the least count accepted
-    def test_parallel_output_matches_sequential(self, capsys, workers):
+    def test_parallel_output_matches_sequential(self, capsys, monkeypatch, workers):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         code_a, out_a, _ = run_cli(capsys, "verify", "--h-range", "-200..200", "--format", "csv")
         code_b, out_b, _ = run_cli(
             capsys, "verify", "--h-range", "-200..200", "--format", "csv", "--parallel", workers
@@ -276,7 +277,7 @@ class TestUnexpectedErrors:
                 os._exit(0)
             return real(span)
 
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_verify_chunk", dies_on_the_second_span)
         code, _, err = run_cli(capsys, "verify", "--h-range", "-3000..3000", "--parallel", "2")
         assert code == 2
@@ -453,6 +454,11 @@ def load_oracle():
 class TestVerifyBytes:
     """``verify`` output equals a renderer over ``verify_range`` rows, byte for byte."""
 
+    @pytest.fixture(autouse=True)
+    def two_usable_cpus(self, monkeypatch):
+        # so that --parallel 2 forks where this process may run on one CPU only
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("window", WINDOWS)
@@ -490,7 +496,6 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
     def test_renders_each_value_set_once_per_span(self, capsys, monkeypatch, odd_h_fault,
                                                   value_sets, fmt, window, workers, spans):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         if odd_h_fault:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
@@ -573,8 +578,9 @@ SRC_PATH = Path(__file__).resolve().parent.parent / "src"
 #: Modules whose import would make every CLI start slower: ``dataclasses``
 #: pulls in ``inspect``, and ``typing`` and ``concurrent.futures`` cost
 #: milliseconds each; ``pickle`` and ``signal`` are imported on the first
-#: pooled sweep only.
-SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures", "pickle", "signal")
+#: pooled sweep only, and ``json`` and ``csv`` by the format that writes each.
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures", "pickle", "signal",
+                "json", "csv")
 
 
 def test_importing_the_cli_loads_no_slow_module():
@@ -593,8 +599,8 @@ def test_importing_the_cli_loads_no_slow_module():
 
 def test_a_pooled_sweep_loads_no_pool_module():
     code = (
-        "import os, sys; sys.path.insert(0, sys.argv[1]); os.cpu_count = lambda: 2; "
-        "from milnor_mu.cli import main; "
+        "import sys; sys.path.insert(0, sys.argv[1]); from milnor_mu import verify; "
+        "verify._usable_cpus = lambda: 2; from milnor_mu.cli import main; "
         "code = main(['verify', '--h-range', '-3000..3000', '--parallel', '2']); "
         "print(code, *sorted({'concurrent.futures', 'multiprocessing', 'pickle'} & set(sys.modules)))"
     )
@@ -604,6 +610,71 @@ def test_a_pooled_sweep_loads_no_pool_module():
     )
     # pickle shows that the sweep did fan out
     assert done.stdout.splitlines()[-1] == "0 pickle"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["cases", "--k-range", "0..3"], ""),
+        (["verify", "--h-range", "-56..56", "--format", "csv"], "csv"),
+        (["quotient", "--h", "8", "--format", "json"], "json"),
+    ],
+    ids=["table", "csv", "json"],
+)
+def test_each_format_loads_only_its_own_writer(argv, loaded):
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from milnor_mu.cli import main; "
+        "code = main(sys.argv[2:]); print(code, *sorted({'csv', 'json'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH), *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}".rstrip()
+
+
+@fork_only
+def test_a_pooled_json_sweep_imports_json_before_it_forks():
+    # every span, this process's and the child's, is rendered with json loaded,
+    # so the child inherits it and imports nothing
+    code = """if 1:
+        import sys; sys.path.insert(0, sys.argv[1])
+        from milnor_mu import cli, verify
+        verify._usable_cpus = lambda: 2
+        real = cli._render_span
+
+        def render(fmt, span):
+            assert "json" in sys.modules, "a span was rendered before json was imported"
+            return real(fmt, span)
+
+        cli._render_span = render
+        sys.exit(cli.main(["verify", "--h-range", "-3000..3000", "--format", "json",
+                           "--parallel", "2"]))
+    """
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.stdout, done.stderr, done.returncode) == expected_verify(PARTIAL_WINDOW, "json")
+
+
+@fork_only
+@pytest.mark.parametrize("fault", [None, "closed_form"])
+def test_a_pooled_json_sweep_equals_the_sequential_one(capsys, monkeypatch, fault):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    if fault is not None:
+        FAULTS[fault][0](monkeypatch)
+    sequential = run_verify(capsys, PARTIAL_WINDOW, "json", None)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(verify.os, "fork", counted_fork)
+    assert run_verify(capsys, PARTIAL_WINDOW, "json", 2) == sequential
+    assert len(forks) == 1 and sequential[2] == (0 if fault is None else 2)
 
 
 @pytest.mark.parametrize("parallel", [[], ["--parallel", "1"]], ids=["sequential", "parallel-1"])
@@ -683,6 +754,7 @@ def test_a_closed_stderr_is_an_error_and_leaves_stdout_clean(argv, code):
     ["quotient", "--h", "8"],
 ])
 def test_a_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
     assert main(argv) == 141
     assert capsys.readouterr().err == ""

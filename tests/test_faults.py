@@ -24,6 +24,12 @@ fork_only = pytest.mark.skipif(
 WORKERS = [None, pytest.param(2, marks=fork_only)]
 
 
+@pytest.fixture(autouse=True)
+def two_usable_cpus(monkeypatch):
+    # so that a pooled sweep forks where this process may run on one CPU only
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
+
 def closed_form_off_by_one(monkeypatch, only_h=None):
     real = quotient._closed_form_scaled
 

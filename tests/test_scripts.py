@@ -60,7 +60,8 @@ class TestFullVerification:
         assert "all checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_stdout_at_small(self, capsys, workers):
+    def test_stdout_at_small(self, capsys, monkeypatch, workers):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         argv = SMALL if workers is None else [*SMALL, "--parallel", str(workers)]
         assert load("full_verification").main(argv) == 0
         *lines, elapsed = capsys.readouterr().out.splitlines(keepends=True)
@@ -124,7 +125,7 @@ class TestFullVerification:
     def test_per_span_counts_add_up(self, capsys, monkeypatch, workers):
         closed_form_off_by_one(monkeypatch, only_h=8)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)  # about a dozen spans over [-300, 300]
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         argv = SMALL if workers is None else [*SMALL, "--parallel", str(workers)]
         assert load("full_verification").main(argv) == 2
         lines = capsys.readouterr().out.splitlines()

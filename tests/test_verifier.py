@@ -395,8 +395,9 @@ class TestVerifyRange:
         with pytest.raises(EmptyRangeError):
             verify_range(1, 0)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
         # the compact rows of a pooled sweep are the rows of verify_range
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         pooled = [(h, verdict, passed, verify._expand(mu))
                   for h, verdict, passed, mu in _compact_rows(-300, 300, workers=3)]
         assert pooled == [(r.h, r.verdict, r.passed, r.mu_set) for r in verify_range(-300, 300)]
@@ -504,7 +505,7 @@ class TestPoolSize:
             (0, 1, 2, 2, [2]),
             (0, 7, 8, 2, [2]),
             (0, 9, -3, 4, []),
-            (0, 9, 3, None, []),
+            (0, 9, 3, 1, []),
             (0, 7, 1, 8, []),
         ],
     )
@@ -518,11 +519,47 @@ class TestPoolSize:
             return real_fork()
 
         monkeypatch.setattr(verify.os, "fork", counted_fork)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
         assert _compact_rows(lo, hi, requested) == _compact_rows(lo, hi)
         # the processes of the one pooled call, if there was one: this one and
         # the children it forked
         assert ([1 + len(forks)] if forks else []) == expected_pool
+
+    def test_a_process_pinned_to_one_cpu_forks_nothing(self, capsys, monkeypatch):
+        # a host of two CPUs, of which this process may run on one (as under taskset -c 0)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(verify.os, "fork", counted_fork)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        argv = ["verify", "--h-range", "-3000..3000", "--format", "csv"]
+        outputs = []
+        for extra in ([], ["--parallel", "2"]):
+            assert cli.main([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert _compact_rows(-3000, 3000, 2) == _compact_rows(-3000, 3000)
+        assert forks == []
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, usable",
+        [({0}, 2, 1), ({0, 1, 5}, 8, 3), (None, 3, 3), (None, None, 1)],
+    )
+    def test_usable_cpus_prefers_the_affinity_set(self, monkeypatch, affinity, cpu_count,
+                                                  usable):
+        # None: an OS with no affinity set (macOS, Windows), or no known CPU count
+        if affinity is None:
+            monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpu_count)
+        assert verify._usable_cpus() == usable
 
 
 class TestSweepEngine:
@@ -532,7 +569,7 @@ class TestSweepEngine:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_first_row_comes_before_the_last_span_is_decided(self, monkeypatch, tmp_path,
                                                              workers):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         last = (56 * 9, 56 * 10 - 1)
         log = tmp_path / "decided"
@@ -560,7 +597,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_pooled_spans_in_flight_are_bounded(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         log = tmp_path / "decided"
         spans = verify._map_spans(_logging(log, lambda span: (span, b"x" * BIG)),
@@ -578,6 +615,7 @@ class TestSweepEngine:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_many_spans_keep_h_order(self, monkeypatch, workers):
         # when workers is 2, this process and one child decide 18 spans each
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
         expected = verify._verify_chunk((-3000, 3000))
         spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
@@ -593,7 +631,7 @@ class TestSweepEngine:
         assert width // 3 <= verify._SPAN_WIDTH
 
     def test_pooled_spans_come_in_equal_shares_per_worker(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         # 200,001 h: seven spans of at most _SPAN_WIDTH, so eight for two workers
         spans = list(verify._map_spans(tuple, -100000, 100000, workers=2))
         assert len(spans) == 8
@@ -604,7 +642,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         log = tmp_path / "decided"
         spans = verify._map_spans(_logging(log, lambda span: (span, b"x" * BIG)),
@@ -617,7 +655,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_a_failing_span_cancels_the_unstarted_ones(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
 
         def decide(span):
@@ -635,7 +673,7 @@ class TestSweepEngine:
         assert len(_logged(log)) <= 2 + 2
 
     def test_this_process_decides_the_first_part(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         spans = verify._map_spans(lambda span: (span, os.getpid()), 0, 56 * 10 - 1, workers=2)
         read = list(spans)
@@ -647,7 +685,7 @@ class TestSweepEngine:
     @pytest.mark.usefixtures("time_limit")
     def test_a_failing_span_decided_here_cancels_the_unstarted_ones(self, monkeypatch,
                                                                     tmp_path):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
 
         def decide(span):
@@ -667,7 +705,7 @@ class TestSweepEngine:
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("how", ["killed", "terminated", "exited"])
     def test_a_lost_worker_is_an_error_naming_its_span(self, monkeypatch, how):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         parent = os.getpid()
 
@@ -688,7 +726,7 @@ class TestSweepEngine:
     @pytest.mark.usefixtures("time_limit")
     def test_a_child_leaves_sigint_to_this_process(self, monkeypatch):
         # a terminal's Ctrl-C reaches every child too; only this process may end the call
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         parent = os.getpid()
 
@@ -702,7 +740,7 @@ class TestSweepEngine:
 
     @staticmethod
     def _interrupt_at_a_fork(monkeypatch, calls=1):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         real_fork = os.fork
 
         def interrupted_fork():
@@ -730,7 +768,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_an_interrupt_while_the_children_are_ended_waits_for_them(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         real_waitpid = os.waitpid
 
@@ -746,7 +784,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_an_interrupt_just_before_the_children_are_ended_waits_for_them(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         real_sigmask = signal.pthread_sigmask
 
@@ -765,7 +803,7 @@ class TestSweepEngine:
 
     @pytest.mark.usefixtures("time_limit")
     def test_a_child_reaped_elsewhere_spares_no_other_child(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         pids = []
         real_fork = os.fork
@@ -786,7 +824,7 @@ class TestSweepEngine:
 
     def test_without_fork_every_span_is_decided_here(self, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
         expected = verify._verify_chunk((-3000, 3000))
         pids = []
@@ -802,7 +840,7 @@ class TestSweepEngine:
     @pytest.mark.parametrize("end", ["read to the end", "closed early", "raised"])
     def test_the_default_sigterm_action_is_back_however_the_call_ends(self, monkeypatch, end):
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
 
         def decide(span):  # the second span, a child's, raises under "raised"
             if end == "raised" and span[0] > 0:
@@ -825,7 +863,7 @@ class TestSweepEngine:
     def test_a_pooled_call_off_the_main_thread_sets_no_handler(self, monkeypatch):
         # only the main thread may set a signal handler; elsewhere the call
         # runs as before, and SIGTERM keeps its default action
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         results = []
         worker = threading.Thread(
             target=lambda: results.append(_compact_rows(-300, 300, workers=2)))
