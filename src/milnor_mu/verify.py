@@ -13,10 +13,11 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
   the oracle-vs-pipeline sweep, where the quotient kernel works at scale 1792.
 
 That sweep has one engine, :func:`_map_spans`.  It cuts the range into
-spans, decides them in process, alone or together with children it forks
-for the call, which stream their finished spans back through a pipe each,
-and hands each span's result out in h order as soon as it is decided.  A
-span is decided by :func:`_verify_chunk`, one loop that per admissible h
+spans as the pure :func:`_plan` decides before any fork, decides them in
+process, alone or together with children it forks for the call, which
+stream their finished spans back through a pipe each, and hands each
+span's result out in h order as soon as it is decided.
+A span is decided by :func:`_verify_chunk`, one loop that per admissible h
 calls the oracle and the kernel once each, and the kernel its closed form
 and p1 once each; its compact int rows give each value set as the oracle's
 sorted pair at scale 224.  :func:`verify_range` collects them into
@@ -306,17 +307,35 @@ def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
 _SPAN_WIDTH = 56 * 512
 
 
+def _plan(h_min: int, h_max: int, workers: int | None, cpus: int) -> tuple[int, range]:
+    """How a sweep over [h_min, h_max] is cut: its part count and span starts.
+
+    The parts are ``workers`` capped at ``cpus`` and at least 1.  The starts
+    are a ``range`` whose ``step`` is the span width: each part gets the same
+    number of spans, give or take one, all of one width up to ``_SPAN_WIDTH``
+    but the last (narrower by less than the span count), so the parts finish
+    together.  A range of fewer h than parts has one span per h, and as many
+    parts as spans.  Pure: it reads no OS state and forks nothing.  Raises
+    :class:`EmptyRangeError` when h_min > h_max.
+    """
+    if h_min > h_max:
+        raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
+    width = h_max - h_min + 1
+    parts = max(1, min(workers or 1, cpus))
+    spans_per_part = -(-width // (parts * _SPAN_WIDTH))
+    step = -(-width // (parts * spans_per_part))
+    # a range narrower than parts has fewer spans, and one part per span
+    return min(parts, -(-width // step)), range(h_min, h_max + 1, step)
+
+
 def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: int,
                workers: int | None = None) -> Iterator[object]:
     """``decide(span)`` for each span of [h_min, h_max], in h order.
 
-    The range is cut into ``parts`` parts, ``workers`` capped at
-    :func:`_usable_cpus` and at least 1, or one part where ``os.fork`` is
-    missing (Windows).  Each part gets the same number of spans (lo, hi), all
-    of one width up to ``_SPAN_WIDTH`` but the last (narrower by less than the
-    span count), so the parts finish together; a range of fewer h than parts has one span per h,
-    and as many parts as spans.  With one part, or one h, the spans are
-    decided here, one at a time, as the results are read.  Otherwise part i
+    The spans and their parts are those of :func:`_plan`, decided before any
+    fork, for ``workers`` capped at :func:`_usable_cpus`, or one part where
+    ``os.fork`` is missing (Windows).  With one part the spans are decided
+    here, one at a time, as the results are read.  Otherwise part i
     decides spans i, i + parts, ...: part 0 is this process, which decides
     each of its spans at its turn, and every other part is a child forked for
     this call, which writes each result (or exception) to its own pipe, so
@@ -334,17 +353,10 @@ def _map_spans(decide: Callable[[tuple[int, int]], object], h_min: int, h_max: i
     group, and only this process may end the call.
     Raises :class:`EmptyRangeError` on the first ``next`` when h_min > h_max.
     """
-    if h_min > h_max:
-        raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
-    width = h_max - h_min + 1
-    parts = max(1, min(workers or 1, _usable_cpus())) if hasattr(os, "fork") else 1
-    spans_per_part = -(-width // (parts * _SPAN_WIDTH))
-    step = -(-width // (parts * spans_per_part))
-    starts = range(h_min, h_max + 1, step)
-    parts = min(parts, -(-width // step))  # a range narrower than parts has fewer spans
+    parts, starts = _plan(h_min, h_max, workers, _usable_cpus() if hasattr(os, "fork") else 1)
 
     def span(lo: int) -> tuple[int, int]:
-        return lo, min(lo + step - 1, h_max)
+        return lo, min(lo + starts.step - 1, h_max)
 
     if parts == 1:
         yield from map(decide, map(span, starts))

@@ -26,6 +26,20 @@ def no_child_process_left():
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The pid that made each ``os.fork`` call of the test, in call order."""
+    pids = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pids.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
 def time_limit():
     """Fail the test with TimeoutError once it has run ``TIME_LIMIT_S``.
 

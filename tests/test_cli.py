@@ -660,19 +660,11 @@ def test_a_pooled_json_sweep_imports_json_before_it_forks():
 
 @fork_only
 @pytest.mark.parametrize("fault", [None, "closed_form"])
-def test_a_pooled_json_sweep_equals_the_sequential_one(capsys, monkeypatch, fault):
+def test_a_pooled_json_sweep_equals_the_sequential_one(capsys, monkeypatch, forks, fault):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     if fault is not None:
         FAULTS[fault][0](monkeypatch)
     sequential = run_verify(capsys, PARTIAL_WINDOW, "json", None)
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(verify.os, "fork", counted_fork)
     assert run_verify(capsys, PARTIAL_WINDOW, "json", 2) == sequential
     assert len(forks) == 1 and sequential[2] == (0 if fault is None else 2)
 
@@ -779,14 +771,20 @@ def test_a_closed_stdout_exits_141_quietly_where_select_has_no_poll(capsys, monk
     assert capsys.readouterr().err == ""
 
 
+def two_cpu_cli(*argv):
+    """``milnor-mu argv`` on ``SRC_PATH``, unbuffered (``-I`` drops ``PYTHONUNBUFFERED``),
+    with two usable CPUs whatever the CPU mask: ``--parallel 2`` forks even on one CPU."""
+    stub = ("import sys; sys.path.insert(0, sys.argv[1]); from milnor_mu import cli, verify; "
+            "verify._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))")
+    return [sys.executable, "-I", "-S", "-u", "-c", stub, str(SRC_PATH), *argv]
+
+
 @pytest.mark.usefixtures("time_limit")
 def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
-    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
-            "-100000000..100000000", "--format", "csv", "--parallel", "2"]
-    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
+    argv = two_cpu_cli("verify", "--h-range", "-100000000..100000000", "--format", "csv",
+                       "--parallel", "2")
     with open(tmp_path / "stderr", "wb") as err:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env,
-                                start_new_session=True)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, start_new_session=True)
         try:
             assert proc.stdout.readline() == b"h,residue_class,mu_quotient_set,verdict,pass\n"
             proc.stdout.close()
@@ -803,12 +801,10 @@ def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
 def test_a_terminated_sweep_dies_by_sigterm_and_leaves_no_process(workers):
-    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
-            "-100000000..100000000", "--format", "csv"]
+    argv = two_cpu_cli("verify", "--h-range", "-100000000..100000000", "--format", "csv")
     if workers:
         argv += ["--parallel", str(workers)]
-    env = {**os.environ, "PYTHONPATH": str(SRC_PATH), "PYTHONUNBUFFERED": "1"}
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             start_new_session=True)
     try:
         for _ in range(2):  # the header, then a row: the sweep and its children have begun
@@ -854,8 +850,7 @@ def interrupt(argv, target, lines, again_after=None):
 @pytest.mark.parametrize("target", ["process", "group"])
 @pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
 def test_an_interrupted_sweep_exits_130_with_one_line(target, workers):
-    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
-            "-50000000..50000000", "--format", "csv"]
+    argv = two_cpu_cli("verify", "--h-range", "-50000000..50000000", "--format", "csv")
     if workers:
         argv += ["--parallel", str(workers)]
     # the header, then a row: the sweep, and under --parallel its children, have begun
@@ -900,8 +895,7 @@ def test_an_interrupt_ignores_sigint_only_while_sigint_is_held(sigint_restored, 
 @pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
 def test_a_second_interrupt_is_ignored(workers, again_after_ms):
     # a Ctrl-C pressed twice: the second must not interrupt the exit of the first
-    argv = [sys.executable, "-m", "milnor_mu.cli", "verify", "--h-range",
-            "-50000000..50000000", "--format", "csv"]
+    argv = two_cpu_cli("verify", "--h-range", "-50000000..50000000", "--format", "csv")
     if workers:
         argv += ["--parallel", str(workers)]
     assert interrupt(argv, "group", lines=2, again_after=again_after_ms / 1000) == (

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 import types
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -495,46 +495,76 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestPoolSize:
+def _spans(h_min, h_max, workers, cpus):
+    """``_plan``'s part count, and the spans (lo, hi) ``_map_spans`` cuts from its starts."""
+    parts, starts = verify._plan(h_min, h_max, workers, cpus)
+    return parts, [(lo, min(lo + starts.step - 1, h_max)) for lo in starts]
+
+
+class TestPlan:
     @pytest.mark.parametrize(
-        "lo,hi,requested,cpus,expected_pool",
+        "lo,hi,requested,cpus,expected_parts",
         [
-            (-56, 56, 10**6, 4, [4]),
-            (0, 2, 8, 4, [3]),
-            (0, 0, 8, 4, []),
-            (0, 1, 2, 2, [2]),
-            (0, 7, 8, 2, [2]),
-            (0, 9, -3, 4, []),
-            (0, 9, 3, 1, []),
-            (0, 7, 1, 8, []),
+            (-56, 56, 10**6, 4, 4),
+            (0, 2, 8, 4, 3),
+            (0, 0, 8, 4, 1),
+            (0, 1, 2, 2, 2),
+            (0, 7, 8, 2, 2),
+            (0, 9, -3, 4, 1),
+            (0, 9, 3, 1, 1),
+            (0, 7, 1, 8, 1),
         ],
     )
-    def test_a_sweep_starts_a_clamped_pool(self, monkeypatch, lo, hi, requested, cpus,
-                                           expected_pool):
-        forks = []
-        real_fork = os.fork
+    def test_a_sweep_plans_a_clamped_pool(self, lo, hi, requested, cpus, expected_parts):
+        # one part runs in this process, and each other part in a child of its own
+        parts, spans = _spans(lo, hi, requested, cpus)
+        assert parts == expected_parts
+        assert [h for first, last in spans for h in range(first, last + 1)] == [*range(lo, hi + 1)]
 
-        def counted_fork():
-            forks.append(os.getpid())
-            return real_fork()
+    def test_span_width_caps_a_wide_sequential_range(self):
+        # equal spans of at most _SPAN_WIDTH h: three for 2 * _SPAN_WIDTH + 1 h
+        width = 2 * verify._SPAN_WIDTH + 1
+        w = width // 3
+        assert _spans(0, width - 1, None, 2) == (1, [(lo, lo + w - 1) for lo in (0, w, 2 * w)])
+        assert 3 * w == width and w <= verify._SPAN_WIDTH
 
-        monkeypatch.setattr(verify.os, "fork", counted_fork)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-        assert _compact_rows(lo, hi, requested) == _compact_rows(lo, hi)
-        # the processes of the one pooled call, if there was one: this one and
-        # the children it forked
-        assert ([1 + len(forks)] if forks else []) == expected_pool
+    def test_pooled_spans_come_in_equal_shares_per_worker(self):
+        # 200,001 h: seven spans of at most _SPAN_WIDTH, so eight for two workers
+        parts, spans = _spans(-100000, 100000, 2, 2)
+        assert parts == 2 and len(spans) == 8
+        assert spans[0][0] == -100000 and spans[-1][1] == 100000
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        widths = [hi - lo + 1 for lo, hi in spans]
+        assert set(widths[:-1]) == {25001} and widths[-1] > 25001 - len(spans)
 
-    def test_a_process_pinned_to_one_cpu_forks_nothing(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("span_width", [1, 3, 56])
+    def test_every_small_range_is_tiled_for_at_most_the_parts_allowed(self, monkeypatch,
+                                                                       span_width):
+        monkeypatch.setattr(verify, "_SPAN_WIDTH", span_width)
+        for h_min, width, workers, cpus in product(range(-3, 4), range(1, 121),
+                                                   [None, *range(-1, 6)], range(1, 6)):
+            h_max = h_min + width - 1
+            parts, starts = verify._plan(h_min, h_max, workers, cpus)
+            step = starts.step
+            # the spans (lo, min(lo + step - 1, h_max)) for lo in starts: each
+            # begins where the one before ends, from h_min, and the last ends at
+            # h_max; all are step wide but the last, narrower by less than the count
+            assert type(starts) is range and starts.start == h_min and 1 <= step <= span_width
+            assert starts[-1] <= h_max < starts[-1] + step
+            assert step - (h_max - starts[-1] + 1) < len(starts)
+            # no more parts than allowed, and each gets a span
+            assert 1 <= parts <= (1 if workers is None else max(1, min(workers, cpus)))
+            assert parts <= len(starts)
+
+
+class TestPoolSize:
+    def test_a_pooled_sweep_forks_a_child_for_each_other_part(self, monkeypatch, forks):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
+        assert _compact_rows(-56, 56, 10**6) == _compact_rows(-56, 56)
+        assert forks == [os.getpid()] * 3  # four parts: this process and three children
+
+    def test_a_process_pinned_to_one_cpu_forks_nothing(self, capsys, monkeypatch, forks):
         # a host of two CPUs, of which this process may run on one (as under taskset -c 0)
-        forks = []
-        real_fork = os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(verify.os, "fork", counted_fork)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         argv = ["verify", "--h-range", "-3000..3000", "--format", "csv"]
@@ -620,25 +650,6 @@ class TestSweepEngine:
         expected = verify._verify_chunk((-3000, 3000))
         spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
         assert tuple(chain.from_iterable(spans)) == expected
-
-    def test_span_width_caps_a_wide_sequential_range(self, tmp_path):
-        # equal spans of at most _SPAN_WIDTH h: three for 2 * _SPAN_WIDTH + 1 h
-        log = tmp_path / "decided"
-        width = 2 * verify._SPAN_WIDTH + 1
-        spans = verify._map_spans(_logging(log, verify._verify_chunk), 0, width - 1)
-        assert tuple(chain.from_iterable(spans)) == verify._verify_chunk((0, width - 1))
-        assert [hi - lo + 1 for lo, hi in _logged(log)] == [width // 3] * 3
-        assert width // 3 <= verify._SPAN_WIDTH
-
-    def test_pooled_spans_come_in_equal_shares_per_worker(self, monkeypatch):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        # 200,001 h: seven spans of at most _SPAN_WIDTH, so eight for two workers
-        spans = list(verify._map_spans(tuple, -100000, 100000, workers=2))
-        assert len(spans) == 8
-        assert spans[0][0] == -100000 and spans[-1][1] == 100000
-        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
-        widths = [hi - lo + 1 for lo, hi in spans]
-        assert set(widths[:-1]) == {25001} and widths[-1] > 25001 - len(spans)
 
     @pytest.mark.usefixtures("time_limit")
     def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
