@@ -16,16 +16,21 @@ the covering sphere, these give
     mu(M_h/tau_h) = h(h-1)/112 +/- (2h-1)/32   (mod 1),
 
 where the one orientation sign is inherited from A_1.  Both the closed form
-and the term-by-term assembly are computed and compared on every call.
+and the term-by-term assembly are read and compared on every call.
 Every denominator involved divides 1792, so both run on 1792 * mu as plain
 integers mod 1792, in a kernel that reads h alone: p1 from the one helper
 that states it, ``bundles._p1``, and the family constants from the record
-classes.  Records and ``Fraction`` value sets appear only at the public edges.
+classes.  Each route is an integer polynomial taken mod 1792, so its value
+depends only on h mod 1792 (the assembly on p1 mod 1792), and it is looked
+up by that residue in a cache of at most 1792 entries; the helpers that read
+h, the comparison and the verdict still run on every call, with that h.
+Records and ``Fraction`` value sets appear only at the public edges.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 
 from ._record import Record
@@ -138,9 +143,33 @@ _ASSEMBLY_CONSTANT = 4 * (CharacteristicData.euler_coeff - DiskBundleInvariants.
 
 
 def _closed_form_scaled(h: int) -> tuple[int, int]:
-    """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792."""
-    quad, linear = 16 * h * (h - 1), 56 * (2 * h - 1)
+    """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792.
+
+    An integer polynomial in h taken mod 1792, and P(h + m) = P(h) mod m for
+    any integer polynomial P (Polya 1915), so it is looked up by h mod 1792
+    in :func:`_closed_form_mod`; 1792 is its general period, not its true
+    one, so this holds whatever integer coefficients the formula is given.
+    """
+    return _closed_form_mod(h % MU_SCALE)
+
+
+@functools.cache
+def _closed_form_mod(r: int) -> tuple[int, int]:
+    """:func:`_closed_form_scaled` at a residue r of h mod 1792."""
+    quad, linear = 16 * r * (r - 1), 56 * (2 * r - 1)
     a, b = (quad + linear) % MU_SCALE, (quad - linear) % MU_SCALE
+    return (a, b) if a <= b else (b, a)
+
+
+@functools.cache
+def _assembly_mod(p1: int) -> tuple[int, int]:
+    """The term-by-term assembly at a residue p1 of the signed p1 mod 1792.
+
+    1792 * mu = p1^2 + the h-free terms +/- 28 p1, both signs, sorted and mod
+    1792: an integer polynomial in p1 taken mod 1792, so p1 mod 1792 decides it.
+    """
+    definite, spin = p1 * p1 + _ASSEMBLY_CONSTANT, 28 * p1
+    a, b = (definite + spin) % MU_SCALE, (definite - spin) % MU_SCALE
     return (a, b) if a <= b else (b, a)
 
 
@@ -155,17 +184,18 @@ def _mu_quotient_scaled(h: int) -> tuple[tuple[int, int], str]:
     4 A_2, minus 4 times the equivariant signature, plus 1792 * (1/2) A_1 =
     +/- 28 p1, both signs.  Any difference raises :class:`DerivationMismatch`.
     The verdict is the value of a :class:`Verdict`, "RP7" or "RP7#14M2"; a
-    pair that is neither raises :class:`DichotomyViolationError`.
+    pair that is neither raises :class:`DichotomyViolationError`.  Both
+    formulas are looked up per residue, the assembly by p1 mod 1792 in
+    :func:`_assembly_mod`; the closed form and p1 are still read once per
+    call, with h, and the comparison and the verdict made on every call.
     """
     if h * (h - 1) % 56:
         raise NotDiffeoS7Error(f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
     closed = _closed_form_scaled(h)
-    p1 = _p1(h)
-    definite, spin = p1 * p1 + _ASSEMBLY_CONSTANT, 28 * p1
-    a, b = (definite + spin) % MU_SCALE, (definite - spin) % MU_SCALE
-    if closed != ((a, b) if a <= b else (b, a)):
+    assembled = _assembly_mod(_p1(h) % MU_SCALE)
+    if closed != assembled:
         raise DerivationMismatch(
-            f"mu(M_{h}/tau): fixed-point assembly {_residue_set((a, b))} "
+            f"mu(M_{h}/tau): fixed-point assembly {_residue_set(assembled)} "
             f"!= closed form {_residue_set(closed)}"
         )
     if closed == _RP7_SCALED:

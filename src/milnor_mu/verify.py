@@ -20,9 +20,12 @@ span's result out in h order as soon as it is decided.
 A span is decided by :func:`_verify_chunk`, one loop that per admissible h
 calls the oracle and the kernel once each, and the kernel its closed form
 and p1 once each; its compact int rows give each value set as the oracle's
-sorted pair at scale 224.  :func:`verify_range` collects them into
-:class:`VerifyRow` objects; the ``verify`` command renders each span where
-it is decided.
+sorted pair at scale 224.  The oracle's pair, the closed form and the
+assembly are each an integer polynomial taken mod 224 or 1792, so each is
+looked up by its residue in a cache of at most 224 or 1792 entries; the
+calls that read h, the comparisons and the verdict still run per h.
+:func:`verify_range` collects the rows into :class:`VerifyRow` objects; the
+``verify`` command renders each span where it is decided.
 """
 
 from __future__ import annotations
@@ -484,9 +487,10 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
     The oracle, the target and the kernel are read from this module once
     per call, so a fault patched into any of them is seen.  Per h the loop
     calls the oracle and the kernel, which calls the closed form and p1 and
-    gives the verdict string, once each; nothing else.  A row passes when the
-    oracle's pair is the target, the kernel's is it at scale 1792 and the
-    verdict is RP7.  A kernel fault fails its row, named in the verdict.
+    gives the verdict string, once each; nothing else but the per-residue
+    lookups of their formulas.  A row passes when the oracle's pair is the
+    target, the kernel's is it at scale 1792 and the verdict is RP7.  A
+    kernel fault fails its row, named in the verdict.
     """
     oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
     scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
@@ -513,9 +517,17 @@ def _direct_mu_pair(h: int) -> tuple[int, int]:
     (even plus or minus odd), so no member is 0, and they never coincide,
     since a - b = 14(2h-1) and 16 does not divide 2h - 1.  Expands to
     ``direct_mu_set(h)`` for every integer h; shares no code or scale with
-    the quotient kernel (1792).
+    the quotient kernel (1792).  Both sums are integer polynomials in h taken
+    mod 224, so h mod 224 decides them (see ``_CASE_PERIOD``), and the pair
+    is looked up by it in :func:`_oracle_mod`, a cache of at most 224 entries.
     """
-    quad, odd = 2 * h * (h - 1), 7 * (2 * h - 1)
+    return _oracle_mod(h % 224)
+
+
+@functools.cache
+def _oracle_mod(r: int) -> tuple[int, int]:
+    """:func:`_direct_mu_pair` at a residue r of h mod 224."""
+    quad, odd = 2 * r * (r - 1), 7 * (2 * r - 1)
     a, b = (quad + odd) % 224, (quad - odd) % 224
     return (a, b) if a < b else (b, a)
 

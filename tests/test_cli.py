@@ -841,6 +841,10 @@ def interrupt(argv, target, lines, again_after=None):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+        # closed here too when an assertion failed, so that no ResourceWarning
+        # of an unclosed pipe fails some later test instead of this one
+        proc.stdout.close()
+        proc.stderr.close()
     with pytest.raises(ProcessLookupError):  # no process of its session is left
         os.killpg(proc.pid, 0)
     return proc.returncode, err

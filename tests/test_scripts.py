@@ -310,6 +310,17 @@ def _script(name, *argv):
     return [sys.executable, str(SCRIPTS / f"{name}.py"), *argv]
 
 
+def _two_cpu_script(name, *argv):
+    """``scripts/name.py argv`` on ``SRC_PATH``, unbuffered, with two usable CPUs
+    whatever the CPU mask, like ``test_cli.two_cpu_cli``: ``--parallel 2`` forks
+    even on one CPU."""
+    stub = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); from milnor_mu import verify; "
+            "verify._usable_cpus = lambda: 2; sys.argv = sys.argv[2:]; "
+            "runpy.run_path(sys.argv[0], run_name='__main__')")
+    return [sys.executable, "-I", "-S", "-u", "-c", stub, str(SRC_PATH),
+            str(SCRIPTS / f"{name}.py"), *argv]
+
+
 _ENV = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
 
 
@@ -366,7 +377,7 @@ INTERRUPTS = [
 @pytest.mark.parametrize("target", ["process", "group"])
 @pytest.mark.parametrize("name, argv, lines, again_after", INTERRUPTS)
 def test_an_interrupted_script_exits_130_with_one_line(name, argv, lines, again_after, target):
-    code, err = interrupt(_script(name, *argv), target, lines, again_after)
+    code, err = interrupt(_two_cpu_script(name, *argv), target, lines, again_after)
     assert (code, err) == (130, f"{name}.py: interrupted\n".encode())
 
 
