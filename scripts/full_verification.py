@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 from milnor_mu.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _int_in, _Parser, _run
 from milnor_mu.verify import (
-    _CASE_PERIOD,
+    _CASE_MODULUS,
     _SCAN_LIMIT,
     Case,
     _map_spans,
@@ -64,10 +64,12 @@ def main(argv: list[str] | None = None) -> int:
 def count_span(span: tuple[int, int]) -> tuple[int, int]:
     """(rows, disagreements) of the oracle-vs-pipeline sweep over span.
 
-    Under ``--parallel`` a child sends these two ints per span, not the rows.
+    Both are sums of run lengths.  Under ``--parallel`` a child sends these
+    two ints per span, not the runs.
     """
-    chunk = _verify_chunk(span)
-    return len(chunk), sum(1 for _, _, passed, _ in chunk if not passed)
+    runs = _verify_chunk(span)
+    return (sum(len(hs) for _, hs in runs),
+            sum(len(hs) for (_, passed, _), hs in runs if not passed))
 
 
 def run(args) -> int:
@@ -84,12 +86,14 @@ def run(args) -> int:
     else:
         print(f"  scan agrees with CRT construction for all 56m, m <= {args.crt_periods}")
 
-    k_max = _CASE_PERIOD // 56 - 1  # one period of h; see verify._CASE_PERIOD
+    # every class of h mod 224, the modulus each check reads; check_case raises
+    # if its period leaves one of them undecided
+    k_max = _CASE_MODULUS // 56 - 1
+    reports = [check_case(case, 0, k_max) for case in Case]
     print(f"case analysis over one period, k in [0, {k_max}], so for every k:")
-    for case in Case:
-        report = check_case(case, 0, k_max)
+    for report in reports:
         mark = "ok" if report.matches else "FAIL"
-        print(f"  case {case.name:>3} (h = 56k + {report.h_residue:>2}): "
+        print(f"  case {report.case.name:>3} (h = 56k + {report.h_residue:>2}): "
               f"h(h-1)/112 = {report.quad_constant} + k/2, "
               f"(2h-1)/32 = {report.linear_constant} + k/2  [{mark}]")
         failed = failed or not report.matches

@@ -41,8 +41,8 @@ from .bundles import (
     theta7_class,
 )
 from .quotient import DichotomyViolationError, classify_quotient
-from .verify import (_SCAN_LIMIT, Case, _expand, _map_spans, _verify_chunk, check_case,
-                     enumerate_residues)
+from .verify import (_SCAN_LIMIT, Case, CoverageError, _expand, _map_spans, _verify_chunk,
+                     check_case, enumerate_residues)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,31 +297,32 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
     for the spans of worker 0 and a forked child for the others, so the
     children send back only counts and text.  The chunk is the csv lines,
     the json row objects joined by ``",\n"`` at their indentation in the
-    whole payload, or the table cells.  One pass counts the failed rows and
-    renders them all: a row's tail (value set, verdict, pass) is rendered
-    once per distinct value in the span and looked up once per row.
+    whole payload, or the table cells.  One pass over the span's runs
+    counts the failed rows and renders them all: a row's tail (value set,
+    verdict, pass) is rendered once per distinct outcome in the span, and
+    each run's rows in one comprehension over its h.
     """
-    rows = _verify_chunk(span)
-    tails, failed, chunk = {}, 0, []
-    for h, verdict, passed, mu in rows:
-        tail = tails.get((verdict, passed, mu))
+    tails, checked, failed, chunk = {}, 0, 0, []
+    for outcome, hs in _verify_chunk(span):
+        tail = tails.get(outcome)
         if tail is None:
-            tail = tails[verdict, passed, mu] = _render_tail(fmt, mu, verdict, passed)
-        if not passed:
-            failed += 1
+            tail = tails[outcome] = _render_tail(fmt, *outcome)
+        checked += len(hs)
+        if not outcome[1]:  # the run failed
+            failed += len(hs)
         if fmt == "csv":
-            chunk.append(f"{h},{h % 56},{tail}")
+            chunk += [f"{h},{h % 56},{tail}" for h in hs]
         elif fmt == "json":
-            chunk.append(f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
-                         f"    {tail}\n    }}")
+            chunk += [f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
+                      f"    {tail}\n    }}" for h in hs]
         else:
-            chunk.append([str(h), str(h % 56), *tail])
+            chunk += [[str(h), str(h % 56), *tail] for h in hs]
     if fmt != "table":
         chunk = ("" if fmt == "csv" else ",\n").join(chunk)
-    return len(rows), failed, chunk
+    return checked, failed, chunk
 
 
-def _render_tail(fmt: str, mu: tuple[int, ...], verdict: str, passed: bool) -> str | list[str]:
+def _render_tail(fmt: str, verdict: str, passed: bool, mu: tuple[int, ...]) -> str | list[str]:
     members = [str(v.rep) for v in _expand(mu)]
     if fmt == "json":
         import json  # loaded already: _cmd_verify imports it before the sweep forks
@@ -423,7 +424,8 @@ def _run(parser: argparse.ArgumentParser, argv: Sequence[str] | None,
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
             return EXIT_STDOUT_CLOSED
         code = EXIT_VERIFICATION_FAILED
-        message = (str(exc) if isinstance(exc, (DerivationMismatch, DichotomyViolationError))
+        message = (str(exc) if isinstance(exc, (DerivationMismatch, DichotomyViolationError,
+                                                 CoverageError))
                    else f"unexpected {type(exc).__name__}: {exc}")
     finally:
         if limit is not None:

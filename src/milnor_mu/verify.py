@@ -19,13 +19,16 @@ stream their finished spans back through a pipe each, and hands each
 span's result out in h order as soon as it is decided.
 A span is decided by :func:`_verify_chunk`, one loop that per admissible h
 calls the oracle and the kernel once each, and the kernel its closed form
-and p1 once each; its compact int rows give each value set as the oracle's
-sorted pair at scale 224.  The oracle's pair, the closed form and the
-assembly are each an integer polynomial taken mod 224 or 1792, so each is
-looked up by its residue in a cache of at most 224 or 1792 entries; the
-calls that read h, the comparisons and the verdict still run per h.
-:func:`verify_range` collects the rows into :class:`VerifyRow` objects; the
-``verify`` command renders each span where it is decided.
+and p1 once each.  It gives the span as runs: each run is one outcome
+(verdict, pass, the oracle's value set as its sorted pair at scale 224) and
+the consecutive h that share it, so a span with no fault is one run.  The
+oracle's pair, the closed form and the assembly are each an integer
+polynomial taken mod 224 or 1792, so each is looked up by its residue in a
+cache of at most 224 or 1792 entries; the calls that read h, the
+comparisons and the verdict still run per h.  The admissible h are stepped
+as h = 56k + r, with 56 | r(r-1) checked once per residue r.
+:func:`verify_range` expands the runs into :class:`VerifyRow` objects; the
+``verify`` command renders each span where it is decided, one run at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ _TARGET = (7, 217)
 
 class EmptyRangeError(ValueError):
     """A scan range turned out empty."""
+
+
+class CoverageError(RuntimeError):
+    """A check decided fewer classes of h than its range reaches."""
 
 
 class ResidueSolution(Record):
@@ -136,6 +143,11 @@ _CASE_CONSTANTS: dict[Case, tuple[Fraction, Fraction]] = {
 #: a wrong constant is still caught at exactly the k it breaks.
 _CASE_PERIOD = 224
 
+#: The modulus of h that every check in :func:`check_case` reads: 112, 32 and
+#: 224 all divide it.  Stated apart from ``_CASE_PERIOD``, so that a period
+#: too short to reach every class of h mod 224 is caught, not trusted.
+_CASE_MODULUS = 224
+
 
 class CaseReport(Record):
     """Outcome of checking one case's congruences over a k-interval.
@@ -195,6 +207,11 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     k, and each failing k0 there stands for every k0 + 4t in range.  The
     report keeps only those k0, so any k-range costs the same, four oracle
     calls at most, whether the case matches or fails.
+
+    The k it decides must take h through every class mod ``_CASE_MODULUS``
+    (224) that [k_min, k_max] reaches, min(k_max - k_min + 1, 4) of them;
+    a shorter period leaves some undecided and raises :class:`CoverageError`
+    naming them.
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
@@ -203,9 +220,15 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     quad_112, linear_32 = quad * 112, linear * 32
     if quad_112.denominator == linear_32.denominator == 1:  # on the grid: int arithmetic
         quad_112, linear_32 = int(quad_112), int(linear_32)
-    k_period = _CASE_PERIOD // 56
+    decided = range(k_min, min(k_max, k_min + _CASE_PERIOD // 56 - 1) + 1)
+    reached = range(k_min, min(k_max, k_min + _CASE_MODULUS // 56 - 1) + 1)
+    missing = sorted({(56 * k + res) % _CASE_MODULUS for k in reached}
+                     - {(56 * k + res) % _CASE_MODULUS for k in decided})
+    if missing:
+        raise CoverageError(f"case {case.name} over k in [{k_min}, {k_max}] left "
+                            f"h = {', '.join(map(str, missing))} mod {_CASE_MODULUS} undecided")
     period_failures = []
-    for k in range(k_min, min(k_max, k_min + k_period - 1) + 1):
+    for k in decided:
         h = 56 * k + res
         ok = (
             (h * (h - 1) - quad_112 - 56 * k) % 112 == 0
@@ -280,10 +303,11 @@ class VerifyRow(Record):
         return self.h % 56
 
 
-#: A sweep row: (h, verdict, passed, (a, b)), (a, b) the oracle's value set
-#: {a/224, b/224}; ints, strs and bools only, so hashable: ``cli._render_span``
-#: keys the text it renders on them.
-_CompactRow = tuple[int, str, bool, tuple[int, int]]
+#: A run of a sweep span: ((verdict, passed, (a, b)), hs), the outcome that
+#: the rows of the consecutive admissible h in hs share, (a, b) the oracle's
+#: value set {a/224, b/224}.  The outcome holds strs, bools and ints only, so
+#: it is hashable: ``cli._render_span`` keys the text it renders on it.
+_Run = tuple[tuple[str, bool, tuple[int, int]], list[int]]
 
 
 def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
@@ -293,7 +317,7 @@ def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
     classification pipeline agrees on the set, and its verdict is RP7.  A
     pipeline fault at one h fails that row (verdict ``derivation_mismatch``
     or ``dichotomy_violation``) and the sweep goes on.  The rows, in h
-    order, are those of :func:`_verify_chunk` for each span of
+    order, expand the runs of :func:`_verify_chunk` for each span of
     :func:`_map_spans`, decided in this process, and share one
     :class:`AmbiguousResidue` per value set.  Raises :class:`EmptyRangeError`
     when h_min > h_max.
@@ -301,8 +325,9 @@ def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
     expand = functools.cache(_expand)
     return tuple(
         VerifyRow(h, expand(mu), verdict, passed)
-        for rows in _map_spans(_verify_chunk, h_min, h_max)
-        for h, verdict, passed, mu in rows
+        for runs in _map_spans(_verify_chunk, h_min, h_max)
+        for (verdict, passed, mu), hs in runs
+        for h in hs
     )
 
 
@@ -473,16 +498,26 @@ def _decide_in_child(decide: Callable[[tuple[int, int]], object],
 def _admissible(lo: int, hi: int) -> list[int]:
     """The h in [lo, hi] with 56 | h(h-1), ascending, stepping h = 56k + r.
 
-    The residues r come from the scan :func:`enumerate_residues`, and the
-    divisibility is still checked per h.  A backwards range gives [].
+    The residues r in [0, 56) come from the scan :func:`enumerate_residues`,
+    and 56 | r(r-1) is checked once per residue: for h = 56k + r,
+    h(h-1) = r(r-1) mod 56 (see ``_CASE_PERIOD``), so the check holds for h
+    exactly when it holds for r.  Only the periods of lo and hi can reach
+    past the range, so only their h are compared with its ends.  A
+    backwards range gives [].
     """
-    residues = enumerate_residues(56).residues
-    return [h for k in range(lo // 56, hi // 56 + 1) for r in residues
-            if lo <= (h := 56 * k + r) <= hi and h * (h - 1) % 56 == 0]
+    if lo > hi:
+        return []
+    residues = [r for r in enumerate_residues(56).residues if r * (r - 1) % 56 == 0]
+    first, last = 56 * (lo // 56), 56 * (hi // 56)
+    if first == last:
+        return [h for r in residues if lo <= (h := first + r) <= hi]
+    return ([h for r in residues if (h := first + r) >= lo]
+            + [base + r for base in range(first + 56, last, 56) for r in residues]
+            + [h for r in residues if (h := last + r) <= hi])
 
 
-def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
-    """Compact rows for the admissible h in span, in one loop.
+def _verify_chunk(span: tuple[int, int]) -> tuple[_Run, ...]:
+    """The runs of the admissible h in span, in one loop.
 
     The oracle, the target and the kernel are read from this module once
     per call, so a fault patched into any of them is seen.  Per h the loop
@@ -490,23 +525,29 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_CompactRow, ...]:
     gives the verdict string, once each; nothing else but the per-residue
     lookups of their formulas.  A row passes when the oracle's pair is the
     target, the kernel's is it at scale 1792 and the verdict is RP7.  A
-    kernel fault fails its row, named in the verdict.
+    kernel fault fails its row, named in the verdict.  A new run starts
+    only where the outcome changes, so no two runs in a row share one: a
+    span with no fault is one run, and a fault at one h inside it three.
     """
     oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
     scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
-    rows = []
+    runs = []
+    outcome = hs = None
     for h in _admissible(*span):
         pair = oracle(h)
         try:
             scaled, verdict = kernel(h)
         except DerivationMismatch:
-            rows.append((h, "derivation_mismatch", False, pair))
+            row = "derivation_mismatch", False, pair
         except DichotomyViolationError:
-            rows.append((h, "dichotomy_violation", False, pair))
+            row = "dichotomy_violation", False, pair
         else:  # once pair == target, the kernel agrees with the oracle iff it gives scaled_target
-            rows.append((h, verdict, pair == target and scaled == scaled_target
-                         and verdict == "RP7", pair))
-    return tuple(rows)
+            row = verdict, pair == target and scaled == scaled_target and verdict == "RP7", pair
+        if row != outcome:
+            outcome, hs = row, []
+            runs.append((outcome, hs))
+        hs.append(h)
+    return tuple(runs)
 
 
 def _direct_mu_pair(h: int) -> tuple[int, int]:

@@ -90,6 +90,15 @@ FAULTS = {
 }
 
 
+def expand_runs(runs):
+    """The rows (h, verdict, passed, pair) of ``_verify_chunk`` runs, in order.
+
+    Each run (outcome, hs) gives one row per h in hs, with its outcome
+    (verdict, passed, pair) after the h.
+    """
+    return [(h, *outcome) for outcome, hs in runs for h in hs]
+
+
 def rendered(workers):
     """(checked, failed, csv lines) of ``verify --format csv`` over WINDOW.
 
@@ -145,7 +154,7 @@ def test_off_target_oracle_set_reaches_the_rows(monkeypatch):
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_worker_rows_stay_plain_ints(monkeypatch, fault):
     FAULTS[fault][0](monkeypatch)
-    for h, verdict, passed, mu in verify._verify_chunk(WINDOW):
+    for h, verdict, passed, mu in expand_runs(verify._verify_chunk(WINDOW)):
         assert (type(h), type(verdict), passed) == (int, str, False)
         a, b = mu
         assert type(a) is type(b) is int and 0 <= a < b < 224
@@ -199,6 +208,16 @@ def test_cli_cases_fails_under_a_constant_off_its_grid(monkeypatch, capsys, whic
     out, err = capsys.readouterr()
     assert (code, err) == (2, "")
     assert out.splitlines()[1] == line
+
+
+@pytest.mark.parametrize("period, missing", [(223, "168"), (112, "112, 168")])
+def test_cli_cases_fails_under_a_shrunk_period(monkeypatch, capsys, period, missing):
+    # the first case raises: h = 56k over k in [0, 100] reaches 0, 56, 112 and 168 mod 224
+    monkeypatch.setattr(verify, "_CASE_PERIOD", period)
+    code = cli.main(["cases", "--k-range", "0..100", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"milnor-mu: case I over k in [0, 100] left h = {missing} mod 224 undecided\n"
 
 
 def test_cli_cases_fails_under_an_oracle_fault_in_one_k_of_four(monkeypatch, capsys):

@@ -92,6 +92,16 @@ class TestFullVerification:
         assert calls == [*(("check_case", case, 0, 3) for case in verify.Case),
                          ("brute_force_theorem", 0, 1791)]
 
+    @pytest.mark.parametrize("period, missing", [(223, "168"), (112, "112, 168")])
+    def test_a_shrunk_case_period_fails_the_run(self, capsys, monkeypatch, period, missing):
+        # the case analysis claims every k, so it must reach every class of h mod 224
+        monkeypatch.setattr(verify, "_CASE_PERIOD", period)
+        assert run_as_main(monkeypatch, "full_verification", SMALL) == 2
+        out, err = capsys.readouterr()
+        assert "case analysis" not in out and "all checks passed" not in out
+        assert err == (f"full_verification.py: case I over k in [0, 3] left "
+                       f"h = {missing} mod 224 undecided\n")
+
     def test_a_periodic_referee_fault_fails_whatever_the_h_span(self, capsys, monkeypatch):
         # off at h = 49 mod 56 only, so the window [0, 0] never meets it
         real = verify.direct_mu_set

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import re
 import signal
 import sys
 import threading
@@ -11,9 +12,9 @@ from itertools import chain, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_faults import oracle_off_in_one_k_of_four, oracle_off_on_odd_h
+from test_faults import expand_runs, oracle_off_in_one_k_of_four, oracle_off_on_odd_h
 
 from milnor_mu import bundles, cli, quotient, qz, verify
 from milnor_mu.bundles import MilnorBundle
@@ -258,6 +259,28 @@ class TestCaseOnePeriod:
 
     def test_period_divides_every_modulus(self):
         assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
+        assert all(verify._CASE_MODULUS % m == 0 for m in (112, 32, 224))
+
+    @pytest.mark.parametrize("period", [223, 112, 55])
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("k_min", [-7, 2**70 + 1])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 600])
+    def test_a_shrunk_period_names_the_classes_it_leaves_undecided(self, monkeypatch, period,
+                                                                    case, k_min, width):
+        # a period of 223 decides three k, 112 two and 55 none, where one
+        # period of h mod 224 takes four; a range of fewer k needs fewer
+        monkeypatch.setattr(verify, "_CASE_PERIOD", period)
+        k_max = k_min + width - 1
+        reached = range(k_min, k_min + min(width, 4))
+        decided = reached[:period // 56]
+        missing = sorted({(56 * k + case.h_residue) % 224 for k in reached[len(decided):]})
+        if not missing:
+            assert check_case(case, k_min, k_max).matches
+            return
+        message = (f"case {case.name} over k in [{k_min}, {k_max}] left "
+                   f"h = {', '.join(map(str, missing))} mod 224 undecided")
+        with pytest.raises(verify.CoverageError, match=f"^{re.escape(message)}$"):
+            check_case(case, k_min, k_max)
 
     @pytest.mark.parametrize("case", list(Case))
     def test_any_window_costs_at_most_four_oracle_calls(self, monkeypatch, case):
@@ -329,7 +352,7 @@ class TestSweepStaysOffFractions:
         monkeypatch.setattr(verify, "direct_mu_set", refuse)
         for module in (qz, bundles, verify):
             monkeypatch.setattr(module, "reduce_mod_z", refuse)
-        chunk = verify._verify_chunk((-200, 200))
+        chunk = expand_runs(verify._verify_chunk((-200, 200)))
         rows = verify_range(-200, 200)
         assert len(chunk) == len(rows) > 0
         assert all(passed for _, _, passed, _ in chunk)
@@ -414,8 +437,8 @@ class TestVerifyRange:
 
 
 def _plain_ints_only(value):
-    """True when value is built from ints, strs, bools and tuples alone."""
-    if type(value) is tuple:
+    """True when value is built from ints, strs, bools, tuples and lists alone."""
+    if type(value) in (tuple, list):
         return all(_plain_ints_only(v) for v in value)
     return type(value) in (int, str, bool)
 
@@ -425,10 +448,10 @@ class TestCompactWorkerRows:
     def test_chunk_holds_plain_ints_only(self, span):
         chunk = verify._verify_chunk(span)
         assert _plain_ints_only(chunk)
-        assert len(chunk) == len(verify_range(*span))
+        assert len(expand_runs(chunk)) == len(verify_range(*span))
 
-    def test_row_layout(self):
-        assert verify._verify_chunk((8, 8)) == ((8, "RP7", True, (7, 217)),)
+    def test_run_layout(self):
+        assert verify._verify_chunk((8, 8)) == ((("RP7", True, (7, 217)), [8]),)
 
 
 def _every_h_reference(lo, hi):
@@ -459,6 +482,46 @@ class TestResidueStepping:
         assert verify_range(lo, lo + width) == _every_h_reference(lo, lo + width)
 
 
+#: How the residue scan behind ``_admissible`` is faulted: the residues it
+#: gives mod 56, and which h a per-h scan must then keep.
+RESIDUE_FAULTS = {
+    "none": (lambda rs: rs, lambda h: True),
+    "non_admissible_added": (lambda rs: (*rs, 2), lambda h: True),
+    "non_admissible_inserted": (lambda rs: (0, 1, 2, *rs[2:]), lambda h: True),
+    "one_dropped": (lambda rs: tuple(r for r in rs if r != 8), lambda h: h % 56 != 8),
+}
+
+
+class TestAdmissible:
+    """``_admissible`` checks 56 | r(r-1) per residue: the h of a per-h scan."""
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(sorted(RESIDUE_FAULTS)),
+        st.sampled_from([0, 10**18, -(10**18), 56 * 10**17]),
+        st.integers(min_value=-300, max_value=300),
+        st.integers(min_value=-60, max_value=300),
+    )
+    @example("none", 0, 0, 0)  # a single admissible point
+    @example("none", 0, 2, 0)  # a single point that is not
+    @example("none", 0, 5, -1)  # an empty range
+    @example("none", 10**18, 300, -300)  # a backwards one
+    @example("none", 0, 49, 7)  # from a period's last residue into the next period
+    @example("one_dropped", -(10**18), 0, 56)
+    @example("non_admissible_added", 10**18, -3, 55)
+    def test_equals_a_per_h_scan(self, fault, center, offset, width):
+        # a negative width gives a backwards range, 0 a single point; offsets and
+        # widths that are not multiples of 56 start or end a window mid-period
+        faulty, kept = RESIDUE_FAULTS[fault]
+        real = verify.enumerate_residues
+        lo, hi = center + offset, center + offset + width
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "enumerate_residues",
+                       lambda m: verify.ResidueSolution(m, faulty(real(m).residues)))
+            got = verify._admissible(lo, hi)
+        assert got == [h for h in range(lo, hi + 1) if h * (h - 1) % 56 == 0 and kept(h)]
+
+
 #: Bytes in a test result that overflows a pipe (64 KiB by default on Linux),
 #: so a child blocks on each span until the parent has read it.
 BIG = 1 << 18
@@ -486,9 +549,10 @@ def _logged(path):
 
 
 def _compact_rows(lo, hi, workers=None):
-    """The compact rows of [lo, hi], from the spans ``_map_spans`` decides with workers."""
-    return [row for span in verify._map_spans(verify._verify_chunk, lo, hi, workers)
-            for row in span]
+    """The rows of [lo, hi], expanded from the runs of the spans ``_map_spans``
+    decides with workers."""
+    return [row for runs in verify._map_spans(verify._verify_chunk, lo, hi, workers)
+            for row in expand_runs(runs)]
 
 
 def _no_child_left():
@@ -614,11 +678,11 @@ class TestSweepEngine:
 
         spans = verify._map_spans(held, 0, 56 * 10 - 1, workers)
         try:
-            first = next(spans)
+            first = expand_runs(next(spans))
             assert first[0][0] == 0
             assert _logged(log) and last not in _logged(log)
             os.write(release, b"x")
-            rest = list(chain.from_iterable(spans))
+            rest = expand_runs(chain.from_iterable(spans))
         finally:
             spans.close()
             os.close(hold)
@@ -648,9 +712,9 @@ class TestSweepEngine:
         # when workers is 2, this process and one child decide 18 spans each
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
-        expected = verify._verify_chunk((-3000, 3000))
+        expected = expand_runs(verify._verify_chunk((-3000, 3000)))
         spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
-        assert tuple(chain.from_iterable(spans)) == expected
+        assert expand_runs(chain.from_iterable(spans)) == expected
 
     @pytest.mark.usefixtures("time_limit")
     def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
@@ -838,7 +902,7 @@ class TestSweepEngine:
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56)
-        expected = verify._verify_chunk((-3000, 3000))
+        expected = expand_runs(verify._verify_chunk((-3000, 3000)))
         pids = []
 
         def recorded(span):
@@ -846,7 +910,7 @@ class TestSweepEngine:
             return verify._verify_chunk(span)
 
         spans = verify._map_spans(recorded, -3000, 3000, workers=2)
-        assert tuple(chain.from_iterable(spans)) == expected
+        assert expand_runs(chain.from_iterable(spans)) == expected
         assert pids == [os.getpid()] * -(-6001 // 56)
 
     @pytest.mark.parametrize("end", ["read to the end", "closed early", "raised"])
@@ -893,7 +957,7 @@ class TestSweepEngine:
 
 def test_a_row_builds_no_record(monkeypatch):
     # the kernel reads h, p1 from bundles._p1 and the constants off the classes
-    expected = verify._verify_chunk((-200, 200))
+    expected = expand_runs(verify._verify_chunk((-200, 200)))
     assert len(expected) == 28 and all(passed for _, _, passed, _ in expected)
 
     def no_record(*args, **kwargs):
@@ -907,7 +971,7 @@ def test_a_row_builds_no_record(monkeypatch):
     for record in (bundles.MilnorBundle, bundles.CharacteristicData,
                    bundles.DiskBundleInvariants):
         monkeypatch.setattr(record, "__init__", no_record)
-    assert verify._verify_chunk((-200, 200)) == expected
+    assert expand_runs(verify._verify_chunk((-200, 200))) == expected
 
 
 def test_each_per_h_check_runs_once_per_row_in_order(monkeypatch):
@@ -921,7 +985,7 @@ def test_each_per_h_check_runs_once_per_row_in_order(monkeypatch):
             return real(h)
 
         monkeypatch.setattr(module, name, logged)
-    rows = verify._verify_chunk((-2000, 2000))
+    rows = expand_runs(verify._verify_chunk((-2000, 2000)))
     admissible = [h for h in range(-2000, 2001) if h * (h - 1) % 56 == 0]
     assert [h for h, _, _, _ in rows] == admissible
     assert all(passed for _, _, passed, _ in rows)
