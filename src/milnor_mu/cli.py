@@ -15,10 +15,6 @@ maps every outcome to them, for this CLI and for both scripts in
 :func:`_render_span`): under ``--parallel N`` this process is worker 0 of N
 and the others are children forked for the call, so for their spans this
 process only adds up the counts and writes finished text.
-
-Only what a command uses is imported for it: ``json`` and ``csv`` by the
-format that writes them (a table loads neither), and ``pickle`` and
-``signal`` by the first pooled sweep, so importing the CLI stays cheap.
 """
 
 from __future__ import annotations
@@ -175,12 +171,13 @@ def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
 
 
 def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
-    """The csv text of ``rows``; every csv line the CLI writes is made here."""
-    import csv  # here, not at the top: only csv output needs it
+    """The csv text of ``rows``; every csv line the CLI writes is made here.
 
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    return text.getvalue()
+    No cell needs quoting: each is an int, an exact fraction, a name, a
+    lowercase boolean, empty, or a ';'-joined list of those, so none holds a
+    comma, a quote or a line break.
+    """
+    return "".join(",".join(cells) + "\n" for cells in rows)
 
 
 def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
@@ -261,8 +258,6 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     h_min, h_max = args.h_range
     fmt = args.format
-    if fmt == "json":  # before _map_spans forks, so that no child imports it again
-        import json
     spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
     header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
     if fmt == "csv":
@@ -278,11 +273,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             kept.extend(chunk)
         elif chunk:  # json: a separator and the span's rows; no text for a span with no rows
             kept += [",\n" if kept else "\n", chunk]
-    if fmt == "json":  # the kept text goes, piece by piece, where json.dumps put the empty list
-        head, _, tail = json.dumps({"h_min": h_min, "h_max": h_max, "checked": checked,
-                                    "passed": checked - failed, "failed": failed, "rows": []},
-                                   indent=2).rpartition("[]")
-        sys.stdout.writelines([head, "[", *kept, "\n  ]" if kept else "]", tail, "\n"])
+    if fmt == "json":  # laid out as json.dumps(..., indent=2) lays it out
+        head = (f'{{\n  "h_min": {h_min},\n  "h_max": {h_max},\n  "checked": {checked},\n'
+                f'  "passed": {checked - failed},\n  "failed": {failed},\n  "rows": [')
+        sys.stdout.writelines([head, *kept, "\n  ]" if kept else "]", "\n}\n"])
     else:
         if fmt == "table":
             _emit_table(header, kept)
@@ -314,7 +308,7 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
             chunk += [f"{h},{h % 56},{tail}" for h in hs]
         elif fmt == "json":
             chunk += [f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
-                      f"    {tail}\n    }}" for h in hs]
+                      f"{tail}\n    }}" for h in hs]
         else:
             chunk += [[str(h), str(h % 56), *tail] for h in hs]
     if fmt != "table":
@@ -324,12 +318,11 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
 
 def _render_tail(fmt: str, verdict: str, passed: bool, mu: tuple[int, ...]) -> str | list[str]:
     members = [str(v.rep) for v in _expand(mu)]
-    if fmt == "json":
-        import json  # loaded already: _cmd_verify imports it before the sweep forks
-
-        # the last three members of a row object, indented as json.dumps puts them
-        text = json.dumps({"mu_quotient": members, "verdict": verdict, "pass": passed}, indent=2)
-        return text[2:-2].replace("\n", "\n    ")
+    if fmt == "json":  # a row object's last three members, laid out as json.dumps lays them out;
+        # no member (an exact fraction) or verdict (a name) needs escaping
+        values = ",\n".join(f'        "{m}"' for m in members)
+        return (f'      "mu_quotient": [\n{values}\n      ],\n      "verdict": "{verdict}",\n'
+                f'      "pass": {_flat(passed)}')
     cells = [";".join(members), verdict, _flat(passed)]
     return cells if fmt == "table" else _csv_lines([cells])
 

@@ -35,7 +35,12 @@ class DoubleAmbiguityError(ValueError):
 
 
 def reduce_mod_z(q: Fraction | int) -> "ResidueModZ":
-    """Canonical representative of ``q`` mod 1, as a fraction in [0, 1)."""
+    """Canonical representative of ``q`` mod 1, as a fraction in [0, 1).
+
+    Raises :class:`TypeError` unless ``q`` is an int or a Fraction.
+    """
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"q must be an int or a Fraction, got {type(q).__name__}")
     return ResidueModZ(Fraction(q) % 1)
 
 

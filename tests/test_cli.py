@@ -11,10 +11,11 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_faults import FAULTS, closed_form_off_by_one, fork_only, oracle_off_on_odd_h
 
@@ -29,6 +30,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rewritten(text):
+    """``text`` cut at its line breaks and commas and written again by ``csv.writer``.
+
+    It equals ``text`` when no cell needs quoting, as the CLI's csv assumes.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(line.split(",") for line in text.splitlines())
+    return out.getvalue()
 
 
 class TestInvariants:
@@ -104,9 +115,11 @@ def test_records_of_an_h_past_half_the_digit_limit_print(capsys, fmt, h):
     code, out, err = run_cli(capsys, "invariants", "--h", str(h), "--format", fmt)
     assert (code, err) == (0, "")
     assert all_digits((2 * (2 * h - 1)) ** 2) in out
+    assert fmt != "csv" or csv_rewritten(out) == out
     code, out, err = run_cli(capsys, "quotient", "--h", str(h), "--format", fmt)
     assert (code, err) == (0, "")
     assert all_digits(abs(2 * h - 1)) + "/16" in out
+    assert fmt != "csv" or csv_rewritten(out) == out
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -218,9 +231,9 @@ class TestVerify:
         assert (code, err) == (0, "checked 0  passed 0  failed 0\n")
         code, out, _ = run_cli(capsys, "verify", "--h-range", "2..7", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {
+        assert out == json.dumps({
             "h_min": 2, "h_max": 7, "checked": 0, "passed": 0, "failed": 0, "rows": []
-        }
+        }, indent=2) + "\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])  # 1 is the least count accepted
     def test_parallel_output_matches_sequential(self, capsys, monkeypatch, workers):
@@ -323,6 +336,7 @@ class TestCliContract:
         code_b, out_b, _ = run_cli(capsys, *argv)
         assert code_a == code_b == 0
         assert out_a == out_b
+        assert "csv" not in argv or csv_rewritten(out_a) == out_a
 
     def test_json_round_trips(self, capsys):
         for argv in (
@@ -355,7 +369,9 @@ class TestFormatsAgree:
         argv = [command, "--h", str(h), "--format"]
         record = json.loads(stdout_of(*argv, "json"))
         flat = [cli._flat(value) for value in record.values()]
-        assert list(csv.reader(io.StringIO(stdout_of(*argv, "csv")))) == [list(record), flat]
+        text = stdout_of(*argv, "csv")
+        assert list(csv.reader(io.StringIO(text))) == [list(record), flat]
+        assert csv_rewritten(text) == text
         table = stdout_of(*argv, "table").splitlines()
         assert [(line[:22].lstrip(), line[24:]) for line in table] == list(zip(record, flat))
 
@@ -367,7 +383,9 @@ class TestFormatsAgree:
         header = list(cases[0])
         assert all(list(case) == header for case in cases)
         cells = [[cli._flat(value) for value in case.values()] for case in cases]
-        assert list(csv.reader(io.StringIO(stdout_of(*argv, "csv")))) == [header, *cells]
+        text = stdout_of(*argv, "csv")
+        assert list(csv.reader(io.StringIO(text))) == [header, *cells]
+        assert csv_rewritten(text) == text
         table = stdout_of(*argv, "table").splitlines()
         assert [line.split() for line in table] == [header, *cells]
 
@@ -480,7 +498,9 @@ class TestVerifyBytes:
         inject(monkeypatch)
         expected = render_verify(verify_range(*window), *window, fmt)
         assert expected[2] == 2
-        assert run_verify(capsys, window, fmt, workers) == expected
+        out, err, code = run_verify(capsys, window, fmt, workers)
+        assert (out, err, code) == expected
+        assert fmt != "csv" or csv_rewritten(out) == out
 
     @pytest.mark.parametrize(
         "window, workers, spans",
@@ -524,6 +544,28 @@ class TestVerifyBytes:
         expected = expected_verify(window, fmt)
         monkeypatch.setattr(verify, "VerifyRow", no_rows)
         assert run_verify(capsys, window, fmt, None) == expected
+
+
+VERDICTS = ["RP7", "RP7#14M2", "derivation_mismatch", "dichotomy_violation"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VERDICTS), st.booleans(),
+       st.lists(st.integers(0, 223), min_size=1, max_size=2, unique=True).map(sorted),
+       st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=3))
+@example("RP7", True, [0, 112], [8])  # whole members: "0" and "1/2"
+@example("RP7", True, [0], [8])
+def test_json_rows_are_laid_out_as_json_dumps_lays_them_out(verdict, passed, pair, hs):
+    outcome = verdict, passed, tuple(pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_verify_chunk", lambda span: ((outcome, hs),))
+        checked, failed, chunk = cli._render_span("json", (hs[0], hs[-1]))
+    mu = [str(Fraction(v, 224)) for v in pair]
+    rows = [{"h": h, "residue_class": h % 56, "mu_quotient": mu, "verdict": verdict,
+             "pass": passed} for h in hs]
+    text = json.dumps({"rows": rows}, indent=2)  # the rows at their depth in verify's payload
+    assert (checked, failed) == (len(hs), 0 if passed else len(hs))
+    assert chunk == text[len('{\n  "rows": [\n'):-len("\n  ]\n}")]
 
 
 README_PATH = Path(__file__).resolve().parent.parent / "README.md"
@@ -578,7 +620,8 @@ SRC_PATH = Path(__file__).resolve().parent.parent / "src"
 #: Modules whose import would make every CLI start slower: ``dataclasses``
 #: pulls in ``inspect``, and ``typing`` and ``concurrent.futures`` cost
 #: milliseconds each; ``pickle`` and ``signal`` are imported on the first
-#: pooled sweep only, and ``json`` and ``csv`` by the format that writes each.
+#: pooled sweep only, ``json`` by the json records of the other commands
+#: (``verify`` writes its json by template), and ``csv`` never.
 SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures", "pickle", "signal",
                 "json", "csv")
 
@@ -616,10 +659,11 @@ def test_a_pooled_sweep_loads_no_pool_module():
     "argv, loaded",
     [
         (["cases", "--k-range", "0..3"], ""),
-        (["verify", "--h-range", "-56..56", "--format", "csv"], "csv"),
+        (["verify", "--h-range", "-56..56", "--format", "csv"], ""),
+        (["verify", "--h-range", "-56..56", "--format", "json"], ""),
         (["quotient", "--h", "8", "--format", "json"], "json"),
     ],
-    ids=["table", "csv", "json"],
+    ids=["table", "csv", "verify-json", "json"],
 )
 def test_each_format_loads_only_its_own_writer(argv, loaded):
     code = (
@@ -634,9 +678,9 @@ def test_each_format_loads_only_its_own_writer(argv, loaded):
 
 
 @fork_only
-def test_a_pooled_json_sweep_imports_json_before_it_forks():
-    # every span, this process's and the child's, is rendered with json loaded,
-    # so the child inherits it and imports nothing
+def test_a_pooled_json_sweep_renders_every_span_without_json():
+    # every span, this process's and the child's, is rendered with json absent,
+    # and the finished output is written without it too
     code = """if 1:
         import sys; sys.path.insert(0, sys.argv[1])
         from milnor_mu import cli, verify
@@ -644,12 +688,14 @@ def test_a_pooled_json_sweep_imports_json_before_it_forks():
         real = cli._render_span
 
         def render(fmt, span):
-            assert "json" in sys.modules, "a span was rendered before json was imported"
+            assert "json" not in sys.modules, "a span was rendered with json loaded"
             return real(fmt, span)
 
         cli._render_span = render
-        sys.exit(cli.main(["verify", "--h-range", "-3000..3000", "--format", "json",
-                           "--parallel", "2"]))
+        code = cli.main(["verify", "--h-range", "-3000..3000", "--format", "json",
+                         "--parallel", "2"])
+        assert "json" not in sys.modules, "the sweep loaded json"
+        sys.exit(code)
     """
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH)],

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -121,10 +122,16 @@ class TestFastPathEdges:
         assert reduce_mod_z(_SubFraction(7, 3)) == res(1, 3)
         assert type(reduce_mod_z(_SubFraction(7, 3)).rep) is Fraction
 
-    def test_non_fraction_inputs_of_reduce_mod_z_are_converted(self):
+    def test_int_inputs_are_converted(self):
         assert reduce_mod_z(7) == res(0)
-        assert reduce_mod_z("-15/32") == res(17, 32)
-        assert reduce_mod_z(2.25) == res(1, 4)
+        assert reduce_mod_z(-15) == res(0)
+        assert ambiguous(-15) == AmbiguousResidue.of(res(0))
+
+    @pytest.mark.parametrize("q", [2.25, 0.1, "-15/32", "1/3", Decimal("0.25")])
+    @pytest.mark.parametrize("convert", [reduce_mod_z, ambiguous])
+    def test_float_str_or_decimal_input_is_a_type_error(self, convert, q):
+        with pytest.raises(TypeError, match=f"got {type(q).__name__}"):
+            convert(q)
 
     @pytest.mark.parametrize("rep", [0, 1, True, 0.5, "1/2", None])
     def test_non_fraction_rep_is_a_type_error(self, rep):
