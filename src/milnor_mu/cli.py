@@ -11,10 +11,14 @@ One runner, :func:`_run`, parses the command line, runs the command and
 maps every outcome to them, for this CLI and for both scripts in
 ``scripts/``; each entry point's ``main`` returns the status it gives.
 
-``verify`` renders each span of its range where the span is decided (see
+``verify`` handles each span of its range where the span is decided (see
 :func:`_render_span`): under ``--parallel N`` this process is worker 0 of N
-and the others are children forked for the call, so for their spans this
-process only adds up the counts and writes finished text.
+and the others are children forked for the call.  A span comes back as its
+counts and either its csv text, written as it arrives, or its runs of equal
+outcome, three values a run, from which json and table write every row once
+the last span is in; so no format keeps a row until the end.  A row is its h
+as text followed by one of four suffixes per outcome, one per residue of h
+mod 56 (see :func:`_render_runs`).
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
+import operator
 import os
 import re
 import sys
@@ -37,14 +43,19 @@ from .bundles import (
     theta7_class,
 )
 from .quotient import DichotomyViolationError, classify_quotient
-from .verify import (_SCAN_LIMIT, Case, CoverageError, _expand, _map_spans, _verify_chunk,
-                     check_case, enumerate_residues)
+from .verify import (_SCAN_LIMIT, Case, CoverageError, _admissible, _expand, _map_spans,
+                     _verify_chunk, check_case, enumerate_residues)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION_FAILED = 2
 EXIT_INTERRUPTED = 128 + 2  # killed by SIGINT (2), as the shell reports it
 EXIT_STDOUT_CLOSED = 128 + 13  # killed by SIGPIPE (13), as the shell reports it
+
+#: The residues of an admissible h mod 56, in the order that consecutive
+#: admissible h take them: h = 56k + r for each r in turn, then k + 1.
+_RESIDUES = tuple(case.h_residue for case in Case)
+_CYCLE_AT = {r: i for i, r in enumerate(_RESIDUES)}  # the place of each in that order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +182,9 @@ def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
 
 
 def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
-    """The csv text of ``rows``; every csv line the CLI writes is made here.
+    """The csv text of ``rows``; every csv line the CLI writes is made here,
+    but for the h and its comma that :func:`_render_runs` puts before each
+    ``verify`` row.
 
     No cell needs quoting: each is an int, an exact fraction, a name, a
     lowercase boolean, empty, or a ';'-joined list of those, so none holds a
@@ -256,6 +269,15 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """Sweep ``--h-range`` and write its rows from the runs of each span.
+
+    The spans come from :func:`_render_span`, in h order.  csv writes each
+    span's lines as it arrives.  json needs the counts before its rows, and
+    table the widest cell of each column before its first row, so for those
+    only each span's runs are kept, three values a run, and the rows are
+    written span by span from them once every span is in: memory grows with
+    the number of runs, not of rows.
+    """
     h_min, h_max = args.h_range
     fmt = args.format
     spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
@@ -263,68 +285,137 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if fmt == "csv":
         _emit(fmt, None, header)
     checked = failed = 0
-    kept = []  # json needs the counts first, table every row for its widths
+    span_runs = []  # json and table: the runs of each span with rows
     for span_checked, span_failed, chunk in spans:
         checked += span_checked
         failed += span_failed
-        if fmt == "csv":  # csv writes each span as it arrives
+        if fmt == "csv":
             sys.stdout.write(chunk)
-        elif fmt == "table":
-            kept.extend(chunk)
-        elif chunk:  # json: a separator and the span's rows; no text for a span with no rows
-            kept += [",\n" if kept else "\n", chunk]
+        elif chunk:
+            span_runs.append(chunk)
+    tails, h_width = {}, None
     if fmt == "json":  # laid out as json.dumps(..., indent=2) lays it out
-        head = (f'{{\n  "h_min": {h_min},\n  "h_max": {h_max},\n  "checked": {checked},\n'
-                f'  "passed": {checked - failed},\n  "failed": {failed},\n  "rows": [')
-        sys.stdout.writelines([head, *kept, "\n  ]" if kept else "]", "\n}\n"])
+        sys.stdout.write(f'{{\n  "h_min": {h_min},\n  "h_max": {h_max},\n  "checked": {checked},\n'
+                         f'  "passed": {checked - failed},\n  "failed": {failed},\n  "rows": [')
+    elif fmt == "table":
+        widths, tails = _table_layout(header, span_runs)
+        h_width = widths[0]
+        print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    for i, runs in enumerate(span_runs):
+        if fmt == "json":  # a newline before the first row, a separator before the rest
+            sys.stdout.write(",\n" if i else "\n")
+        sys.stdout.write(_render_runs(fmt, runs, tails, h_width))
+    if fmt == "json":
+        sys.stdout.write("\n  ]\n}\n" if span_runs else "]\n}\n")
     else:
-        if fmt == "table":
-            _emit_table(header, kept)
         print(f"checked {checked}  passed {checked - failed}  failed {failed}", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
 
 
-def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[list[str]]]:
-    """Decide one span of ``verify`` and render its rows: (checked, failed, chunk).
+def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[tuple]]:
+    """Decide one span of ``verify``: (checked, failed, chunk).
 
     It runs where the span is decided: under ``--parallel``, this process
     for the spans of worker 0 and a forked child for the others, so the
-    children send back only counts and text.  The chunk is the csv lines,
-    the json row objects joined by ``",\n"`` at their indentation in the
-    whole payload, or the table cells.  One pass over the span's runs
-    counts the failed rows and renders them all: a row's tail (value set,
-    verdict, pass) is rendered once per distinct outcome in the span, and
-    each run's rows in one comprehension over its h.
+    children send back only counts and a chunk.  The counts are sums of run
+    lengths.  The span's runs, those of :func:`_verify_chunk`, are kept as
+    ``(outcome, first_h, last_h)``: for json and table they are the chunk,
+    which :func:`_cmd_verify` renders once every span is in; for csv the
+    chunk is the span's lines, rendered here by :func:`_render_runs` from
+    the h that :func:`_verify_chunk` listed.
     """
-    tails, checked, failed, chunk = {}, 0, 0, []
-    for outcome, hs in _verify_chunk(span):
-        tail = tails.get(outcome)
-        if tail is None:
-            tail = tails[outcome] = _render_tail(fmt, *outcome)
+    runs = _verify_chunk(span)
+    checked = failed = 0
+    for (_, passed, _), hs in runs:
         checked += len(hs)
-        if not outcome[1]:  # the run failed
+        if not passed:
             failed += len(hs)
-        if fmt == "csv":
-            chunk += [f"{h},{h % 56},{tail}" for h in hs]
-        elif fmt == "json":
-            chunk += [f'    {{\n      "h": {h},\n      "residue_class": {h % 56},\n'
-                      f"{tail}\n    }}" for h in hs]
-        else:
-            chunk += [[str(h), str(h % 56), *tail] for h in hs]
-    if fmt != "table":
-        chunk = ("" if fmt == "csv" else ",\n").join(chunk)
-    return checked, failed, chunk
+    ends = [(outcome, hs[0], hs[-1]) for outcome, hs in runs]
+    if fmt == "csv":
+        lists = {hs[0]: hs for _, hs in runs}
+        return checked, failed, _render_runs(fmt, ends, {}, hs_of=lambda first, last: lists[first])
+    return checked, failed, ends
 
 
-def _render_tail(fmt: str, verdict: str, passed: bool, mu: tuple[int, ...]) -> str | list[str]:
-    members = [str(v.rep) for v in _expand(mu)]
-    if fmt == "json":  # a row object's last three members, laid out as json.dumps lays them out;
-        # no member (an exact fraction) or verdict (a name) needs escaping
-        values = ",\n".join(f'        "{m}"' for m in members)
-        return (f'      "mu_quotient": [\n{values}\n      ],\n      "verdict": "{verdict}",\n'
-                f'      "pass": {_flat(passed)}')
-    cells = [";".join(members), verdict, _flat(passed)]
-    return cells if fmt == "table" else _csv_lines([cells])
+def _render_runs(fmt: str, runs: Iterable[tuple[tuple, int, int]], tails: dict,
+                 h_width: int | None = None,
+                 hs_of: Callable[[int, int], list[int]] = _admissible) -> str:
+    """The rows of ``runs`` ``(outcome, first_h, last_h)``, each of consecutive admissible h.
+
+    A row is its h as text, left-justified to ``h_width`` in a table,
+    followed by one of the four suffixes of its outcome, kept in ``tails``
+    (:func:`_render_tail` gives those of csv and json as they are first
+    met): h mod 56 steps through 0, 1, 8, 49 from one admissible h to the
+    next, so a run's suffixes cycle from its first h's.  A run of one h is
+    one row; a longer run's h are ``hs_of(first_h, last_h)``.  csv and table
+    rows are lines; json rows are objects at their depth in ``verify``'s
+    payload, joined by ``",\n"``.
+    """
+    opener, sep = ('    {\n      "h": ', ",\n") if fmt == "json" else ("", "")
+    texts = []
+    for outcome, first, last in runs:
+        suffixes = tails.get(outcome)
+        if suffixes is None:  # twice over, so that four in a row start at any residue
+            suffixes = tails[outcome] = 2 * _render_tail(fmt, *outcome)
+        i = _CYCLE_AT[first % 56]
+        if first == last:
+            h = str(first)
+            texts.append(opener + (h if h_width is None else h.ljust(h_width)) + suffixes[i])
+            continue
+        heads = map(str, hs_of(first, last))
+        if h_width is not None:
+            heads = map(str.ljust, heads, itertools.repeat(h_width))
+        rows = map(operator.add, heads, itertools.cycle(suffixes[i:i + 4]))
+        texts.append(opener + (sep + opener).join(rows))
+    return sep.join(texts)
+
+
+def _render_tail(fmt: str, verdict: str, passed: bool, mu: tuple[int, ...]) -> tuple[str, ...]:
+    """What follows h in a csv or json row of one outcome, per residue in ``_RESIDUES``.
+
+    csv: the rest of the line.  json: the rest of the row object, laid out
+    as json.dumps(..., indent=2) lays it out; no member (an exact fraction)
+    or verdict (a name) needs escaping.
+    """
+    if fmt == "csv":
+        cells = _tail_cells(verdict, passed, mu)
+        return tuple("," + _csv_lines([[str(r), *cells]]) for r in _RESIDUES)
+    values = ",\n".join(f'        "{v.rep}"' for v in _expand(mu))
+    tail = (f'      "mu_quotient": [\n{values}\n      ],\n      "verdict": "{verdict}",\n'
+            f'      "pass": {_flat(passed)}\n    }}')
+    return tuple(f',\n      "residue_class": {r},\n{tail}' for r in _RESIDUES)
+
+
+def _tail_cells(verdict: str, passed: bool, mu: tuple[int, ...]) -> list[str]:
+    """The value set, verdict and pass cells of a csv or table row of one outcome."""
+    return [";".join(str(v.rep) for v in _expand(mu)), verdict, _flat(passed)]
+
+
+def _table_layout(header: list[str], span_runs: list[list[tuple]]) -> tuple[list[int], dict]:
+    """``verify``'s table column widths over runs ``(outcome, first_h, last_h)``, and its tails.
+
+    Each width is the widest of its title and its cells.  Within a run of
+    ascending h, ``len(str(h))`` peaks at an end; a residue cell, two digits
+    at most, is narrower than its title; and a run's tail cells are its
+    outcome's.  The tails are each outcome's row suffixes for
+    :func:`_render_runs`: the line after h, its trailing blanks stripped,
+    which are the pass cell's alone, since that cell is never blank.
+    """
+    cells = {}
+    h_width = len(header[0])
+    for runs in span_runs:
+        for outcome, first, last in runs:
+            if outcome not in cells:
+                cells[outcome] = _tail_cells(*outcome)
+            h_width = max(h_width, len(str(first)), len(str(last)))
+    widths = [h_width, len(header[1])]
+    widths += [max([len(title), *(len(row[i]) for row in cells.values())])
+               for i, title in enumerate(header[2:])]
+    tails = {}
+    for outcome, row in cells.items():
+        tail = "  ".join(c.ljust(w) for c, w in zip(row, widths[2:])).rstrip()
+        tails[outcome] = 2 * tuple(f"  {str(r).ljust(widths[1])}  {tail}\n" for r in _RESIDUES)
+    return widths, tails
 
 
 _COMMANDS = {

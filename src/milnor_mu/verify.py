@@ -21,14 +21,16 @@ A span is decided by :func:`_verify_chunk`, one loop that per admissible h
 calls the oracle and the kernel once each, and the kernel its closed form
 and p1 once each.  It gives the span as runs: each run is one outcome
 (verdict, pass, the oracle's value set as its sorted pair at scale 224) and
-the consecutive h that share it, so a span with no fault is one run.  The
+the consecutive h that share it, so a span with no fault is one run; the
+outcome is worked out again only where the oracle's or the kernel's answer
+changes from one h to the next.  The
 oracle's pair, the closed form and the assembly are each an integer
 polynomial taken mod 224 or 1792, so each is looked up by its residue in a
 cache of at most 224 or 1792 entries; the calls that read h, the
 comparisons and the verdict still run per h.  The admissible h are stepped
 as h = 56k + r, with 56 | r(r-1) checked once per residue r.
 :func:`verify_range` expands the runs into :class:`VerifyRow` objects; the
-``verify`` command renders each span where it is decided, one run at a time.
+``verify`` command renders each run's rows from its outcome and its ends.
 """
 
 from __future__ import annotations
@@ -306,7 +308,7 @@ class VerifyRow(Record):
 #: A run of a sweep span: ((verdict, passed, (a, b)), hs), the outcome that
 #: the rows of the consecutive admissible h in hs share, (a, b) the oracle's
 #: value set {a/224, b/224}.  The outcome holds strs, bools and ints only, so
-#: it is hashable: ``cli._render_span`` keys the text it renders on it.
+#: it is hashable: ``cli._render_runs`` keys the text it renders on it.
 _Run = tuple[tuple[str, bool, tuple[int, int]], list[int]]
 
 
@@ -522,31 +524,48 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_Run, ...]:
     The oracle, the target and the kernel are read from this module once
     per call, so a fault patched into any of them is seen.  Per h the loop
     calls the oracle and the kernel, which calls the closed form and p1 and
-    gives the verdict string, once each; nothing else but the per-residue
-    lookups of their formulas.  A row passes when the oracle's pair is the
-    target, the kernel's is it at scale 1792 and the verdict is RP7.  A
-    kernel fault fails its row, named in the verdict.  A new run starts
-    only where the outcome changes, so no two runs in a row share one: a
-    span with no fault is one run, and a fault at one h inside it three.
+    gives the verdict string, once each, with that h; nothing else but the
+    per-residue lookups of their formulas.  A row passes when the oracle's
+    pair is the target, the kernel's is it at scale 1792 and the verdict is
+    RP7.  A kernel fault fails its row, named in the verdict.  The outcome
+    is a function of the oracle's pair and the kernel's answer (its pair and
+    verdict, or the verdict named for the exception it raised), so it is
+    worked out again only where either differs from the previous h's: a new
+    pair starts a new run at once, since the outcome holds the pair, and a
+    new answer only if its outcome differs.  So no two runs in a row share
+    an outcome: a span with no fault is one run, and a fault at one h inside
+    it three.
     """
     oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
     scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
     runs = []
-    outcome = hs = None
+    outcome = hs = pair = answer = None
     for h in _admissible(*span):
-        pair = oracle(h)
+        h_pair = oracle(h)
         try:
-            scaled, verdict = kernel(h)
+            h_answer = kernel(h)
         except DerivationMismatch:
-            row = "derivation_mismatch", False, pair
+            h_answer = None, "derivation_mismatch"
         except DichotomyViolationError:
-            row = "dichotomy_violation", False, pair
-        else:  # once pair == target, the kernel agrees with the oracle iff it gives scaled_target
+            h_answer = None, "dichotomy_violation"
+        if h_pair != pair:  # another pair, so another outcome
+            pair, answer = h_pair, h_answer
+        elif h_answer != answer:  # another answer, maybe the same outcome
+            answer = h_answer
+            scaled, verdict = answer
             row = verdict, pair == target and scaled == scaled_target and verdict == "RP7", pair
-        if row != outcome:
-            outcome, hs = row, []
-            runs.append((outcome, hs))
-        hs.append(h)
+            if row == outcome:
+                hs.append(h)
+                continue
+        else:
+            hs.append(h)
+            continue
+        # once pair == target, the kernel agrees with the oracle iff it gives
+        # scaled_target; scaled is None where the kernel raised
+        scaled, verdict = answer
+        outcome = verdict, pair == target and scaled == scaled_target and verdict == "RP7", pair
+        hs = [h]
+        runs.append((outcome, hs))
     return tuple(runs)
 
 

@@ -507,7 +507,7 @@ class TestVerifyBytes:
         [
             (PARTIAL_WINDOW, None, 1),
             (WINDOWS[0], None, 4),
-            # each span is rendered in the process that decides it: of the two
+            # a csv span is rendered in the process that decides it: of the two
             # spans, this process decides the first and a child the second
             pytest.param(PARTIAL_WINDOW, 2, 1, marks=fork_only),
         ],
@@ -516,6 +516,8 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
     def test_renders_each_value_set_once_per_span(self, capsys, monkeypatch, odd_h_fault,
                                                   value_sets, fmt, window, workers, spans):
+        # json and table render every span here, from its runs, and each value
+        # set once in the whole sweep
         if odd_h_fault:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
@@ -526,7 +528,8 @@ class TestVerifyBytes:
 
         monkeypatch.setattr(cli, "_expand", counted)
         run_verify(capsys, window, fmt, workers)
-        assert sorted(Counter(calls).values()) == [spans] * (value_sets if spans else 0)
+        per_value_set = spans if fmt == "csv" else 1
+        assert sorted(Counter(calls).values()) == [per_value_set] * value_sets
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):
@@ -552,14 +555,17 @@ VERDICTS = ["RP7", "RP7#14M2", "derivation_mismatch", "dichotomy_violation"]
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(VERDICTS), st.booleans(),
        st.lists(st.integers(0, 223), min_size=1, max_size=2, unique=True).map(sorted),
-       st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=3))
-@example("RP7", True, [0, 112], [8])  # whole members: "0" and "1/2"
-@example("RP7", True, [0], [8])
-def test_json_rows_are_laid_out_as_json_dumps_lays_them_out(verdict, passed, pair, hs):
+       st.integers(-(10**30), 10**30), st.integers(1, 5))
+@example("RP7", True, [0, 112], 8, 1)  # whole members: "0" and "1/2"
+@example("RP7", True, [0], 8, 1)
+def test_json_rows_are_laid_out_as_json_dumps_lays_them_out(verdict, passed, pair, start, count):
     outcome = verdict, passed, tuple(pair)
+    hs = verify._admissible(start, start + 2 * 56)[:count]  # consecutive admissible h
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_verify_chunk", lambda span: ((outcome, hs),))
-        checked, failed, chunk = cli._render_span("json", (hs[0], hs[-1]))
+        checked, failed, runs = cli._render_span("json", (hs[0], hs[-1]))
+    assert runs == [(outcome, hs[0], hs[-1])]
+    chunk = cli._render_runs("json", runs, {})
     mu = [str(Fraction(v, 224)) for v in pair]
     rows = [{"h": h, "residue_class": h % 56, "mu_quotient": mu, "verdict": verdict,
              "pass": passed} for h in hs]
@@ -842,6 +848,73 @@ def test_a_closed_pipe_ends_a_pooled_sweep_and_its_children(tmp_path):
     assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
     with pytest.raises(ProcessLookupError):  # no process of its session is left
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("workers", [None, pytest.param(2, marks=fork_only)])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_json_or_table_sweep_read_by_head_1_exits_141_quietly(tmp_path, fmt, workers):
+    # json and table write their rows once every span is in, more than a pipe
+    # holds here; the reader leaves after the first line
+    argv = two_cpu_cli("verify", "--h-range", "-100000..100000", "--format", fmt)
+    if workers:
+        argv += ["--parallel", str(workers)]
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, start_new_session=True)
+        try:
+            assert proc.stdout.readline() == (b"{\n" if fmt == "json" else
+                                               b"h       residue_class  mu_quotient_set  "
+                                               b"verdict  pass\n")
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+    assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
+
+
+#: A cap on the address space of one child, in bytes.  A sweep over
+#: -2000000..2000000 (285,716 rows) peaks near 17 MB of address space in
+#: json and in table, where each kept only its runs until the writer; when
+#: every row was kept until then, it peaked at 63 MB in json and 95 MB in
+#: table (Python 3.11, Linux).
+ADDRESS_SPACE_CAP = 40 << 20
+
+
+def admissible_count(lo, hi):
+    """The number of h in [lo, hi] with 56 | h(h-1), counted per residue class mod 56."""
+    return sum((hi - r) // 56 - (lo - 1 - r) // 56 for r in (0, 1, 8, 49))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space as measured here on Linux only")
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_wide_sweep_writes_json_and_table_in_bounded_memory(tmp_path, fmt):
+    # the cap is set in the child alone, before it imports the program
+    code = ("import resource, sys; cap = int(sys.argv[2]); "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "sys.path.insert(0, sys.argv[1]); from milnor_mu.cli import main; "
+            "sys.exit(main(sys.argv[3:]))")
+    argv = [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH), str(ADDRESS_SPACE_CAP),
+            "verify", "--h-range", "-2000000..2000000", "--format", fmt]
+    with open(tmp_path / "stdout", "wb") as out:
+        done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, timeout=120)
+    rows = admissible_count(-2000000, 2000000)
+    summary = f"checked {rows}  passed {rows}  failed 0\n".encode()
+    assert (done.returncode, done.stderr) == (0, b"" if fmt == "json" else summary)
+    text = (tmp_path / "stdout").read_text()
+    if fmt == "json":
+        assert text.startswith(f'{{\n  "h_min": -2000000,\n  "h_max": 2000000,\n'
+                               f'  "checked": {rows},\n  "passed": {rows},\n  "failed": 0,\n')
+        assert text.count('"h": ') == rows and text.endswith("\n  ]\n}\n")
+    else:
+        lines = text.splitlines()
+        first = next(h for h in range(-2000000, 2000001) if h * (h - 1) % 56 == 0)
+        last = next(h for h in range(2000000, -2000001, -1) if h * (h - 1) % 56 == 0)
+        assert len(lines) == rows + 1
+        assert [lines[1], lines[-1]] == [f"{h:<8}  {h % 56:<13}  1/32;31/32       RP7      true"
+                                         for h in (first, last)]
 
 
 @pytest.mark.usefixtures("time_limit")

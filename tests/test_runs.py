@@ -11,10 +11,13 @@ import functools
 from fractions import Fraction
 
 import pytest
-from test_cli import render_verify, run_verify
-from test_faults import FAULTS, ONLY_H_FAULTS, WINDOW, WORKERS, expand_runs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli import VERIFY_HEADER, render_verify, run_verify
+from test_faults import (FAULTS, ONLY_H_FAULTS, WINDOW, WORKERS, expand_runs,
+                         oracle_off_on_odd_h)
 
-from milnor_mu import quotient, verify
+from milnor_mu import cli, quotient, verify
 from milnor_mu.bundles import DerivationMismatch
 from milnor_mu.quotient import DichotomyViolationError
 from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
@@ -93,3 +96,76 @@ def test_verify_output_equals_the_rendered_per_h_rows(capsys, monkeypatch, fault
     expected = render_verify(reference_verify_rows(per_h_rows(*WINDOW)), *WINDOW, fmt)
     assert expected[2] == (0 if fault is None else 2)
     assert run_verify(capsys, WINDOW, fmt, workers) == expected
+
+
+def per_h_text(rows, fmt):
+    """``verify``'s rows for ``rows`` (h, verdict, passed, pair), rendered h by h.
+
+    csv lines, json row objects joined by ``",\n"`` at their depth in the
+    payload, or table lines at the widths of these rows and the header.
+    """
+    cells = [(h, h % 56, [str(Fraction(v, 224)) for v in pair], verdict,
+              "true" if passed else "false") for h, verdict, passed, pair in rows]
+    if fmt == "csv":
+        return "".join(f"{h},{r},{';'.join(mu)},{verdict},{ok}\n"
+                       for h, r, mu, verdict, ok in cells)
+    if fmt == "json":
+        return ",\n".join(
+            f'    {{\n      "h": {h},\n      "residue_class": {r},\n      "mu_quotient": [\n'
+            + ",\n".join(f'        "{m}"' for m in mu)
+            + f'\n      ],\n      "verdict": "{verdict}",\n      "pass": {ok}\n    }}'
+            for h, r, mu, verdict, ok in cells)
+    texts = [[str(h), str(r), ";".join(mu), verdict, ok] for h, r, mu, verdict, ok in cells]
+    w = [max(len(row[i]) for row in [VERIFY_HEADER, *texts]) for i in range(5)]
+    return "".join(f"{h:<{w[0]}}  {r:<{w[1]}}  {mu:<{w[2]}}  {verdict:<{w[3]}}  {ok:<{w[4]}}"
+                   .rstrip() + "\n" for h, r, mu, verdict, ok in texts)
+
+
+def rendered_span(fmt, span):
+    """(checked, failed, text) of ``span`` through ``cli._render_span`` and, for
+    json and table, the writer's renderers, as ``verify`` writes it."""
+    checked, failed, chunk = cli._render_span(fmt, span)
+    if fmt == "json":
+        chunk = cli._render_runs(fmt, chunk, {})
+    elif fmt == "table":
+        widths, tails = cli._table_layout(VERIFY_HEADER, [chunk] if chunk else [])
+        chunk = cli._render_runs(fmt, chunk, tails, widths[0])
+    return checked, failed, chunk
+
+
+#: The faults a span is rendered under: none, each only-h one at an h the
+#: test picks in the span, and one whose outcome alternates from h to h.
+SPAN_FAULTS = [None, *sorted(ONLY_H_FAULTS), "oracle_off_on_odd_h"]
+
+#: The multiple of 56 nearest below 10^18, a base of the spans rendered near +-10^18.
+NEAR_1E18 = 10**18 - 10**18 % 56
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SPAN_FAULTS), st.sampled_from([0, -NEAR_1E18, NEAR_1E18]),
+       st.integers(-40, 40), st.sampled_from([0, 1, 8, 49]), st.integers(0, 55),
+       st.integers(0, 300), st.integers(0, 10**6))
+@example(None, 0, 0, 0, 0, 0, 0)  # one-h spans at each starting residue
+@example(None, 0, 0, 1, 0, 0, 0)
+@example(None, -NEAR_1E18, 0, 8, 0, 0, 0)
+@example(None, NEAR_1E18, 0, 49, 0, 0, 0)
+@example("closed_form", 0, -1, 49, 0, 0, 0)  # a faulted one-h span at a negative h
+@example(None, 0, -1, 0, 0, 100, 0)  # -56..44: the first h is the widest
+@example("oracle", -NEAR_1E18, 3, 0, 0, 200, 2)  # a one-h run inside a span
+@example("oracle_off_on_odd_h", NEAR_1E18, -1, 1, 30, 300, 0)  # every run one h long
+def test_a_span_renders_as_its_rows_rendered_h_by_h(fault, base, k, residue, lead, width, pick):
+    # the span holds h0 = base + 56k + residue, base a multiple of 56, so its
+    # first admissible h has that residue when lead is 0, and it is one h wide
+    # when width is 0 too
+    h0 = base + 56 * k + residue
+    span = h0 - lead, h0 + width
+    admissible = [h for h in range(span[0], span[1] + 1) if h * (h - 1) % 56 == 0]
+    with pytest.MonkeyPatch.context() as patch:
+        if fault == "oracle_off_on_odd_h":
+            oracle_off_on_odd_h(patch)
+        elif fault is not None:
+            ONLY_H_FAULTS[fault][0](patch, only_h=admissible[pick % len(admissible)])
+        rows = per_h_rows(*span)
+        failed = sum(1 for _, _, passed, _ in rows if not passed)
+        for fmt in ["csv", "json", "table"]:
+            assert rendered_span(fmt, span) == (len(rows), failed, per_h_text(rows, fmt))
