@@ -61,17 +61,6 @@ def main(argv: list[str] | None = None) -> int:
     return _run(parser, argv, run)
 
 
-def count_span(span: tuple[int, int]) -> tuple[int, int]:
-    """(rows, disagreements) of the oracle-vs-pipeline sweep over span.
-
-    Both are sums of run lengths.  Under ``--parallel`` a child sends these
-    two ints per span, not the runs.
-    """
-    runs = _verify_chunk(span)
-    return (sum(len(hs) for _, hs in runs),
-            sum(len(hs) for (_, passed, _), hs in runs if not passed))
-
-
 def run(args) -> int:
     """All checks at the sizes in ``args``; the exit status."""
     failed = False
@@ -103,8 +92,9 @@ def run(args) -> int:
           f"{sweep.checked} admissible h, {sweep.failed} failures")
     failed = failed or sweep.failed > 0
 
-    rows = bad = 0
-    for span_rows, span_bad in _map_spans(count_span, -args.h_span, args.h_span, args.parallel):
+    rows = bad = 0  # under --parallel a child sends these two counts per span, not the runs
+    for span_rows, span_bad in _map_spans(lambda span: _verify_chunk(span)[:2],
+                                          -args.h_span, args.h_span, args.parallel):
         rows += span_rows
         bad += span_bad
     print(f"oracle-vs-pipeline sweep: {rows} rows, {bad} disagreements")

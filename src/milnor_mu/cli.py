@@ -68,12 +68,12 @@ class _Parser(argparse.ArgumentParser):
 
     # usage problems exit 1; argparse's default of 2 is reserved for
     # verification failures.  The text is best-effort, so that a stderr that
-    # fails to write (fd 2 closed at start, see _run) keeps status 1.
+    # fails to write (closed at start, see _run, or its reader gone) keeps 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         try:
             sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
         except OSError:
-            pass
+            _to_null(sys.stderr)
         sys.exit(EXIT_USAGE)
 
 
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(fmt: str, payload: dict | None, header: list[str] | None = None,
+def _emit(fmt: str, payload: dict, header: list[str] | None = None,
           rows: Iterable[Iterable[object]] = ()) -> None:
     """Write a command's output to stdout in ``fmt``.
 
@@ -194,13 +194,14 @@ def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
 
 
 def _emit_table(header: list[str], cells: Sequence[Sequence[str]]) -> None:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
-        for i in range(len(header))
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    for row in [header, *cells]:
+        print(_table_line(row, widths))
+
+
+def _table_line(cells: Iterable[str], widths: Iterable[int]) -> str:
+    """A table line: each cell left-justified to its width, two blanks apart, none trailing."""
+    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
 
 def _flat(value: object) -> str:
@@ -271,7 +272,8 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Sweep ``--h-range`` and write its rows from the runs of each span.
 
-    The spans come from :func:`_render_span`, in h order.  csv writes each
+    The spans come from :func:`_render_span`, in h order, each with the
+    counts of :func:`_verify_chunk`, which are summed here.  csv writes each
     span's lines as it arrives.  json needs the counts before its rows, and
     table the widest cell of each column before its first row, so for those
     only each span's runs are kept, three values a run, and the rows are
@@ -283,7 +285,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spans = _map_spans(functools.partial(_render_span, fmt), h_min, h_max, args.parallel)
     header = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
     if fmt == "csv":
-        _emit(fmt, None, header)
+        sys.stdout.write(_csv_lines([header]))
     checked = failed = 0
     span_runs = []  # json and table: the runs of each span with rows
     for span_checked, span_failed, chunk in spans:
@@ -300,7 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif fmt == "table":
         widths, tails = _table_layout(header, span_runs)
         h_width = widths[0]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+        print(_table_line(header, widths))
     for i, runs in enumerate(span_runs):
         if fmt == "json":  # a newline before the first row, a separator before the rest
             sys.stdout.write(",\n" if i else "\n")
@@ -317,19 +319,14 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
 
     It runs where the span is decided: under ``--parallel``, this process
     for the spans of worker 0 and a forked child for the others, so the
-    children send back only counts and a chunk.  The counts are sums of run
-    lengths.  The span's runs, those of :func:`_verify_chunk`, are kept as
+    children send back only counts and a chunk.  The counts and runs are
+    those of :func:`_verify_chunk`; the runs are kept as
     ``(outcome, first_h, last_h)``: for json and table they are the chunk,
     which :func:`_cmd_verify` renders once every span is in; for csv the
     chunk is the span's lines, rendered here by :func:`_render_runs` from
     the h that :func:`_verify_chunk` listed.
     """
-    runs = _verify_chunk(span)
-    checked = failed = 0
-    for (_, passed, _), hs in runs:
-        checked += len(hs)
-        if not passed:
-            failed += len(hs)
+    checked, failed, runs = _verify_chunk(span)
     ends = [(outcome, hs[0], hs[-1]) for outcome, hs in runs]
     if fmt == "csv":
         lists = {hs[0]: hs for _, hs in runs}
@@ -413,8 +410,8 @@ def _table_layout(header: list[str], span_runs: list[list[tuple]]) -> tuple[list
                for i, title in enumerate(header[2:])]
     tails = {}
     for outcome, row in cells.items():
-        tail = "  ".join(c.ljust(w) for c, w in zip(row, widths[2:])).rstrip()
-        tails[outcome] = 2 * tuple(f"  {str(r).ljust(widths[1])}  {tail}\n" for r in _RESIDUES)
+        tails[outcome] = 2 * tuple(f"  {_table_line([str(r), *row], widths[1:])}\n"
+                                   for r in _RESIDUES)
     return widths, tails
 
 
@@ -448,10 +445,21 @@ def _stdout_closed() -> bool:
         poller.register(fd, 0)  # POLLERR and POLLHUP are reported unasked
         if not poller.poll(0):
             return False  # the pipe that broke was another stream's, such as stderr
+    _to_null(sys.stdout)
+    return True
+
+
+def _to_null(stream: io.TextIOBase) -> None:
+    """Point the descriptor of ``stream``, where it has one, at the null device,
+    so that the text it failed to write is dropped when the interpreter
+    flushes it at exit, which would otherwise fail again and exit 120."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, as with io.StringIO
+        return
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
-    return True
 
 
 def _run(parser: argparse.ArgumentParser, argv: Sequence[str] | None,
@@ -517,7 +525,7 @@ def _run(parser: argparse.ArgumentParser, argv: Sequence[str] | None,
     try:
         print(f"{parser.prog}: {' '.join(message.split())}", file=sys.stderr)
     except OSError:
-        pass
+        _to_null(sys.stderr)
     return code
 
 

@@ -19,16 +19,16 @@ stream their finished spans back through a pipe each, and hands each
 span's result out in h order as soon as it is decided.
 A span is decided by :func:`_verify_chunk`, one loop that per admissible h
 calls the oracle and the kernel once each, and the kernel its closed form
-and p1 once each.  It gives the span as runs: each run is one outcome
-(verdict, pass, the oracle's value set as its sorted pair at scale 224) and
-the consecutive h that share it, so a span with no fault is one run; the
-outcome is worked out again only where the oracle's or the kernel's answer
-changes from one h to the next.  The
-oracle's pair, the closed form and the assembly are each an integer
-polynomial taken mod 224 or 1792, so each is looked up by its residue in a
-cache of at most 224 or 1792 entries; the calls that read h, the
-comparisons and the verdict still run per h.  The admissible h are stepped
-as h = 56k + r, with 56 | r(r-1) checked once per residue r.
+and p1 once each.  It gives the span's row and failure counts and its runs:
+each run is one outcome (verdict, pass, the oracle's value set as its sorted
+pair at scale 224) and the consecutive h that share it, so a span with no
+fault is one run; the outcome is worked out again only where the oracle's or
+the kernel's answer changes from one h to the next.  The oracle's pair, the
+closed form and the assembly are each an integer polynomial taken mod 224 or
+1792, so each is looked up by its residue in a cache of at most 224 or 1792
+entries; the calls that read h, the comparisons and the verdict still run
+per h.  The admissible h are stepped as h = 56k + r, with 56 | r(r-1)
+checked once per residue r.
 :func:`verify_range` expands the runs into :class:`VerifyRow` objects; the
 ``verify`` command renders each run's rows from its outcome and its ends.
 """
@@ -327,7 +327,7 @@ def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
     expand = functools.cache(_expand)
     return tuple(
         VerifyRow(h, expand(mu), verdict, passed)
-        for runs in _map_spans(_verify_chunk, h_min, h_max)
+        for _, _, runs in _map_spans(_verify_chunk, h_min, h_max)
         for (verdict, passed, mu), hs in runs
         for h in hs
     )
@@ -518,8 +518,8 @@ def _admissible(lo: int, hi: int) -> list[int]:
             + [h for r in residues if (h := last + r) <= hi])
 
 
-def _verify_chunk(span: tuple[int, int]) -> tuple[_Run, ...]:
-    """The runs of the admissible h in span, in one loop.
+def _verify_chunk(span: tuple[int, int]) -> tuple[int, int, list[_Run]]:
+    """(checked, failed, runs) of the admissible h in span, in one loop.
 
     The oracle, the target and the kernel are read from this module once
     per call, so a fault patched into any of them is seen.  Per h the loop
@@ -530,17 +530,18 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_Run, ...]:
     RP7.  A kernel fault fails its row, named in the verdict.  The outcome
     is a function of the oracle's pair and the kernel's answer (its pair and
     verdict, or the verdict named for the exception it raised), so it is
-    worked out again only where either differs from the previous h's: a new
-    pair starts a new run at once, since the outcome holds the pair, and a
-    new answer only if its outcome differs.  So no two runs in a row share
-    an outcome: a span with no fault is one run, and a fault at one h inside
-    it three.
+    worked out again only where either differs from the previous h's, and a
+    new run starts only where the outcome differs.  So no two runs in a row
+    share an outcome: a span with no fault is one run, and a fault at one h
+    inside it three.  ``checked`` counts the admissible h, and ``failed``
+    sums the lengths of the failing runs only.
     """
     oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
     scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
+    admissible = _admissible(*span)
     runs = []
     outcome = hs = pair = answer = None
-    for h in _admissible(*span):
+    for h in admissible:
         h_pair = oracle(h)
         try:
             h_answer = kernel(h)
@@ -548,25 +549,18 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[_Run, ...]:
             h_answer = None, "derivation_mismatch"
         except DichotomyViolationError:
             h_answer = None, "dichotomy_violation"
-        if h_pair != pair:  # another pair, so another outcome
+        if h_pair != pair or h_answer != answer:  # maybe another outcome
             pair, answer = h_pair, h_answer
-        elif h_answer != answer:  # another answer, maybe the same outcome
-            answer = h_answer
+            # once pair == target, the kernel agrees with the oracle iff it gives
+            # scaled_target; scaled is None where the kernel raised
             scaled, verdict = answer
             row = verdict, pair == target and scaled == scaled_target and verdict == "RP7", pair
-            if row == outcome:
-                hs.append(h)
-                continue
-        else:
-            hs.append(h)
-            continue
-        # once pair == target, the kernel agrees with the oracle iff it gives
-        # scaled_target; scaled is None where the kernel raised
-        scaled, verdict = answer
-        outcome = verdict, pair == target and scaled == scaled_target and verdict == "RP7", pair
-        hs = [h]
-        runs.append((outcome, hs))
-    return tuple(runs)
+            if row != outcome:
+                outcome, hs = row, []
+                runs.append((outcome, hs))
+        hs.append(h)
+    # outcome[1] is the pass flag: unpacking it in the loop costs more per run
+    return len(admissible), sum([len(hs) for outcome, hs in runs if not outcome[1]]), runs
 
 
 def _direct_mu_pair(h: int) -> tuple[int, int]:

@@ -562,7 +562,8 @@ def test_json_rows_are_laid_out_as_json_dumps_lays_them_out(verdict, passed, pai
     outcome = verdict, passed, tuple(pair)
     hs = verify._admissible(start, start + 2 * 56)[:count]  # consecutive admissible h
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_verify_chunk", lambda span: ((outcome, hs),))
+        patch.setattr(cli, "_verify_chunk",
+                      lambda span: (len(hs), 0 if passed else len(hs), [(outcome, hs)]))
         checked, failed, runs = cli._render_span("json", (hs[0], hs[-1]))
     assert runs == [(outcome, hs[0], hs[-1])]
     chunk = cli._render_runs("json", runs, {})
@@ -763,18 +764,28 @@ def test_a_usage_error_with_no_stderr_still_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.usefixtures("time_limit")
-def test_a_stderr_whose_reader_has_gone_exits_2_with_all_of_stdout():
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["verify", "--h-range", "-3000..3000", "--format", "csv"], 2,
+                 id="verify"),  # its summary is lost
+    pytest.param(["bogus"], 1, id="usage-error"),
+])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stderr_whose_reader_has_gone_exits_2_with_all_of_stdout(unbuffered, argv, code):
+    # buffered, the text that stderr failed to write stays in its buffer, and
+    # the interpreter's flush at exit must not fail on it (exit status 120)
     read_end, write_end = os.pipe()
-    os.close(read_end)  # the summary line meets a broken pipe, stdout does not
-    env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
-    argv = ["verify", "--h-range", "-3000..3000", "--format", "csv"]
+    os.close(read_end)  # stderr meets a broken pipe, stdout does not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC_PATH)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         done = subprocess.run([sys.executable, "-m", "milnor_mu.cli", *argv],
                               stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
     finally:
         os.close(write_end)
-    out = render_verify(verify_range(-3000, 3000), -3000, 3000, "csv")[0]
-    assert (done.returncode, done.stdout.decode()) == (2, out)
+    out = render_verify(verify_range(-3000, 3000), -3000, 3000, "csv")[0] if code == 2 else ""
+    assert (done.returncode, done.stdout.decode()) == (code, out)
 
 
 @pytest.mark.usefixtures("time_limit")

@@ -90,13 +90,14 @@ FAULTS = {
 }
 
 
-def expand_runs(runs):
-    """The rows (h, verdict, passed, pair) of ``_verify_chunk`` runs, in order.
+def expand_runs(chunk):
+    """The rows (h, verdict, passed, pair) of a ``_verify_chunk`` result, in order.
 
-    Each run (outcome, hs) gives one row per h in hs, with its outcome
-    (verdict, passed, pair) after the h.
+    Each run (outcome, hs) of its runs, the third of (checked, failed, runs),
+    gives one row per h in hs, with its outcome (verdict, passed, pair) after
+    the h.
     """
-    return [(h, *outcome) for outcome, hs in runs for h in hs]
+    return [(h, *outcome) for outcome, hs in chunk[2] for h in hs]
 
 
 def rendered(workers):

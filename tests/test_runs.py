@@ -76,15 +76,15 @@ def reference_verify_rows(rows):
 def test_runs_decode_to_the_per_h_rows(monkeypatch, fault, workers):
     ALL_FAULTS[fault](monkeypatch)
     spans = list(verify._map_spans(verify._verify_chunk, *WINDOW, workers))
-    assert expand_runs(run for runs in spans for run in runs) == per_h_rows(*WINDOW)
-    for runs in spans:
+    assert [row for chunk in spans for row in expand_runs(chunk)] == per_h_rows(*WINDOW)
+    for _, _, runs in spans:
         assert all(hs for _, hs in runs)
         assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
     if fault is None:
-        assert all(len(runs) == 1 for runs in spans)
+        assert all(len(runs) == 1 for _, _, runs in spans)
     elif fault.endswith("_at_8"):
         # the one span that holds h = 8 has three runs, and h = 8 alone in the middle
-        [split] = [runs for runs in spans if len(runs) > 1]
+        [split] = [runs for _, _, runs in spans if len(runs) > 1]
         assert len(split) == 3 and split[1][1] == [8]
 
 
@@ -169,3 +169,30 @@ def test_a_span_renders_as_its_rows_rendered_h_by_h(fault, base, k, residue, lea
         failed = sum(1 for _, _, passed, _ in rows if not passed)
         for fmt in ["csv", "json", "table"]:
             assert rendered_span(fmt, span) == (len(rows), failed, per_h_text(rows, fmt))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, *sorted(ONLY_H_FAULTS)]), st.booleans(),
+       st.sampled_from([0, -NEAR_1E18, NEAR_1E18]), st.integers(-3000, 3000),
+       st.integers(0, 400), st.integers(0, 10**6))
+@example(None, False, 0, 2, 5, 0)  # 2..7: no admissible h
+@example("oracle", False, 0, 2, 5, 0)
+@example(None, False, 0, 8, 0, 0)  # one-h spans
+@example("closed_form", False, 0, -7, 0, 0)
+@example("assembly_input", True, -NEAR_1E18, 49, 0, 0)
+@example("oracle", False, NEAR_1E18, -56, 200, 3)
+@example("closed_form", True, NEAR_1E18, -56, 200, 3)  # one failing run of many h
+def test_a_span_counts_its_rows_and_failures_as_a_per_h_loop(fault, everywhere, base, lo,
+                                                             width, pick):
+    # the fault fails every h of the span, or one admissible h drawn from it
+    span = base + lo, base + lo + width
+    with pytest.MonkeyPatch.context() as patch:
+        rows = per_h_rows(*span)
+        if fault is not None and rows:
+            only_h = None if everywhere else rows[pick % len(rows)][0]
+            ONLY_H_FAULTS[fault][0](patch, only_h=only_h)
+            rows = per_h_rows(*span)
+        checked, failed, _ = verify._verify_chunk(span)
+    expected_failed = sum(1 for _, _, passed, _ in rows if not passed)
+    assert expected_failed == (0 if fault is None or not rows else len(rows) if everywhere else 1)
+    assert (checked, failed) == (len(rows), expected_failed)

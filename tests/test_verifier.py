@@ -8,7 +8,7 @@ import time
 import tracemalloc
 import types
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -451,7 +451,7 @@ class TestCompactWorkerRows:
         assert len(expand_runs(chunk)) == len(verify_range(*span))
 
     def test_run_layout(self):
-        assert verify._verify_chunk((8, 8)) == ((("RP7", True, (7, 217)), [8]),)
+        assert verify._verify_chunk((8, 8)) == (1, 0, [(("RP7", True, (7, 217)), [8])])
 
 
 def _every_h_reference(lo, hi):
@@ -551,8 +551,8 @@ def _logged(path):
 def _compact_rows(lo, hi, workers=None):
     """The rows of [lo, hi], expanded from the runs of the spans ``_map_spans``
     decides with workers."""
-    return [row for runs in verify._map_spans(verify._verify_chunk, lo, hi, workers)
-            for row in expand_runs(runs)]
+    return [row for chunk in verify._map_spans(verify._verify_chunk, lo, hi, workers)
+            for row in expand_runs(chunk)]
 
 
 def _no_child_left():
@@ -682,7 +682,7 @@ class TestSweepEngine:
             assert first[0][0] == 0
             assert _logged(log) and last not in _logged(log)
             os.write(release, b"x")
-            rest = expand_runs(chain.from_iterable(spans))
+            rest = [row for chunk in spans for row in expand_runs(chunk)]
         finally:
             spans.close()
             os.close(hold)
@@ -713,8 +713,7 @@ class TestSweepEngine:
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_SPAN_WIDTH", 56 * 3)
         expected = expand_runs(verify._verify_chunk((-3000, 3000)))
-        spans = verify._map_spans(verify._verify_chunk, -3000, 3000, workers)
-        assert expand_runs(chain.from_iterable(spans)) == expected
+        assert _compact_rows(-3000, 3000, workers) == expected
 
     @pytest.mark.usefixtures("time_limit")
     def test_closing_early_decides_no_unstarted_span(self, monkeypatch, tmp_path):
@@ -910,7 +909,7 @@ class TestSweepEngine:
             return verify._verify_chunk(span)
 
         spans = verify._map_spans(recorded, -3000, 3000, workers=2)
-        assert expand_runs(chain.from_iterable(spans)) == expected
+        assert [row for chunk in spans for row in expand_runs(chunk)] == expected
         assert pids == [os.getpid()] * -(-6001 // 56)
 
     @pytest.mark.parametrize("end", ["read to the end", "closed early", "raised"])
