@@ -106,55 +106,6 @@ def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
     return read
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="milnor-mu",
-        description=(
-            "Exact Eells-Kuiper mu-invariants of Milnor sphere bundles "
-            "and their antipodal quotients."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
-
-    p = sub.add_parser("invariants", help="characteristic data and mu of M_h")
-    p.add_argument("--h", type=int, required=True, help="clutching parameter h")
-    add_format(p)
-
-    p = sub.add_parser("quotient", help="classify the antipodal quotient M_h/tau_h")
-    p.add_argument("--h", type=int, required=True, help="clutching parameter h")
-    add_format(p)
-
-    p = sub.add_parser("enumerate", help="residues r mod m with 56 | r(r-1)")
-    p.add_argument("--modulus", type=_int_in(1, _SCAN_LIMIT), required=True,
-                   help="scan modulus (<= 10^6)")
-    add_format(p)
-
-    p = sub.add_parser("cases", help="check the four residue cases over a k-range")
-    p.add_argument("--k-range", type=_parse_span, required=True, metavar="A..B")
-    add_format(p)
-
-    p = sub.add_parser("verify", help="oracle-vs-pipeline sweep over an h-range")
-    p.add_argument("--h-range", type=_parse_span, required=True, metavar="A..B")
-    p.add_argument(
-        "--parallel",
-        type=_int_in(1),
-        default=None,
-        metavar="N",
-        help="worker processes (default: sequential)",
-    )
-    add_format(p)
-
-    return parser
-
-
 def _emit(fmt: str, payload: dict, header: list[str] | None = None,
           rows: Iterable[Iterable[object]] = ()) -> None:
     """Write a command's output to stdout in ``fmt``.
@@ -415,13 +366,43 @@ def _table_layout(header: list[str], span_runs: list[list[tuple]]) -> tuple[list
     return widths, tails
 
 
+_H = dict(type=int, required=True, help="clutching parameter h")
+_SPAN = dict(type=_parse_span, required=True, metavar="A..B")
+
+#: Each command: the function it runs, its help line, and the add_argument
+#: keywords of each of its options but ``--format``, which every command takes.
 _COMMANDS = {
-    "invariants": _cmd_invariants,
-    "quotient": _cmd_quotient,
-    "enumerate": _cmd_enumerate,
-    "cases": _cmd_cases,
-    "verify": _cmd_verify,
+    "invariants": (_cmd_invariants, "characteristic data and mu of M_h", {"--h": _H}),
+    "quotient": (_cmd_quotient, "classify the antipodal quotient M_h/tau_h", {"--h": _H}),
+    "enumerate": (_cmd_enumerate, "residues r mod m with 56 | r(r-1)", {
+        "--modulus": dict(type=_int_in(1, _SCAN_LIMIT), required=True,
+                          help="scan modulus (<= 10^6)"),
+    }),
+    "cases": (_cmd_cases, "check the four residue cases over a k-range", {"--k-range": _SPAN}),
+    "verify": (_cmd_verify, "oracle-vs-pipeline sweep over an h-range", {
+        "--h-range": _SPAN,
+        "--parallel": dict(type=_int_in(1), default=None, metavar="N",
+                           help="worker processes (default: sequential)"),
+    }),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="milnor-mu",
+        description=(
+            "Exact Eells-Kuiper mu-invariants of Milnor sphere bundles "
+            "and their antipodal quotients."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                       help="output format (default: table)")
+    return parser
 
 
 def _stdout_closed() -> bool:
@@ -530,7 +511,7 @@ def _run(parser: argparse.ArgumentParser, argv: Sequence[str] | None,
 
 
 def main(argv: list[str] | None = None) -> int:
-    return _run(build_parser(), argv, lambda args: _COMMANDS[args.command](args))
+    return _run(build_parser(), argv, lambda args: _COMMANDS[args.command][0](args))
 
 
 if __name__ == "__main__":

@@ -503,19 +503,13 @@ def _admissible(lo: int, hi: int) -> list[int]:
     The residues r in [0, 56) come from the scan :func:`enumerate_residues`,
     and 56 | r(r-1) is checked once per residue: for h = 56k + r,
     h(h-1) = r(r-1) mod 56 (see ``_CASE_PERIOD``), so the check holds for h
-    exactly when it holds for r.  Only the periods of lo and hi can reach
-    past the range, so only their h are compared with its ends.  A
-    backwards range gives [].
+    exactly when it holds for r.  Every h of the periods from lo's to hi's
+    is listed, and one slice drops those of lo's period below lo and those
+    of hi's period above hi.  A backwards range gives [].
     """
-    if lo > hi:
-        return []
     residues = [r for r in enumerate_residues(56).residues if r * (r - 1) % 56 == 0]
-    first, last = 56 * (lo // 56), 56 * (hi // 56)
-    if first == last:
-        return [h for r in residues if lo <= (h := first + r) <= hi]
-    return ([h for r in residues if (h := first + r) >= lo]
-            + [base + r for base in range(first + 56, last, 56) for r in residues]
-            + [h for r in residues if (h := last + r) <= hi])
+    hs = [base + r for base in range(56 * (lo // 56), hi + 1, 56) for r in residues]
+    return hs[sum(r < lo % 56 for r in residues):len(hs) - sum(r > hi % 56 for r in residues)]
 
 
 def _verify_chunk(span: tuple[int, int]) -> tuple[int, int, list[_Run]]:

@@ -3,6 +3,14 @@ import signal
 
 import pytest
 
+from milnor_mu import verify
+
+fork_only = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="a pooled sweep forks its children only where os.fork exists"
+)
+#: The worker counts of a sweep test: sequential, and two forked workers.
+WORKERS = [None, pytest.param(2, marks=fork_only)]
+
 #: Seconds a test under ``time_limit`` may run; each takes well under one.
 TIME_LIMIT_S = 20
 
@@ -23,6 +31,12 @@ def no_child_process_left():
         return
     left = f"child {pid} was left unreaped" if pid else "a child is still running"
     pytest.fail(f"the test left a child process behind: {left}")
+
+
+@pytest.fixture
+def two_usable_cpus(monkeypatch):
+    # so that a pooled sweep forks where this process may run on one CPU only
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,11 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_faults import FAULTS, closed_form_off_by_one, fork_only, oracle_off_on_odd_h
+from conftest import WORKERS, fork_only
+from test_faults import (FAULTS, closed_form_off_by_one, oracle_off_on_odd_h, per_h_rows,
+                         reference_verify_rows)
 
 from milnor_mu import cli, verify
 from milnor_mu.cli import main
-from milnor_mu.verify import verify_range
 
 ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
@@ -276,7 +278,7 @@ class TestUnexpectedErrors:
         assert code == 2
         assert err == "milnor-mu: unexpected RuntimeError: worker lost\n"
         # csv has written each row as it came; json and table had nothing to print yet
-        rendered = render_verify(verify_range(0, 8), -56, 56, "csv")[0]
+        rendered = render_verify(reference_verify_rows(per_h_rows(0, 8)), -56, 56, "csv")[0]
         assert out == (rendered if fmt == "csv" else "")
 
     @pytest.mark.parametrize("how", ["killed", "exited"])
@@ -309,9 +311,19 @@ class TestCliContract:
         code, _, _ = run_cli(capsys, "bogus")
         assert code == 1
 
-    def test_missing_required_flag_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "invariants")
-        assert code == 1
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("flags", [[], ["--format", "xml"]], ids=["bare", "format-xml"])
+    def test_missing_or_invalid_option_is_usage_error(self, capsys, command, flags):
+        # bare, the command lacks its required options; with --format xml, the
+        # invalid choice is reported before them
+        options = cli._COMMANDS[command][2]
+        named = {"--format"} if flags else {f for f, kw in options.items() if kw.get("required")}
+        code, out, err = run_cli(capsys, command, *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: milnor-mu {command} ") and err.count("usage:") == 1
+        error = err.splitlines()[-1]
+        assert error.startswith(f"milnor-mu {command}: error: ")
+        assert named and set(re.findall(r"--[\w-]+", error)) == named
 
     def test_backwards_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--h-range", "5..1")
@@ -391,7 +403,6 @@ class TestFormatsAgree:
 
 
 FORMATS = ["csv", "json", "table"]
-WORKERS = [None, pytest.param(2, marks=fork_only)]
 VERIFY_HEADER = ["h", "residue_class", "mu_quotient_set", "verdict", "pass"]
 
 #: Three full sweep spans and 17 h more, a window near 10^18, one admissible point.
@@ -449,9 +460,15 @@ def render_verify(rows, h_min, h_max, fmt):
     return out, f"checked {len(rows)}  passed {len(rows) - failed}  failed {failed}\n", code
 
 
+def render_per_h_rows(window, fmt):
+    """:func:`render_verify` of the rows ``test_faults.per_h_rows`` decides over ``window``."""
+    return render_verify(reference_verify_rows(per_h_rows(*window)), *window, fmt)
+
+
 @functools.lru_cache(maxsize=None)
 def expected_verify(window, fmt):
-    return render_verify(verify_range(*window), *window, fmt)
+    """:func:`render_per_h_rows` with no fault patched in, once per window and format."""
+    return render_per_h_rows(window, fmt)
 
 
 def run_verify(capsys, window, fmt, workers):
@@ -469,18 +486,14 @@ def load_oracle():
     return module
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestVerifyBytes:
-    """``verify`` output equals a renderer over ``verify_range`` rows, byte for byte."""
-
-    @pytest.fixture(autouse=True)
-    def two_usable_cpus(self, monkeypatch):
-        # so that --parallel 2 forks where this process may run on one CPU only
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    """``verify`` output equals a renderer over rows decided h by h, byte for byte."""
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_equals_rendered_verify_range_rows(self, capsys, window, fmt, workers):
+    def test_equals_rendered_per_h_rows(self, capsys, window, fmt, workers):
         assert run_verify(capsys, window, fmt, workers) == expected_verify(window, fmt)
 
     @pytest.mark.parametrize("workers", WORKERS)
@@ -496,7 +509,7 @@ class TestVerifyBytes:
                                                    workers):
         inject, window = FAULT_INPUTS[fault]
         inject(monkeypatch)
-        expected = render_verify(verify_range(*window), *window, fmt)
+        expected = render_per_h_rows(window, fmt)
         assert expected[2] == 2
         out, err, code = run_verify(capsys, window, fmt, workers)
         assert (out, err, code) == expected
@@ -534,7 +547,7 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(verify, "_direct_mu_pair", lambda h: (0, 112))
-        expected = render_verify(verify_range(-56, 56), -56, 56, fmt)
+        expected = render_per_h_rows((-56, 56), fmt)
         assert "0;1/2" in expected[0] or '"0",' in expected[0]
         assert run_verify(capsys, (-56, 56), fmt, None) == expected
 
@@ -754,7 +767,7 @@ def test_an_unwritable_stderr_still_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stderr", UnwritableStderr())
     argv = ["verify", "--h-range", "0..60", "--format", "csv"]
     assert main(argv) == 2  # the summary line could not be written
-    assert capsys.readouterr().out == render_verify(verify_range(0, 60), 0, 60, "csv")[0]
+    assert capsys.readouterr().out == expected_verify((0, 60), "csv")[0]
 
 
 def test_a_usage_error_with_no_stderr_still_exits_1(capsys, monkeypatch):
@@ -784,7 +797,7 @@ def test_a_stderr_whose_reader_has_gone_exits_2_with_all_of_stdout(unbuffered, a
                               stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
     finally:
         os.close(write_end)
-    out = render_verify(verify_range(-3000, 3000), -3000, 3000, "csv")[0] if code == 2 else ""
+    out = expected_verify(PARTIAL_WINDOW, "csv")[0] if code == 2 else ""
     assert (done.returncode, done.stdout.decode()) == (code, out)
 
 
@@ -799,7 +812,7 @@ def test_a_closed_stderr_is_an_error_and_leaves_stdout_clean(argv, code):
     env = {**os.environ, "PYTHONPATH": str(SRC_PATH)}
     done = subprocess.run([sys.executable, "-m", "milnor_mu.cli", *argv], stdout=subprocess.PIPE,
                           env=env, timeout=60, preexec_fn=lambda: os.close(2))
-    out = "" if code == 1 else render_verify(verify_range(0, 60), 0, 60, argv[-1])[0]
+    out = "" if code == 1 else expected_verify((0, 60), argv[-1])[0]
     assert (done.returncode, done.stdout.decode()) == (code, out)
 
 

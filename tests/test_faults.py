@@ -6,29 +6,22 @@ forked from the patched process.
 """
 
 import functools
-import os
 from fractions import Fraction
 
 import pytest
+from conftest import WORKERS, fork_only
 
 from milnor_mu import bundles, cli, quotient, verify
+from milnor_mu.bundles import DerivationMismatch
+from milnor_mu.quotient import DichotomyViolationError
+from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
+
+pytestmark = pytest.mark.usefixtures("two_usable_cpus")
 
 WINDOW = (-200, 200)
 ADMISSIBLE_IN_WINDOW = sum(
     1 for h in range(WINDOW[0], WINDOW[1] + 1) if h * (h - 1) % 56 == 0
 )
-
-fork_only = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="a pooled sweep forks its children only where os.fork exists"
-)
-WORKERS = [None, pytest.param(2, marks=fork_only)]
-
-
-@pytest.fixture(autouse=True)
-def two_usable_cpus(monkeypatch):
-    # so that a pooled sweep forks where this process may run on one CPU only
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-
 
 def closed_form_off_by_one(monkeypatch, only_h=None):
     real = quotient._closed_form_scaled
@@ -98,6 +91,39 @@ def expand_runs(chunk):
     the h.
     """
     return [(h, *outcome) for outcome, hs in chunk[2] for h in hs]
+
+
+def per_h_rows(lo, hi):
+    """(h, verdict, passed, pair) for each admissible h in [lo, hi], h by h.
+
+    Each h is tested for admissibility on its own and reads the oracle, the
+    target and the kernel as the modules bind them now.
+    """
+    rows = []
+    for h in range(lo, hi + 1):
+        if h * (h - 1) % 56:
+            continue
+        pair = verify._direct_mu_pair(h)
+        target = verify._TARGET
+        try:
+            scaled, verdict = verify._mu_quotient_scaled(h)
+        except DerivationMismatch:
+            rows.append((h, "derivation_mismatch", False, pair))
+            continue
+        except DichotomyViolationError:
+            rows.append((h, "dichotomy_violation", False, pair))
+            continue
+        passed = (pair == target and verdict == "RP7"
+                  and scaled == tuple(quotient.MU_SCALE // 224 * v for v in target))
+        rows.append((h, verdict, passed, pair))
+    return rows
+
+
+def reference_verify_rows(rows):
+    """``VerifyRow``s of per-h rows, each value set built from its own fractions."""
+    return [verify.VerifyRow(h, AmbiguousResidue.of(*(reduce_mod_z(Fraction(v, 224))
+                                                     for v in pair)), verdict, passed)
+            for h, verdict, passed, pair in rows]
 
 
 def rendered(workers):

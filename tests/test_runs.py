@@ -2,8 +2,8 @@
 
 ``verify._verify_chunk`` gives each span as runs, each an outcome and the
 consecutive h that share it, and ``verify_range`` expands the same runs.  So
-the reference here is computed h by h from the seams that
-``tests/test_faults.py`` patches, and ``verify``'s json, table and csv
+the reference, ``test_faults.per_h_rows``, is computed h by h from the seams
+that ``tests/test_faults.py`` patches, and ``verify``'s json, table and csv
 output is compared with a rendering of that reference.
 """
 
@@ -15,12 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import VERIFY_HEADER, render_verify, run_verify
 from test_faults import (FAULTS, ONLY_H_FAULTS, WINDOW, WORKERS, expand_runs,
-                         oracle_off_on_odd_h)
+                         oracle_off_on_odd_h, per_h_rows, reference_verify_rows)
 
-from milnor_mu import cli, quotient, verify
-from milnor_mu.bundles import DerivationMismatch
-from milnor_mu.quotient import DichotomyViolationError
-from milnor_mu.qz import AmbiguousResidue, reduce_mod_z
+from milnor_mu import cli, verify
+
+pytestmark = pytest.mark.usefixtures("two_usable_cpus")
 
 #: Every fault of test_faults: each whole-route one, and each that takes
 #: only_h at h = 8, where it fails one row in the middle of a run.
@@ -30,45 +29,6 @@ ALL_FAULTS = {
     **{f"{name}_at_8": functools.partial(inject, only_h=8)
        for name, (inject, _) in ONLY_H_FAULTS.items()},
 }
-
-
-@pytest.fixture(autouse=True)
-def two_usable_cpus(monkeypatch):
-    # so that a pooled sweep forks where this process may run on one CPU only
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-
-
-def per_h_rows(lo, hi):
-    """(h, verdict, passed, pair) for each admissible h in [lo, hi], h by h.
-
-    Each h is tested for admissibility on its own and reads the oracle, the
-    target and the kernel as the modules bind them now.
-    """
-    rows = []
-    for h in range(lo, hi + 1):
-        if h * (h - 1) % 56:
-            continue
-        pair = verify._direct_mu_pair(h)
-        target = verify._TARGET
-        try:
-            scaled, verdict = verify._mu_quotient_scaled(h)
-        except DerivationMismatch:
-            rows.append((h, "derivation_mismatch", False, pair))
-            continue
-        except DichotomyViolationError:
-            rows.append((h, "dichotomy_violation", False, pair))
-            continue
-        passed = (pair == target and verdict == "RP7"
-                  and scaled == tuple(quotient.MU_SCALE // 224 * v for v in target))
-        rows.append((h, verdict, passed, pair))
-    return rows
-
-
-def reference_verify_rows(rows):
-    """``VerifyRow``s of per-h rows, each value set built from its own fractions."""
-    return [verify.VerifyRow(h, AmbiguousResidue.of(*(reduce_mod_z(Fraction(v, 224))
-                                                     for v in pair)), verdict, passed)
-            for h, verdict, passed, pair in rows]
 
 
 @pytest.mark.parametrize("workers", WORKERS)

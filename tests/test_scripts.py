@@ -10,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import WORKERS, fork_only
 from test_cli import SRC_PATH, ClosedStdout, UnwritableStderr, interrupt
-from test_faults import FAULTS, WORKERS, closed_form_off_by_one, fork_only
+from test_faults import FAULTS, closed_form_off_by_one
 
 from milnor_mu import cli, quotient, verify
 from milnor_mu.bundles import DerivationMismatch
