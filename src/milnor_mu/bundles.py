@@ -28,7 +28,7 @@ class DerivationMismatch(RuntimeError):
 class MilnorBundle(Record):
     """The pair (h, j) with j = 1 - h.  Plain ints, any magnitude.
 
-    Only h is stored, and ``j`` is read from it; a j passed in is checked.
+    Only h is stored; a j passed in is checked.
     """
 
     __slots__ = ("h",)
@@ -41,10 +41,6 @@ class MilnorBundle(Record):
         if j not in (None, 1 - h):
             raise ValueError(f"unsupported clutching pair (h={h}, j={j}): need j = 1 - h")
         self._set(h)
-
-    @property
-    def j(self) -> int:
-        return 1 - self.h
 
 
 class CharacteristicData(Record):

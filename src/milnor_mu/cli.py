@@ -303,8 +303,8 @@ def _render_runs(fmt: str, runs: Iterable[tuple[tuple, int, int]], tails: dict,
     texts = []
     for outcome, first, last in runs:
         suffixes = tails.get(outcome)
-        if suffixes is None:  # twice over, so that four in a row start at any residue
-            suffixes = tails[outcome] = 2 * _render_tail(fmt, *outcome)
+        if suffixes is None:
+            suffixes = tails[outcome] = _render_tail(fmt, _tail_cells(*outcome))
         i = _CYCLE_AT[first % 56]
         if first == last:
             h = str(first)
@@ -318,51 +318,48 @@ def _render_runs(fmt: str, runs: Iterable[tuple[tuple, int, int]], tails: dict,
     return sep.join(texts)
 
 
-def _render_tail(fmt: str, verdict: str, passed: bool, mu: tuple[int, ...]) -> tuple[str, ...]:
-    """What follows h in a csv or json row of one outcome, per residue in ``_RESIDUES``.
+def _tail_cells(verdict: str, passed: bool, mu: tuple[int, ...]) -> list[str]:
+    """The value set, verdict and pass cells of a row of one outcome, in any format."""
+    return [";".join(str(v.rep) for v in _expand(mu)), verdict, _flat(passed)]
 
-    csv: the rest of the line.  json: the rest of the row object, laid out
-    as json.dumps(..., indent=2) lays it out; no member (an exact fraction)
-    or verdict (a name) needs escaping.
+
+def _render_tail(fmt: str, cells: list[str], widths: list[int] | None = None) -> tuple[str, ...]:
+    """What follows h in a ``verify`` row of one outcome's :func:`_tail_cells` ``cells``,
+    per residue in ``_RESIDUES``, twice over, so that four in a row start at any residue.
+
+    csv: the rest of the line.  table: the rest of the line at ``widths``
+    from the residue on, its trailing blanks stripped, which are the pass
+    cell's alone, since that cell is never blank.  json: the rest of the
+    row object, laid out as json.dumps(..., indent=2) lays it out, its
+    members read back from the value set cell; no member (an exact
+    fraction) or verdict (a name) needs escaping.
     """
     if fmt == "csv":
-        cells = _tail_cells(verdict, passed, mu)
-        return tuple("," + _csv_lines([[str(r), *cells]]) for r in _RESIDUES)
-    values = ",\n".join(f'        "{v.rep}"' for v in _expand(mu))
+        return 2 * tuple("," + _csv_lines([[str(r), *cells]]) for r in _RESIDUES)
+    if fmt == "table":
+        return 2 * tuple(f"  {_table_line([str(r), *cells], widths)}\n" for r in _RESIDUES)
+    mu, verdict, passed = cells
+    values = ",\n".join(f'        "{m}"' for m in mu.split(";"))
     tail = (f'      "mu_quotient": [\n{values}\n      ],\n      "verdict": "{verdict}",\n'
-            f'      "pass": {_flat(passed)}\n    }}')
-    return tuple(f',\n      "residue_class": {r},\n{tail}' for r in _RESIDUES)
-
-
-def _tail_cells(verdict: str, passed: bool, mu: tuple[int, ...]) -> list[str]:
-    """The value set, verdict and pass cells of a csv or table row of one outcome."""
-    return [";".join(str(v.rep) for v in _expand(mu)), verdict, _flat(passed)]
+            f'      "pass": {passed}\n    }}')
+    return 2 * tuple(f',\n      "residue_class": {r},\n{tail}' for r in _RESIDUES)
 
 
 def _table_layout(header: list[str], span_runs: list[list[tuple]]) -> tuple[list[int], dict]:
     """``verify``'s table column widths over runs ``(outcome, first_h, last_h)``, and its tails.
 
-    Each width is the widest of its title and its cells.  Within a run of
-    ascending h, ``len(str(h))`` peaks at an end; a residue cell, two digits
-    at most, is narrower than its title; and a run's tail cells are its
-    outcome's.  The tails are each outcome's row suffixes for
-    :func:`_render_runs`: the line after h, its trailing blanks stripped,
-    which are the pass cell's alone, since that cell is never blank.
+    Each width is the widest of its title and its cells.  The runs ascend
+    in h, so ``len(str(h))`` peaks at the sweep's first or last h; a residue
+    cell, two digits at most, is narrower than its title; and a run's tail
+    cells are its outcome's.  The tails are each outcome's row suffixes for
+    :func:`_render_runs`, by :func:`_render_tail`.
     """
-    cells = {}
-    h_width = len(header[0])
-    for runs in span_runs:
-        for outcome, first, last in runs:
-            if outcome not in cells:
-                cells[outcome] = _tail_cells(*outcome)
-            h_width = max(h_width, len(str(first)), len(str(last)))
-    widths = [h_width, len(header[1])]
-    widths += [max([len(title), *(len(row[i]) for row in cells.values())])
-               for i, title in enumerate(header[2:])]
-    tails = {}
-    for outcome, row in cells.items():
-        tails[outcome] = 2 * tuple(f"  {_table_line([str(r), *row], widths[1:])}\n"
-                                   for r in _RESIDUES)
+    cells = {outcome: _tail_cells(*outcome)
+             for outcome in {outcome for runs in span_runs for outcome, _, _ in runs}}
+    ends = [str(span_runs[0][0][1]), str(span_runs[-1][-1][2])] if span_runs else []
+    widths = [max(map(len, [header[0], *ends])), len(header[1]),
+              *(max(map(len, column)) for column in zip(header[2:], *cells.values()))]
+    tails = {outcome: _render_tail("table", row, widths[1:]) for outcome, row in cells.items()}
     return widths, tails
 
 

@@ -258,7 +258,7 @@ def direct_mu_set(h: int) -> AmbiguousResidue:
 class TheoremSweep(Record):
     """Counts from a brute-force sweep; failures carry the offending h.
 
-    ``failed`` and ``passed`` are counted from ``failures`` and ``checked``.
+    ``failed`` is counted from ``failures``.
     """
 
     __slots__ = ("h_min", "h_max", "checked", "failures")
@@ -271,17 +271,16 @@ class TheoremSweep(Record):
     def failed(self) -> int:
         return len(self.failures)
 
-    @property
-    def passed(self) -> int:
-        return self.checked - len(self.failures)
-
 
 def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     """Check mu(M_h/tau_h) = {1/32, 31/32} for every admissible h in range.
 
     The admissible h are stepped as h = 56k + r by :func:`_admissible`;
     failures are collected, never raised, so a full report always comes back.
+    Raises :class:`EmptyRangeError` when h_min > h_max.
     """
+    if h_min > h_max:
+        raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
     target = _expand(_TARGET)
     checked = 0
     failures = []
@@ -299,10 +298,6 @@ class VerifyRow(Record):
 
     def __init__(self, h: int, mu_set: AmbiguousResidue, verdict: str, passed: bool) -> None:
         self._set(h, mu_set, verdict, passed)
-
-    @property
-    def residue_class(self) -> int:
-        return self.h % 56
 
 
 #: A run of a sweep span: ((verdict, passed, (a, b)), hs), the outcome that

@@ -19,8 +19,8 @@ big_h = st.integers(min_value=-(2**256), max_value=2**256)
 
 class TestConstruction:
     def test_j_defaults_to_one_minus_h(self):
-        assert MilnorBundle(8).j == -7
-        assert MilnorBundle(-3).j == 4
+        assert MilnorBundle(8) == MilnorBundle(8, j=-7)
+        assert MilnorBundle(-3) == MilnorBundle(-3, j=4)
 
     def test_explicit_matching_j_is_accepted(self):
         assert MilnorBundle(8, -7) == MilnorBundle(8)
