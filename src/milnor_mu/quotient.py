@@ -22,15 +22,15 @@ integers mod 1792, in a kernel that reads h alone: p1 from the one helper
 that states it, ``bundles._p1``, and the family constants from the record
 classes.  Each route is an integer polynomial taken mod 1792, so its value
 depends only on h mod 1792 (the assembly on p1 mod 1792), and it is looked
-up by that residue in a cache of at most 1792 entries; the helpers that read
-h, the comparison and the verdict still run on every call, with that h.
+up by that residue in a table of 1792 slots, each filled on first use; the
+helpers that read h, the comparison and the verdict still run on every call,
+with that h.
 Records and ``Fraction`` value sets appear only at the public edges.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from fractions import Fraction
 
 from ._record import Record
@@ -142,18 +142,29 @@ _ASSEMBLY_CONSTANT = 4 * (CharacteristicData.euler_coeff - DiskBundleInvariants.
                           - FixedPointContributions.equivariant_signature)
 
 
+#: :func:`_closed_form_mod` at each residue of h mod 1792, and
+#: :func:`_assembly_mod` at each residue of p1 mod 1792, None until first met,
+#: when the call site fills the slot.  Filled lazily, not at import, so that
+#: importing the CLI stays cheap.
+_CLOSED_FORM: list[tuple[int, int] | None] = [None] * MU_SCALE
+_ASSEMBLY: list[tuple[int, int] | None] = [None] * MU_SCALE
+
+
 def _closed_form_scaled(h: int) -> tuple[int, int]:
     """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792.
 
     An integer polynomial in h taken mod 1792, and P(h + m) = P(h) mod m for
     any integer polynomial P (Polya 1915), so it is looked up by h mod 1792
-    in :func:`_closed_form_mod`; 1792 is its general period, not its true
-    one, so this holds whatever integer coefficients the formula is given.
+    in ``_CLOSED_FORM``; 1792 is its general period, not its true one, so
+    this holds whatever integer coefficients the formula is given.
     """
-    return _closed_form_mod(h % MU_SCALE)
+    r = h % MU_SCALE
+    pair = _CLOSED_FORM[r]
+    if pair is None:  # the residue's first use
+        pair = _CLOSED_FORM[r] = _closed_form_mod(r)
+    return pair
 
 
-@functools.cache
 def _closed_form_mod(r: int) -> tuple[int, int]:
     """:func:`_closed_form_scaled` at a residue r of h mod 1792."""
     quad, linear = 16 * r * (r - 1), 56 * (2 * r - 1)
@@ -161,7 +172,6 @@ def _closed_form_mod(r: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-@functools.cache
 def _assembly_mod(p1: int) -> tuple[int, int]:
     """The term-by-term assembly at a residue p1 of the signed p1 mod 1792.
 
@@ -186,13 +196,16 @@ def _mu_quotient_scaled(h: int) -> tuple[tuple[int, int], str]:
     The verdict is the value of a :class:`Verdict`, "RP7" or "RP7#14M2"; a
     pair that is neither raises :class:`DichotomyViolationError`.  Both
     formulas are looked up per residue, the assembly by p1 mod 1792 in
-    :func:`_assembly_mod`; the closed form and p1 are still read once per
-    call, with h, and the comparison and the verdict made on every call.
+    ``_ASSEMBLY``; the closed form and p1 are still read once per call, with
+    h, and the comparison and the verdict made on every call.
     """
     if h * (h - 1) % 56:
         raise NotDiffeoS7Error(f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
     closed = _closed_form_scaled(h)
-    assembled = _assembly_mod(_p1(h) % MU_SCALE)
+    p1 = _p1(h) % MU_SCALE
+    assembled = _ASSEMBLY[p1]
+    if assembled is None:  # the residue's first use
+        assembled = _ASSEMBLY[p1] = _assembly_mod(p1)
     if closed != assembled:
         raise DerivationMismatch(
             f"mu(M_{h}/tau): fixed-point assembly {_residue_set(assembled)} "

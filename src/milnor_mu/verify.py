@@ -25,10 +25,10 @@ pair at scale 224) and the consecutive h that share it, so a span with no
 fault is one run; the outcome is worked out again only where the oracle's or
 the kernel's answer changes from one h to the next.  The oracle's pair, the
 closed form and the assembly are each an integer polynomial taken mod 224 or
-1792, so each is looked up by its residue in a cache of at most 224 or 1792
-entries; the calls that read h, the comparisons and the verdict still run
-per h.  The admissible h are stepped as h = 56k + r, with 56 | r(r-1)
-checked once per residue r.
+1792, so each is looked up by its residue in a table of 224 or 1792 slots,
+each filled on first use; the calls that read h, the comparisons and the
+verdict still run per h.  The admissible h are stepped as h = 56k + r, with
+56 | r(r-1) checked once per residue r.
 :func:`verify_range` expands the runs into :class:`VerifyRow` objects; the
 ``verify`` command renders each run's rows from its outcome and its ends.
 """
@@ -562,12 +562,21 @@ def _direct_mu_pair(h: int) -> tuple[int, int]:
     ``direct_mu_set(h)`` for every integer h; shares no code or scale with
     the quotient kernel (1792).  Both sums are integer polynomials in h taken
     mod 224, so h mod 224 decides them (see ``_CASE_PERIOD``), and the pair
-    is looked up by it in :func:`_oracle_mod`, a cache of at most 224 entries.
+    is looked up by it in ``_ORACLE``, whose slot for it is filled by
+    :func:`_oracle_mod` on first use.
     """
-    return _oracle_mod(h % 224)
+    r = h % 224
+    pair = _ORACLE[r]
+    if pair is None:  # the residue's first use
+        pair = _ORACLE[r] = _oracle_mod(r)
+    return pair
 
 
-@functools.cache
+#: :func:`_oracle_mod` at each residue of h mod 224, None until first met.
+#: Filled lazily, not at import, so that importing the CLI stays cheap.
+_ORACLE: list[tuple[int, int] | None] = [None] * 224
+
+
 def _oracle_mod(r: int) -> tuple[int, int]:
     """:func:`_direct_mu_pair` at a residue r of h mod 224."""
     quad, odd = 2 * r * (r - 1), 7 * (2 * r - 1)

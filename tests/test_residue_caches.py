@@ -1,7 +1,9 @@
-"""The per-residue formula caches: pure, bounded, and behind every seam the faults patch.
+"""The per-residue formula tables: pure formulas, one slot per residue, and
+behind every seam the faults patch.
 
 Each exact formula of the sweep is an integer polynomial taken mod 224 or
-mod 1792, so it is looked up by the residue it depends on.  The seams that
+mod 1792, so it is looked up by the residue it depends on, in a table whose
+slot for that residue is filled on first use.  The seams that
 ``tests/test_faults.py`` patches read h, and must still run once per
 admissible h, with that h, cold or warm, so that a fault at any h is seen.
 """
@@ -16,9 +18,11 @@ from test_faults import (ADMISSIBLE_IN_WINDOW, FAULTS, ONLY_H_FAULTS, WORKERS, e
 
 from milnor_mu import bundles, quotient, verify
 
-#: Each cache and the period in its argument, the most keys it may hold.
-CACHES = {quotient._closed_form_mod: 1792, quotient._assembly_mod: 1792,
-          verify._oracle_mod: 224}
+#: Each table: its module, its name there, the pure formula that fills its
+#: slots, and the period in that formula's argument, its length.
+TABLES = [(quotient, "_CLOSED_FORM", quotient._closed_form_mod, 1792),
+          (quotient, "_ASSEMBLY", quotient._assembly_mod, 1792),
+          (verify, "_ORACLE", verify._oracle_mod, 224)]
 
 #: The module bindings the faults patch that are called with h.
 SEAMS = [(verify, "_direct_mu_pair"), (verify, "_mu_quotient_scaled"),
@@ -31,6 +35,13 @@ BIG = 10**4300 - 1
 def two_usable_cpus(monkeypatch):
     # so that a pooled sweep forks where this process may run on one CPU only
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
+
+def empty_tables():
+    # in place, so that a lookup sees its table empty whatever reference it holds
+    for module, name, _, _ in TABLES:
+        table = getattr(module, name)
+        table[:] = [None] * len(table)
 
 
 def sweep(h_min, h_max):
@@ -64,9 +75,8 @@ def recorded_chunk(calls, span):
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("workers", WORKERS)
 def test_every_seam_runs_once_per_admissible_h(recorded, workers, warm):
-    for cache in CACHES:
-        cache.cache_clear()
-    if warm:  # in this process, so that a child inherits the filled caches
+    empty_tables()
+    if warm:  # in this process, so that a child inherits the filled tables
         sweep(-3000, 3000)
     calls = {name: [] for name in recorded}
     for rows, span_calls in verify._map_spans(functools.partial(recorded_chunk, recorded),
@@ -104,11 +114,17 @@ def test_each_cached_formula_equals_its_polynomial(h):
 
 
 def assert_bounded():
-    for cache, period in CACHES.items():
-        assert cache.cache_info().currsize <= period
-    # and no other cache, such as one keyed by h, sits in either module
-    assert {f for module in (quotient, verify) for f in vars(module).values()
-            if hasattr(f, "cache_info")} == set(CACHES)
+    for module, name, formula, period in TABLES:
+        table = getattr(module, name)
+        assert len(table) == period
+        assert all(pair is None or pair == formula(r) for r, pair in enumerate(table))
+    # and no functools cache, nor any other list, such as one keyed by h,
+    # sits in either module
+    assert not [f for module in (quotient, verify) for f in vars(module).values()
+                if hasattr(f, "cache_info")]
+    assert {(module, name) for module in (quotient, verify)
+            for name, value in vars(module).items()
+            if isinstance(value, list)} == {(module, name) for module, name, _, _ in TABLES}
 
 
 def test_the_caches_stay_within_their_periods_over_a_wide_sweep():
@@ -125,10 +141,9 @@ def test_the_caches_stay_within_their_periods_under_each_fault(monkeypatch, faul
 
 
 def warm_sweep():
-    for cache in CACHES:
-        cache.cache_clear()
+    empty_tables()
     assert all(passed for _, _, passed in swept(None))
-    assert all(cache.cache_info().currsize for cache in CACHES)
+    assert all(any(getattr(module, name)) for module, name, _, _ in TABLES)
 
 
 @pytest.mark.parametrize("workers", WORKERS)

@@ -156,3 +156,43 @@ def test_a_span_counts_its_rows_and_failures_as_a_per_h_loop(fault, everywhere, 
     expected_failed = sum(1 for _, _, passed, _ in rows if not passed)
     assert expected_failed == (0 if fault is None or not rows else len(rows) if everywhere else 1)
     assert (checked, failed) == (len(rows), expected_failed)
+
+
+#: What precedes h in a row of each format: json opens the row object.
+OPENERS = {"csv": "", "json": '    {\n      "h": ', "table": ""}
+
+#: Characters of the drawn suffixes, %-format syntax among them.
+SUFFIX_TEXT = st.text(st.sampled_from('ab,;%d-s()\n "{}'), max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["csv", "json", "table"]),
+       st.one_of(st.integers(-5000, 5000), st.integers(10**20 - 5000, 10**20 + 5000),
+                 st.integers(-(10**20) - 5000, -(10**20) + 5000)),
+       st.sampled_from([0, 1, 8, 49]), st.integers(1, 300),
+       st.lists(st.integers(1, 299), max_size=6, unique=True),
+       st.lists(SUFFIX_TEXT, min_size=4, max_size=4), st.lists(SUFFIX_TEXT, min_size=4, max_size=4),
+       st.integers(1, 24))
+@example("csv", 0, 0, 1, [], ["%d,%%,%s", "%", "%(h)d", "100%\n"], ["", "", "", ""], 1)
+@example("csv", 0, 0, 300, [], ["%d,%%,%s", "%", "%(h)d", "100%\n"], ["", "", "", ""], 1)
+@example("json", -200, 1, 300, [1, 299], ["%", "%%", "d", ""], ["%d", "", "x", "%"], 3)
+@example("table", 10**20, 8, 7, [3], ["%-5d", "", "%", "y"], ["", "%", "", ""], 22)
+@example("table", -(10**20), 49, 2, [1], ["a", "b", "c", "d"], ["%", "%", "%", "%"], 1)
+def test_render_runs_equals_a_per_row_reference(fmt, base, residue, count, cuts, suffixes_a,
+                                                suffixes_b, width):
+    # count consecutive admissible h from h0 = 56k + residue, cut into runs that
+    # alternate between two outcomes, each with its own four suffixes
+    h0 = 56 * (base // 56) + residue
+    hs = [h for h in range(h0, h0 + 56 * 76) if h * (h - 1) % 56 == 0][:count]
+    bounds = [0, *sorted(cut for cut in cuts if cut < count), count]
+    runs = [("ab"[i % 2], hs[lo], hs[hi - 1]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    suffixes = {"a": suffixes_a, "b": suffixes_b}
+    tails = {outcome: 2 * tuple(four) for outcome, four in suffixes.items()}
+    h_width = width if fmt == "table" else None
+    place = {0: 0, 1: 1, 8: 2, 49: 3}
+    expected = [OPENERS[fmt] + (str(h) if h_width is None else str(h).ljust(h_width))
+                + suffixes[outcome][place[h % 56]]
+                for i, (outcome, _, _) in enumerate(runs)
+                for h in hs[bounds[i]:bounds[i + 1]]]
+    text = cli._render_runs(fmt, runs, tails, h_width)
+    assert text == ("" if fmt != "json" else ",\n").join(expected)

@@ -334,7 +334,7 @@ class TestDirectMuPair:
         assert 0 < a < b < 224
 
     def test_shares_no_name_with_the_quotient_module(self):
-        for f in (verify._direct_mu_pair, verify._oracle_mod.__wrapped__):
+        for f in (verify._direct_mu_pair, verify._oracle_mod):
             assert not set(f.__code__.co_names) & set(vars(quotient))
 
     def test_the_target_expands_to_the_rp7_value_set(self):
