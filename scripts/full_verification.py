@@ -10,6 +10,10 @@ exits 2.  Example:
     python scripts/full_verification.py --h-span 100000
 """
 
+# The case analysis and the direct-formula sweep build Fractions.  Loading the
+# module here, before the first line is written, keeps a Ctrl-C after that line
+# out of its import, where a second Ctrl-C can print an "Exception ignored" trace.
+import fractions
 import math
 import sys
 import time

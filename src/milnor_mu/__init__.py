@@ -1,4 +1,9 @@
-"""Exact Eells-Kuiper mu-invariants for the Milnor sphere-bundle family."""
+"""Exact Eells-Kuiper mu-invariants for the Milnor sphere-bundle family.
+
+``MU_RP7`` and ``MU_RP7_SUM_14M2`` are read from :mod:`milnor_mu.quotient`
+when first asked for (PEP 562), so that importing the package loads no
+``fractions``.
+"""
 
 from .bundles import (
     CharacteristicData,
@@ -11,9 +16,8 @@ from .bundles import (
     mu_total_space,
     theta7_class,
 )
+from . import quotient
 from .quotient import (
-    MU_RP7,
-    MU_RP7_SUM_14M2,
     DichotomyViolationError,
     FixedPointContributions,
     NotDiffeoS7Error,
@@ -85,3 +89,13 @@ __all__ = [
     "theta7_class",
     "verify_range",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in quotient._VALUE_SETS:
+        return getattr(quotient, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,8 +15,6 @@ Eells-Kuiper mu of the total space) follows from those two classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
 from .qz import ResidueModZ, reduce_mod_z
 
@@ -111,9 +109,12 @@ def mu_total_space(bundle: MilnorBundle) -> ResidueModZ:
     exact rationals, not merely mod 1; a mismatch means the derivation chain
     is broken and raises.
     """
+    import fractions
+
     inv = disk_bundle_invariants(bundle)
-    assembled = Fraction(inv.p1_squared, 2**7 * 7) - Fraction(inv.signature, 2**5 * 7)
-    closed = Fraction(bundle.h * (bundle.h - 1), 56)
+    assembled = (fractions.Fraction(inv.p1_squared, 2**7 * 7)
+                 - fractions.Fraction(inv.signature, 2**5 * 7))
+    closed = fractions.Fraction(bundle.h * (bundle.h - 1), 56)
     if assembled != closed:
         raise DerivationMismatch(
             f"mu(M_{bundle.h}): bounding-manifold assembly {assembled} "

@@ -42,8 +42,8 @@ from .bundles import (
     theta7_class,
 )
 from .quotient import DichotomyViolationError, classify_quotient
-from .verify import (_SCAN_LIMIT, Case, CoverageError, _admissible, _expand, _map_spans,
-                     _verify_chunk, check_case, enumerate_residues)
+from .verify import (_SCAN_LIMIT, Case, CoverageError, _admissible, _map_spans, _verify_chunk,
+                     check_case, enumerate_residues)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -324,8 +324,15 @@ def _render_runs(fmt: str, runs: Iterable[tuple[tuple, int, int]], tails: dict,
 
 
 def _tail_cells(verdict: str, passed: bool, mu: tuple[int, ...]) -> list[str]:
-    """The value set, verdict and pass cells of a row of one outcome, in any format."""
-    return [";".join(str(v.rep) for v in _expand(mu)), verdict, _flat(passed)]
+    """The value set, verdict and pass cells of a row of one outcome, in any format.
+
+    Each member a/224 of the value set is written in lowest terms from ints,
+    as ``str(Fraction(a, 224))`` writes it: ``p/q``, or ``p`` when q is 1.
+    """
+    from math import gcd  # here, not at the top: only verify writes a value set from ints
+
+    terms = [(a // gcd(a, 224), 224 // gcd(a, 224)) for a in mu]
+    return [";".join(f"{p}/{q}" if q > 1 else str(p) for p, q in terms), verdict, _flat(passed)]
 
 
 def _render_tail(fmt: str, cells: list[str], widths: list[int] | None = None) -> tuple[str, ...]:

@@ -25,13 +25,14 @@ depends only on h mod 1792 (the assembly on p1 mod 1792), and it is looked
 up by that residue in a table of 1792 slots, each filled on first use; the
 helpers that read h, the comparison and the verdict still run on every call,
 with that h.
-Records and ``Fraction`` value sets appear only at the public edges.
+Records and ``Fraction`` value sets appear only at the public edges, and
+``fractions`` is imported only where one is built: ``MU_RP7`` and
+``MU_RP7_SUM_14M2`` on their first read (PEP 562), and ``A_2`` on each.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from ._record import Record
 from .bundles import (
@@ -70,14 +71,32 @@ _RP7_SUM_14M2_SCALED = tuple(sorted((v + MU_SCALE // 2) % MU_SCALE for v in _RP7
 
 def _residue_set(scaled: tuple[int, int]) -> AmbiguousResidue:
     """The value set {v / 1792 mod 1} of a scaled pair."""
-    return AmbiguousResidue.of(*(ResidueModZ(Fraction(v, MU_SCALE)) for v in scaled))
+    import fractions
+
+    return AmbiguousResidue.of(*(ResidueModZ(fractions.Fraction(v, MU_SCALE)) for v in scaled))
 
 
-#: mu value set of RP^7: {1/32, 31/32}.
-MU_RP7 = _residue_set(_RP7_SCALED)
+#: The scaled pair of each value set this module exports: MU_RP7, mu of RP^7,
+#: {1/32, 31/32}, and MU_RP7_SUM_14M2, mu of RP^7 # 14 M_2, {15/32, 17/32}.
+_VALUE_SETS = {"MU_RP7": _RP7_SCALED, "MU_RP7_SUM_14M2": _RP7_SUM_14M2_SCALED}
 
-#: mu value set of RP^7 # 14 M_2: {15/32, 17/32}, i.e. +/- 1/32 shifted by 1/2.
-MU_RP7_SUM_14M2 = _residue_set(_RP7_SUM_14M2_SCALED)
+
+def __getattr__(name: str) -> AmbiguousResidue:
+    """The value set ``name`` of ``_VALUE_SETS``, built on its first read and then kept.
+
+    Python calls this (PEP 562) only while the module lacks the name, so
+    importing the module loads no ``fractions``; the module's own reads call
+    it too, and meet the value kept, or one patched in.
+    """
+    if name not in _VALUE_SETS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        globals()[name] = _residue_set(_VALUE_SETS[name])
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_VALUE_SETS})
 
 
 class Verdict(enum.Enum):
@@ -94,8 +113,6 @@ class FixedPointContributions(Record):
 
     __slots__ = ("a1_magnitude",)
 
-    #: A_2 is the Euler number of the normal bundle of the fixed S^4.
-    a2 = Fraction(CharacteristicData.euler_coeff)
     #: The equivariant signature at the fixed S^4, 1 across the family.
     equivariant_signature = 1
 
@@ -109,6 +126,13 @@ class FixedPointContributions(Record):
         """Both signed readings of A_1, ascending."""
         return (-self.a1_magnitude, self.a1_magnitude)
 
+    @property
+    def a2(self) -> Fraction:
+        """A_2, the Euler number of the normal bundle of the fixed S^4."""
+        import fractions
+
+        return fractions.Fraction(CharacteristicData.euler_coeff)
+
 
 class QuotientReport(Record):
     """Assembled invariants and verdict for one quotient M_h/tau_h."""
@@ -120,7 +144,7 @@ class QuotientReport(Record):
         applicable = h * (h - 1) % 56 == 0
         if verdict is not Verdict.NOT_APPLICABLE and not applicable:
             raise ValueError("a classification verdict requires M_h ~ S^7")
-        if verdict is Verdict.REAL_PROJECTIVE_7 and mu_quotient != MU_RP7:
+        if verdict is Verdict.REAL_PROJECTIVE_7 and mu_quotient != __getattr__("MU_RP7"):
             raise ValueError("RP7 verdict requires mu = {1/32, 31/32}")
         self._set(h, contributions, mu_quotient, verdict)
 
@@ -133,7 +157,10 @@ def fixed_point_contributions(bundle: MilnorBundle) -> FixedPointContributions:
     that bundle's Euler number.  The involution fixes the generator of
     H^4(S^4), so the equivariant signature agrees with the ordinary one.
     """
-    return FixedPointContributions(Fraction(characteristic_data(bundle).p1_magnitude, 32))
+    import fractions
+
+    a1 = fractions.Fraction(characteristic_data(bundle).p1_magnitude, 32)
+    return FixedPointContributions(a1)
 
 
 #: The h-free terms of the scaled assembly, read once from the record classes:

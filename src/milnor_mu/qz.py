@@ -12,13 +12,13 @@ API:
 
 All values are immutable slotted records and all operations are pure
 functions, so they can be shared across threads or worker processes without
-coordination.
+coordination.  ``fractions`` is imported by the functions that build or
+test a ``Fraction``, not at import: the pipeline's integer paths never load it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from ._record import Record
 
@@ -39,9 +39,11 @@ def reduce_mod_z(q: Fraction | int) -> "ResidueModZ":
 
     Raises :class:`TypeError` unless ``q`` is an int or a Fraction.
     """
-    if not isinstance(q, (int, Fraction)):
+    import fractions
+
+    if not isinstance(q, (int, fractions.Fraction)):
         raise TypeError(f"q must be an int or a Fraction, got {type(q).__name__}")
-    return ResidueModZ(Fraction(q) % 1)
+    return ResidueModZ(fractions.Fraction(q) % 1)
 
 
 class ResidueModZ(Record):
@@ -54,7 +56,9 @@ class ResidueModZ(Record):
     __slots__ = ("rep",)
 
     def __init__(self, rep: Fraction) -> None:
-        if not isinstance(rep, Fraction):
+        import fractions
+
+        if not isinstance(rep, fractions.Fraction):
             raise TypeError(f"rep must be a Fraction, got {type(rep).__name__}")
         # denominators are positive, so 0 <= rep < 1 is an int comparison
         if not 0 <= rep.numerator < rep.denominator:
@@ -64,7 +68,9 @@ class ResidueModZ(Record):
     def __add__(self, other: "ResidueModZ | Fraction | int") -> "ResidueModZ":
         if isinstance(other, ResidueModZ):
             return reduce_mod_z(self.rep + other.rep)
-        if isinstance(other, (int, Fraction)):
+        import fractions
+
+        if isinstance(other, (int, fractions.Fraction)):
             return reduce_mod_z(self.rep + other)
         return NotImplemented
 
@@ -82,7 +88,8 @@ class ResidueModZ(Record):
 
 def ambiguous(q: Fraction | int) -> "AmbiguousResidue":
     """The value set ``{q, -q}`` mod 1 of a rational with undetermined sign."""
-    return AmbiguousResidue.of(reduce_mod_z(q), reduce_mod_z(-Fraction(q)))
+    # reduce_mod_z(q) raises first unless q is an int or a Fraction, whose -q is exact
+    return AmbiguousResidue.of(reduce_mod_z(q), reduce_mod_z(-q))
 
 
 class AmbiguousResidue(Record):

@@ -39,7 +39,6 @@ import enum
 import functools
 import os
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 
 from ._record import Record
 from .bundles import DerivationMismatch
@@ -122,14 +121,27 @@ class Case(enum.Enum):
         return self.value
 
 
-# Stated congruence constants per case: h(h-1)/112 = quad + k/2 and
-# (2h-1)/32 = linear + k/2, both mod 1, for h = 56k + residue.
-_CASE_CONSTANTS: dict[Case, tuple[Fraction, Fraction]] = {
-    Case.I: (Fraction(0), Fraction(-1, 32)),
-    Case.II: (Fraction(0), Fraction(1, 32)),
-    Case.III: (Fraction(1, 2), Fraction(-1, 32) + Fraction(1, 2)),
-    Case.IV: (Fraction(0), Fraction(1, 32)),
-}
+def __getattr__(name: str) -> dict[Case, tuple[Fraction, Fraction]]:
+    """``_CASE_CONSTANTS``, built on its first read and then kept.
+
+    The stated congruence constants per case: h(h-1)/112 = quad + k/2 and
+    (2h-1)/32 = linear + k/2, both mod 1, for h = 56k + residue.  Python
+    calls this (PEP 562) only while the module lacks the name, so importing
+    the module loads no ``fractions``; the module's own reads call it too,
+    so they read the one dict kept, and see an item patched into it.
+    """
+    if name != "_CASE_CONSTANTS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        from fractions import Fraction
+
+        globals()[name] = {
+            Case.I: (Fraction(0), Fraction(-1, 32)),
+            Case.II: (Fraction(0), Fraction(1, 32)),
+            Case.III: (Fraction(1, 2), Fraction(-1, 32) + Fraction(1, 2)),
+            Case.IV: (Fraction(0), Fraction(1, 32)),
+        }
+    return globals()[name]
 
 
 #: Period in h of every check in :func:`check_case`.  Each check is an
@@ -175,11 +187,11 @@ class CaseReport(Record):
 
     @property
     def quad_constant(self) -> Fraction:
-        return _CASE_CONSTANTS[self.case][0]
+        return __getattr__("_CASE_CONSTANTS")[self.case][0]
 
     @property
     def linear_constant(self) -> Fraction:
-        return _CASE_CONSTANTS[self.case][1]
+        return __getattr__("_CASE_CONSTANTS")[self.case][1]
 
     @property
     def matches(self) -> bool:
@@ -217,7 +229,7 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
-    quad, linear = _CASE_CONSTANTS[case]
+    quad, linear = __getattr__("_CASE_CONSTANTS")[case]
     res = case.h_residue
     quad_112, linear_32 = quad * 112, linear * 32
     if quad_112.denominator == linear_32.denominator == 1:  # on the grid: int arithmetic
@@ -248,8 +260,10 @@ def direct_mu_set(h: int) -> AmbiguousResidue:
     This is the oracle: plain fraction arithmetic and reduction mod 1, no
     characteristic-class plumbing, no shared code with the quotient module.
     """
-    base = Fraction(h * (h - 1), 112)
-    shift = Fraction(2 * h - 1, 32)
+    import fractions
+
+    base = fractions.Fraction(h * (h - 1), 112)
+    shift = fractions.Fraction(2 * h - 1, 32)
     return AmbiguousResidue.of(
         reduce_mod_z(base + shift), reduce_mod_z(base - shift)
     )
@@ -590,4 +604,6 @@ def _expand(pair: tuple[int, ...]) -> AmbiguousResidue:
     The one bridge from the oracle's sorted ints in [0, 224) to ``Fraction``
     residues; distinct pairs give distinct value sets.
     """
-    return AmbiguousResidue(tuple([ResidueModZ(Fraction(v, 224)) for v in pair]))
+    import fractions
+
+    return AmbiguousResidue(tuple([ResidueModZ(fractions.Fraction(v, 224)) for v in pair]))

@@ -535,11 +535,11 @@ class TestVerifyBytes:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
 
-        def counted(pair, expand=cli._expand):
+        def counted(verdict, passed, pair, cells=cli._tail_cells):
             calls.append(pair)
-            return expand(pair)
+            return cells(verdict, passed, pair)
 
-        monkeypatch.setattr(cli, "_expand", counted)
+        monkeypatch.setattr(cli, "_tail_cells", counted)
         run_verify(capsys, window, fmt, workers)
         per_value_set = spans if fmt == "csv" else 1
         assert sorted(Counter(calls).values()) == [per_value_set] * value_sets
@@ -560,6 +560,17 @@ class TestVerifyBytes:
         expected = expected_verify(window, fmt)
         monkeypatch.setattr(verify, "VerifyRow", no_rows)
         assert run_verify(capsys, window, fmt, None) == expected
+
+
+def test_a_value_set_is_written_as_fraction_writes_it():
+    # every member the oracle's pair at scale 224 can hold, a patched oracle's too
+    # (0 and the even ones among them), alone and in every sorted pair
+    text = [str(Fraction(a, 224)) for a in range(224)]
+    assert [cli._tail_cells("RP7", True, (a,)) for a in range(224)] == [
+        [t, "RP7", "true"] for t in text]
+    pairs = [(a, b) for a in range(224) for b in range(a + 1, 224)]
+    assert [cli._tail_cells("RP7", True, pair)[0] for pair in pairs] == [
+        f"{text[a]};{text[b]}" for a, b in pairs]
 
 
 VERDICTS = ["RP7", "RP7#14M2", "derivation_mismatch", "dichotomy_violation"]
@@ -642,8 +653,11 @@ SRC_PATH = Path(__file__).resolve().parent.parent / "src"
 #: milliseconds each; ``pickle`` and ``signal`` are imported on the first
 #: pooled sweep only, ``json`` by the json records of the other commands
 #: (``verify`` writes its json by template), and ``csv`` never.
+#: ``fractions`` pulls in ``decimal`` and ``numbers``, and is imported only
+#: where a ``Fraction`` is built (see ``FRACTION_MODULES``).
 SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "concurrent.futures", "pickle", "signal",
-                "json", "csv")
+                "json", "csv", "fractions", "decimal", "numbers")
+FRACTION_MODULES = ("decimal", "fractions", "numbers")
 
 
 def test_importing_the_cli_loads_no_slow_module():
@@ -673,6 +687,29 @@ def test_a_pooled_sweep_loads_no_pool_module():
     )
     # pickle shows that the sweep did fan out
     assert done.stdout.splitlines()[-1] == "0 pickle"
+
+
+@pytest.mark.parametrize("argv, loads", [
+    *((["verify", "--h-range", "-3000..3000", "--format", fmt, *parallel], False)
+      for fmt in FORMATS for parallel in ([], ["--parallel", "2"])),
+    (["enumerate", "--modulus", "56"], False),
+    (["--help"], False),
+    # where the boundary lies: these commands print values built as Fractions
+    (["cases", "--k-range", "0..3"], True),
+    (["quotient", "--h", "8"], True),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_fractions_load_only_where_a_fraction_is_built(argv, loads):
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from milnor_mu import verify; "
+        "verify._usable_cpus = lambda: 2; from milnor_mu.cli import main; "
+        "code = main(sys.argv[2:]); "
+        f"print(code, *sorted(set({FRACTION_MODULES}) & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC_PATH), *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == " ".join(["0", *(FRACTION_MODULES if loads else ())])
 
 
 @pytest.mark.parametrize(

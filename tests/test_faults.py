@@ -237,6 +237,22 @@ def test_cli_cases_fails_under_a_constant_off_its_grid(monkeypatch, capsys, whic
     assert out.splitlines()[1] == line
 
 
+def test_a_patch_made_before_the_constants_are_first_read_is_what_check_case_reads(
+        monkeypatch):
+    # the constants are built on their first read: drop the ones built so far,
+    # so that the patch below makes the first read, as in a fresh process
+    monkeypatch.delattr(verify, "_CASE_CONSTANTS", raising=False)
+    assert "_CASE_CONSTANTS" not in vars(verify)
+    constants = verify._CASE_CONSTANTS
+    monkeypatch.setitem(constants, verify.Case.I, (Fraction(0), Fraction(-1, 31)))
+    assert verify._CASE_CONSTANTS is constants is vars(verify)["_CASE_CONSTANTS"]
+    # off its grid, the constant fails every k of its case: the whole first period
+    report = verify.check_case(verify.Case.I, -1000, 1000)
+    assert report.period_failures == (-1000, -999, -998, -997)
+    assert report.linear_constant == Fraction(-1, 31)
+    assert verify.check_case(verify.Case.II, -1000, 1000).matches
+
+
 @pytest.mark.parametrize("period, missing", [(223, "168"), (112, "112, 168")])
 def test_cli_cases_fails_under_a_shrunk_period(monkeypatch, capsys, period, missing):
     # the first case raises: h = 56k over k in [0, 100] reaches 0, 56, 112 and 168 mod 224

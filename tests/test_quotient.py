@@ -52,6 +52,7 @@ class TestFixedPointContributions:
         fp = fixed_point_contributions(MilnorBundle(h))
         assert fp.a1_magnitude == a1_mag
         assert fp.a2 == 1
+        assert type(fp.a2) is Fraction  # built on each read, still a Fraction
         assert fp.equivariant_signature == 1
 
     def test_a1_pair_is_signed_and_sorted(self):

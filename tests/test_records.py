@@ -199,6 +199,7 @@ DERIVED = [
     (CaseReport(Case.I, 0, 0), "linear_constant", Fraction(-1, 32),
      verify._CASE_CONSTANTS[Case.I][1]),
     (TheoremSweep(-60, 60, 10, (8, 49)), "failed", 2, len((8, 49))),
+    (FixedPointContributions(Fraction(15, 16)), "a2", Fraction(1), CharacteristicData.euler_coeff),
 ]
 
 
