@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Count the lines of the program: the ``.py`` files under ``src/`` and ``scripts/``.
 
-Prints three totals.  Physical lines are the lines of each file.  Docstring
+Prints each file's path and its three counts, one line per file, and then
+the three totals.  Physical lines are the lines of each file.  Docstring
 lines are those of the leading string of a module, class or function body,
 found with ``ast``.  Code lines hold a token other than a comment, a line
 break or an indent, less the docstring lines.  Run from anywhere:
@@ -38,8 +39,10 @@ def counts(source: str) -> tuple[int, int, int]:
 
 def main() -> None:
     files = sorted(p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py"))
-    totals = [sum(column) for column in zip(*(counts(p.read_text()) for p in files))]
-    print("physical {}  code {}  docstring {}".format(*totals))
+    rows = [counts(p.read_text()) for p in files]
+    for path, row in zip(files, rows):
+        print(path.relative_to(ROOT).as_posix(), "physical {}  code {}  docstring {}".format(*row))
+    print("physical {}  code {}  docstring {}".format(*map(sum, zip(*rows))))
 
 
 if __name__ == "__main__":

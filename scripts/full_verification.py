@@ -14,7 +14,6 @@ exits 2.  Example:
 # module here, before the first line is written, keeps a Ctrl-C after that line
 # out of its import, where a second Ctrl-C can print an "Exception ignored" trace.
 import fractions
-import math
 import sys
 import time
 from itertools import zip_longest
@@ -49,7 +48,7 @@ def crt_disagreements(periods: int) -> list[int]:
         return []
     scan = enumerate_residues(56 * periods).residues
     crt = residues_by_crt(56 * periods).residues
-    pairs = zip_longest(scan, crt, fillvalue=math.inf)
+    pairs = zip_longest(scan, crt, fillvalue=56 * periods)  # no residue reaches it
     first = next((min(s, c) for s, c in pairs if s != c), None)
     return [] if first is None else list(range(first // 56 + 1, periods + 1))
 

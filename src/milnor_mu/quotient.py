@@ -25,7 +25,8 @@ depends only on h mod 1792 (the assembly on p1 mod 1792), and it is looked
 up by that residue in a table of 1792 slots, each filled on first use; the
 helpers that read h, the comparison and the verdict still run on every call,
 with that h.
-Records and ``Fraction`` value sets appear only at the public edges, and
+Records and ``Fraction`` value sets appear only at the public edges, each
+value set built from its pair at scale 1792 by ``qz._scaled_set``, and
 ``fractions`` is imported only where one is built: ``MU_RP7`` and
 ``MU_RP7_SUM_14M2`` on their first read (PEP 562), and ``A_2`` on each.
 """
@@ -44,7 +45,7 @@ from .bundles import (
     characteristic_data,
     is_diffeo_s7,
 )
-from .qz import AmbiguousResidue, ResidueModZ
+from .qz import AmbiguousResidue, _scaled_set
 
 
 class NotDiffeoS7Error(ValueError):
@@ -69,13 +70,6 @@ _RP7_SCALED = (56, 1736)
 _RP7_SUM_14M2_SCALED = tuple(sorted((v + MU_SCALE // 2) % MU_SCALE for v in _RP7_SCALED))
 
 
-def _residue_set(scaled: tuple[int, int]) -> AmbiguousResidue:
-    """The value set {v / 1792 mod 1} of a scaled pair."""
-    import fractions
-
-    return AmbiguousResidue.of(*(ResidueModZ(fractions.Fraction(v, MU_SCALE)) for v in scaled))
-
-
 #: The scaled pair of each value set this module exports: MU_RP7, mu of RP^7,
 #: {1/32, 31/32}, and MU_RP7_SUM_14M2, mu of RP^7 # 14 M_2, {15/32, 17/32}.
 _VALUE_SETS = {"MU_RP7": _RP7_SCALED, "MU_RP7_SUM_14M2": _RP7_SUM_14M2_SCALED}
@@ -91,7 +85,7 @@ def __getattr__(name: str) -> AmbiguousResidue:
     if name not in _VALUE_SETS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if name not in globals():
-        globals()[name] = _residue_set(_VALUE_SETS[name])
+        globals()[name] = _scaled_set(_VALUE_SETS[name], MU_SCALE)
     return globals()[name]
 
 
@@ -235,15 +229,15 @@ def _mu_quotient_scaled(h: int) -> tuple[tuple[int, int], str]:
         assembled = _ASSEMBLY[p1] = _assembly_mod(p1)
     if closed != assembled:
         raise DerivationMismatch(
-            f"mu(M_{h}/tau): fixed-point assembly {_residue_set(assembled)} "
-            f"!= closed form {_residue_set(closed)}"
+            f"mu(M_{h}/tau): fixed-point assembly {_scaled_set(assembled, MU_SCALE)} "
+            f"!= closed form {_scaled_set(closed, MU_SCALE)}"
         )
     if closed == _RP7_SCALED:
         return closed, "RP7"
     if closed == _RP7_SUM_14M2_SCALED:
         return closed, "RP7#14M2"
     raise DichotomyViolationError(
-        f"mu(M_{h}/tau) = {_residue_set(closed)} matches neither RP^7 nor RP^7 # 14 M_2"
+        f"mu(M_{h}/tau) = {_scaled_set(closed, MU_SCALE)} matches neither RP^7 nor RP^7 # 14 M_2"
     )
 
 
@@ -255,7 +249,7 @@ def mu_quotient(bundle: MilnorBundle) -> AmbiguousResidue:
     extrapolating it would produce numbers with no meaning.  The value is
     computed and cross-checked by :func:`_mu_quotient_scaled`.
     """
-    return _residue_set(_mu_quotient_scaled(bundle.h)[0])
+    return _scaled_set(_mu_quotient_scaled(bundle.h)[0], MU_SCALE)
 
 
 def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
@@ -264,4 +258,4 @@ def classify_quotient(bundle: MilnorBundle) -> QuotientReport:
     if not is_diffeo_s7(bundle):
         return QuotientReport(bundle.h, contrib, None, Verdict.NOT_APPLICABLE)
     scaled, verdict = _mu_quotient_scaled(bundle.h)
-    return QuotientReport(bundle.h, contrib, _residue_set(scaled), Verdict(verdict))
+    return QuotientReport(bundle.h, contrib, _scaled_set(scaled, MU_SCALE), Verdict(verdict))

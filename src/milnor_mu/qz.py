@@ -14,6 +14,8 @@ All values are immutable slotted records and all operations are pure
 functions, so they can be shared across threads or worker processes without
 coordination.  ``fractions`` is imported by the functions that build or
 test a ``Fraction``, not at import: the pipeline's integer paths never load it.
+Those paths hold a value set as ints at a scale; :func:`_scaled_set` is the
+one step from such ints to a value set.
 """
 
 from __future__ import annotations
@@ -148,6 +150,17 @@ def add_ambiguous(
             "refusing to combine two independent sign ambiguities"
         )
     return AmbiguousResidue.of(*(u + v for u in pa for v in pb))
+
+
+def _scaled_set(values: tuple[int, ...], scale: int) -> AmbiguousResidue:
+    """The value set {v/scale mod 1, ...} of one or two ints v in [0, scale).
+
+    The one bridge from the pipeline's scaled integers, the kernel's at 1792
+    and the oracle's at 224, to ``Fraction`` residues.
+    """
+    import fractions
+
+    return AmbiguousResidue.of(*[ResidueModZ(fractions.Fraction(v, scale)) for v in values])
 
 
 def _members(x: "AmbiguousResidue | ResidueModZ") -> tuple[ResidueModZ, ...]:

@@ -5,7 +5,8 @@ Everything here double-checks the bundle/quotient pipeline from the outside:
 * residue classes of h with 56 | h(h-1), found by raw scan and independently
   by a Chinese-remainder construction;
 * the four residue cases h = 56k + {0, 1, 8, 49}, whose mu terms are checked
-  against their stated ``constant + k/2`` congruences for every k in range;
+  against their stated ``constant + k/2`` congruences for every k in range,
+  the constants held as ints at scale 112 and 32;
 * a theorem sweep that re-evaluates mu(M_h/tau_h) straight from the closed
   formula, sharing no code with the quotient assembly it is meant to catch
   lying: in plain fraction arithmetic (:func:`direct_mu_set`) for
@@ -43,16 +44,16 @@ from collections.abc import Callable, Iterator
 from ._record import Record
 from .bundles import DerivationMismatch
 from .quotient import MU_SCALE, DichotomyViolationError, _mu_quotient_scaled
-from .qz import AmbiguousResidue, ResidueModZ, reduce_mod_z
+from .qz import AmbiguousResidue, _scaled_set, reduce_mod_z
 
 _SCAN_LIMIT = 10**6
 
 #: mu value set every admissible quotient must hit, {1/32, 31/32}, stated
 #: once, as the oracle's sorted pair at scale 224, the form in which the
-#: checks compare it; :func:`_expand` gives the value set.  Spelled out here
-#: rather than taken from ``quotient.MU_RP7`` on purpose: the sweep checks the
-#: pipeline against the theorem, and a target taken from the pipeline would
-#: let one wrong constant pass on both sides.
+#: checks compare it; ``qz._scaled_set(_TARGET, 224)`` gives the value set.
+#: Spelled out here rather than taken from ``quotient.MU_RP7`` on purpose: the
+#: sweep checks the pipeline against the theorem, and a target taken from the
+#: pipeline would let one wrong constant pass on both sides.
 _TARGET = (7, 217)
 
 
@@ -121,27 +122,11 @@ class Case(enum.Enum):
         return self.value
 
 
-def __getattr__(name: str) -> dict[Case, tuple[Fraction, Fraction]]:
-    """``_CASE_CONSTANTS``, built on its first read and then kept.
-
-    The stated congruence constants per case: h(h-1)/112 = quad + k/2 and
-    (2h-1)/32 = linear + k/2, both mod 1, for h = 56k + residue.  Python
-    calls this (PEP 562) only while the module lacks the name, so importing
-    the module loads no ``fractions``; the module's own reads call it too,
-    so they read the one dict kept, and see an item patched into it.
-    """
-    if name != "_CASE_CONSTANTS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        from fractions import Fraction
-
-        globals()[name] = {
-            Case.I: (Fraction(0), Fraction(-1, 32)),
-            Case.II: (Fraction(0), Fraction(1, 32)),
-            Case.III: (Fraction(1, 2), Fraction(-1, 32) + Fraction(1, 2)),
-            Case.IV: (Fraction(0), Fraction(1, 32)),
-        }
-    return globals()[name]
+#: The stated congruence constants per case, h(h-1)/112 = quad + k/2 and
+#: (2h-1)/32 = linear + k/2, both mod 1, for h = 56k + residue, held on their
+#: grids as the ints (112 * quad, 32 * linear): Case III's are 1/2 and
+#: -1/32 + 1/2 = 15/32.
+_CASE_CONSTANTS = {Case.I: (0, -1), Case.II: (0, 1), Case.III: (56, 15), Case.IV: (0, 1)}
 
 
 #: Period in h of every check in :func:`check_case`.  Each check is an
@@ -187,11 +172,15 @@ class CaseReport(Record):
 
     @property
     def quad_constant(self) -> Fraction:
-        return __getattr__("_CASE_CONSTANTS")[self.case][0]
+        import fractions
+
+        return fractions.Fraction(_CASE_CONSTANTS[self.case][0], 112)
 
     @property
     def linear_constant(self) -> Fraction:
-        return __getattr__("_CASE_CONSTANTS")[self.case][1]
+        import fractions
+
+        return fractions.Fraction(_CASE_CONSTANTS[self.case][1], 32)
 
     @property
     def matches(self) -> bool:
@@ -206,13 +195,15 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     value set {1/32, 31/32}.
 
     The congruences are decided in exact integer arithmetic after clearing
-    denominators (112, 32, and their lcm 224): (a) becomes
-    h(h-1) - 112*quad - 56k = 0 mod 112, (b) becomes
-    (2h-1) - 32*linear - 16k = 0 mod 32, and (c) asks the sweep's oracle
-    :func:`_direct_mu_pair` for the value set at scale 224 and compares it
-    with the sweep's target, ``_TARGET``.  A constant off its 1/112 or 1/32
-    grid stays a non-integer ``Fraction`` there, never 0 mod 112 or 32, so
-    every k of its case fails.
+    denominators (112, 32, and their lcm 224), with the constants as
+    ``_CASE_CONSTANTS`` holds them, quad_112 = 112*quad and
+    linear_32 = 32*linear: (a) becomes h(h-1) - quad_112 - 56k = 0 mod 112,
+    (b) becomes (2h-1) - linear_32 - 16k = 0 mod 32, and (c) asks the
+    sweep's oracle :func:`_direct_mu_pair` for the value set at scale 224
+    and compares it with the sweep's target, ``_TARGET``.  A constant off its
+    1/112 or 1/32 grid has no such int; put in as a non-integer
+    ``Fraction``, it is never 0 mod 112 or 32 there, so every k of its case
+    fails.
 
     Each of these is an integer polynomial in h taken mod a divisor of 224,
     so whether k fails depends only on h mod 224, that is on k mod 4 (see
@@ -229,11 +220,8 @@ def check_case(case: Case, k_min: int, k_max: int) -> CaseReport:
     """
     if k_min > k_max:
         raise EmptyRangeError(f"empty k-range [{k_min}, {k_max}]")
-    quad, linear = __getattr__("_CASE_CONSTANTS")[case]
+    quad_112, linear_32 = _CASE_CONSTANTS[case]
     res = case.h_residue
-    quad_112, linear_32 = quad * 112, linear * 32
-    if quad_112.denominator == linear_32.denominator == 1:  # on the grid: int arithmetic
-        quad_112, linear_32 = int(quad_112), int(linear_32)
     decided = range(k_min, min(k_max, k_min + _CASE_PERIOD // 56 - 1) + 1)
     reached = range(k_min, min(k_max, k_min + _CASE_MODULUS // 56 - 1) + 1)
     missing = sorted({(56 * k + res) % _CASE_MODULUS for k in reached}
@@ -295,7 +283,7 @@ def brute_force_theorem(h_min: int, h_max: int) -> TheoremSweep:
     """
     if h_min > h_max:
         raise EmptyRangeError(f"empty h-range [{h_min}, {h_max}]")
-    target = _expand(_TARGET)
+    target = _scaled_set(_TARGET, 224)
     checked = 0
     failures = []
     for h in _admissible(h_min, h_max):
@@ -333,9 +321,9 @@ def verify_range(h_min: int, h_max: int) -> tuple[VerifyRow, ...]:
     :class:`AmbiguousResidue` per value set.  Raises :class:`EmptyRangeError`
     when h_min > h_max.
     """
-    expand = functools.cache(_expand)
+    expand = functools.cache(_scaled_set)
     return tuple(
-        VerifyRow(h, expand(mu), verdict, passed)
+        VerifyRow(h, expand(mu, 224), verdict, passed)
         for _, _, runs in _map_spans(_verify_chunk, h_min, h_max)
         for (verdict, passed, mu), hs in runs
         for h in hs
@@ -596,14 +584,3 @@ def _oracle_mod(r: int) -> tuple[int, int]:
     quad, odd = 2 * r * (r - 1), 7 * (2 * r - 1)
     a, b = (quad + odd) % 224, (quad - odd) % 224
     return (a, b) if a < b else (b, a)
-
-
-def _expand(pair: tuple[int, ...]) -> AmbiguousResidue:
-    """The value set {a/224, ...} of an oracle pair (a, ...) at scale 224.
-
-    The one bridge from the oracle's sorted ints in [0, 224) to ``Fraction``
-    residues; distinct pairs give distinct value sets.
-    """
-    import fractions
-
-    return AmbiguousResidue(tuple([ResidueModZ(fractions.Fraction(v, 224)) for v in pair]))

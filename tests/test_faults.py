@@ -223,8 +223,10 @@ def test_cli_cases_fails_over_two_times_ten_to_the_eighteen_k(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("which, constant, line", [
-    (1, Fraction(-1, 31), "I,0,0,-1/31,false"),  # off the 1/32 grid of the linear constant
-    (0, Fraction(1, 113), "I,0,1/113,-1/32,false"),  # off the 1/112 grid of the quadratic one
+    # the constants at scale: -1/31 is off the 1/32 grid of the linear constant,
+    # 1/113 off the 1/112 grid of the quadratic one
+    (1, Fraction(-32, 31), "I,0,0,-1/31,false"),
+    (0, Fraction(112, 113), "I,0,1/113,-1/32,false"),
 ])
 def test_cli_cases_fails_under_a_constant_off_its_grid(monkeypatch, capsys, which, constant,
                                                        line):
@@ -235,22 +237,6 @@ def test_cli_cases_fails_under_a_constant_off_its_grid(monkeypatch, capsys, whic
     out, err = capsys.readouterr()
     assert (code, err) == (2, "")
     assert out.splitlines()[1] == line
-
-
-def test_a_patch_made_before_the_constants_are_first_read_is_what_check_case_reads(
-        monkeypatch):
-    # the constants are built on their first read: drop the ones built so far,
-    # so that the patch below makes the first read, as in a fresh process
-    monkeypatch.delattr(verify, "_CASE_CONSTANTS", raising=False)
-    assert "_CASE_CONSTANTS" not in vars(verify)
-    constants = verify._CASE_CONSTANTS
-    monkeypatch.setitem(constants, verify.Case.I, (Fraction(0), Fraction(-1, 31)))
-    assert verify._CASE_CONSTANTS is constants is vars(verify)["_CASE_CONSTANTS"]
-    # off its grid, the constant fails every k of its case: the whole first period
-    report = verify.check_case(verify.Case.I, -1000, 1000)
-    assert report.period_failures == (-1000, -999, -998, -997)
-    assert report.linear_constant == Fraction(-1, 31)
-    assert verify.check_case(verify.Case.II, -1000, 1000).matches
 
 
 @pytest.mark.parametrize("period, missing", [(223, "168"), (112, "112, 168")])

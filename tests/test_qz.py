@@ -9,6 +9,7 @@ from milnor_mu.qz import (
     AmbiguousResidue,
     DoubleAmbiguityError,
     ResidueModZ,
+    _scaled_set,
     add_ambiguous,
     ambiguous,
     reduce_mod_z,
@@ -239,6 +240,20 @@ class TestAddAmbiguous:
     def test_shift_by_half_preserves_negation_closure(self, q):
         out = add_ambiguous(res(1, 2), ambiguous(q))
         assert negated(out) == set(out)
+
+
+class TestScaledSet:
+    @given(st.sampled_from([224, 1792]), st.data())
+    def test_is_the_set_of_the_members_over_the_scale(self, scale, data):
+        values = data.draw(st.lists(st.integers(0, scale - 1), min_size=1, max_size=2))
+        expected = AmbiguousResidue.of(*[res(v, scale) for v in values])
+        assert _scaled_set(tuple(values), scale) == expected
+
+    def test_is_the_one_bridge_from_scaled_ints(self):
+        from milnor_mu import quotient, verify
+
+        assert not hasattr(verify, "_expand") and not hasattr(quotient, "_residue_set")
+        assert verify._scaled_set is quotient._scaled_set is _scaled_set
 
 
 class TestExactness:

@@ -195,9 +195,9 @@ def test_only_the_base_class_writes_fields():
 DERIVED = [
     (CaseReport(Case.III, -2, 3), "h_residue", 8, Case.III.value),
     (CaseReport(Case.III, -2, 3), "quad_constant", Fraction(1, 2),
-     verify._CASE_CONSTANTS[Case.III][0]),
+     Fraction(verify._CASE_CONSTANTS[Case.III][0], 112)),
     (CaseReport(Case.I, 0, 0), "linear_constant", Fraction(-1, 32),
-     verify._CASE_CONSTANTS[Case.I][1]),
+     Fraction(verify._CASE_CONSTANTS[Case.I][1], 32)),
     (TheoremSweep(-60, 60, 10, (8, 49)), "failed", 2, len((8, 49))),
     (FixedPointContributions(Fraction(15, 16)), "a2", Fraction(1), CharacteristicData.euler_coeff),
 ]

@@ -152,8 +152,7 @@ class TestCheckCase:
 
 def _per_k_reference(case: Case, k_min: int, k_max: int) -> tuple[int, ...]:
     """The failing k of check_case, found by running its per-k test on every k."""
-    quad, linear = verify._CASE_CONSTANTS[case]
-    quad_112, linear_32 = int(quad * 112), int(linear * 32)
+    quad_112, linear_32 = verify._CASE_CONSTANTS[case]
     failures = []
     for k in range(k_min, k_max + 1):
         h = 56 * k + case.h_residue
@@ -173,7 +172,9 @@ def _assert_report(report: verify.CaseReport, case: Case, k_min: int, k_max: int
     in_period = tuple(k for k in failures if k < k_min + step)
     assert report == verify.CaseReport(case, k_min, k_max, in_period)
     assert report.h_residue == case.value
-    assert (report.quad_constant, report.linear_constant) == verify._CASE_CONSTANTS[case]
+    quad_112, linear_32 = verify._CASE_CONSTANTS[case]
+    assert (report.quad_constant, report.linear_constant) == (Fraction(quad_112, 112),
+                                                              Fraction(linear_32, 32))
     # each failing k0 of the first period stands for every k0 + 4t in range
     expanded = sorted(k for k0 in report.period_failures for k in range(k0, k_max + 1, step))
     assert tuple(expanded) == failures
@@ -196,16 +197,18 @@ CASE_WINDOWS = [
     (-(2**70) - 300, -(2**70) + 300),
 ]
 
-#: Wrong case constants: (index into the (quad, linear) pair, shift).
+#: Wrong case constants: (index into the (112 * quad, 32 * linear) pair, shift
+#: at that scale), shifting each constant by 1/2 and by 1/32.  1/32 is off the
+#: 1/112 grid of the quadratic constant, so its shift there is no int.
 CASE_FAULTS = [
-    (0, Fraction(1, 2)),
-    (0, Fraction(1, 32)),
-    (1, Fraction(1, 2)),
-    (1, Fraction(1, 32)),
+    (0, 56),
+    (0, Fraction(112, 32)),
+    (1, 16),
+    (1, 1),
 ]
 
 
-def _shifted_constants(case: Case, which: int, shift: Fraction) -> tuple[Fraction, Fraction]:
+def _shifted_constants(case: Case, which: int, shift: int | Fraction) -> tuple:
     constants = list(verify._CASE_CONSTANTS[case])
     constants[which] += shift
     return tuple(constants)
@@ -246,16 +249,28 @@ class TestCaseOnePeriod:
             _assert_report(check_case(case, k_min, k_max), case, k_min, k_max,
                            _per_k_reference(case, k_min, k_max))
 
-    @pytest.mark.parametrize("which,constant", [(1, Fraction(-1, 31)), (0, Fraction(1, 113))])
+    @pytest.mark.parametrize("which,constant", [(1, Fraction(-32, 31)), (0, Fraction(112, 113))])
     @pytest.mark.parametrize("case", list(Case))
     def test_a_constant_off_its_grid_fails_every_k(self, monkeypatch, case, which, constant):
         # -1/31 is off the 1/32 grid of the linear constant, 1/113 off the 1/112
-        # grid of the quadratic one; no k can meet such a congruence
+        # grid of the quadratic one, so at scale neither is an int; no k can
+        # meet such a congruence
         constants = list(verify._CASE_CONSTANTS[case])
         constants[which] = constant
         monkeypatch.setitem(verify._CASE_CONSTANTS, case, tuple(constants))
         report = check_case(case, -1000, 1000)
         _assert_report(report, case, -1000, 1000, tuple(range(-1000, 1001)))
+        assert all(check_case(other, -1000, 1000).matches for other in Case if other is not case)
+
+    def test_the_constants_are_int_pairs_read_as_fractions_at_their_scale(self):
+        assert "__getattr__" not in vars(verify)
+        assert set(verify._CASE_CONSTANTS) == set(Case)
+        for case, (quad_112, linear_32) in verify._CASE_CONSTANTS.items():
+            assert type(quad_112) is type(linear_32) is int
+            report = check_case(case, 0, 0)
+            assert report.quad_constant == Fraction(quad_112, 112)
+            assert report.linear_constant == Fraction(linear_32, 32)
+            assert type(report.quad_constant) is type(report.linear_constant) is Fraction
 
     def test_period_divides_every_modulus(self):
         assert all(verify._CASE_PERIOD % m == 0 for m in (112, 32, 224))
@@ -321,11 +336,11 @@ class TestDirectMuSet:
 class TestDirectMuPair:
     def test_equals_fraction_oracle_on_every_h_of_a_window(self):
         for h in range(-3000, 3001):  # admissible or not, negative or not
-            assert verify._expand(verify._direct_mu_pair(h)) == direct_mu_set(h)
+            assert qz._scaled_set(verify._direct_mu_pair(h), 224) == direct_mu_set(h)
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
     def test_equals_fraction_oracle_on_wide_h(self, h):
-        assert verify._expand(verify._direct_mu_pair(h)) == direct_mu_set(h)
+        assert qz._scaled_set(verify._direct_mu_pair(h), 224) == direct_mu_set(h)
 
     @given(st.integers(min_value=-(2**256), max_value=2**256))
     def test_two_odd_members_in_order(self, h):
@@ -339,7 +354,7 @@ class TestDirectMuPair:
 
     def test_the_target_expands_to_the_rp7_value_set(self):
         assert verify._TARGET == (7, 217)
-        assert verify._expand(verify._TARGET) == AmbiguousResidue.of(
+        assert qz._scaled_set(verify._TARGET, 224) == AmbiguousResidue.of(
             reduce_mod_z(Fraction(1, 32)), reduce_mod_z(Fraction(31, 32))
         )
 
@@ -424,7 +439,7 @@ class TestVerifyRange:
     def test_parallel_matches_sequential(self, monkeypatch):
         # the compact rows of a pooled sweep are the rows of verify_range
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        pooled = [(h, verdict, passed, verify._expand(mu))
+        pooled = [(h, verdict, passed, qz._scaled_set(mu, 224))
                   for h, verdict, passed, mu in _compact_rows(-300, 300, workers=3)]
         assert pooled == [(r.h, r.verdict, r.passed, r.mu_set) for r in verify_range(-300, 300)]
 
@@ -434,7 +449,7 @@ class TestVerifyRange:
             oracle_off_on_odd_h(monkeypatch)
         rows = verify_range(-5600, 5600)
         assert len({id(r.mu_set) for r in rows}) == value_sets
-        assert all(r.mu_set == verify._expand(verify._direct_mu_pair(r.h)) for r in rows)
+        assert all(r.mu_set == qz._scaled_set(verify._direct_mu_pair(r.h), 224) for r in rows)
         assert rows[0].mu_set == direct_mu_set(rows[0].h)
 
 
