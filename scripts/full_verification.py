@@ -42,15 +42,19 @@ def crt_disagreements(periods: int) -> list[int]:
 
     The residues of 56m are those of 56 * periods below 56m, on both sides, so
     the two agree for 56m exactly when 56m does not exceed their first
-    difference: one scan and one lift decide every m, in linear time.
+    difference: one scan and one lift decide every m, in linear time.  That
+    difference is clamped into [0, 56 * periods): a residue listed at or
+    above the modulus fails m = periods, and a negative one every m.
     """
     if periods < 1:
         return []
     scan = enumerate_residues(56 * periods).residues
     crt = residues_by_crt(56 * periods).residues
-    pairs = zip_longest(scan, crt, fillvalue=56 * periods)  # no residue reaches it
+    pairs = zip_longest(scan, crt, fillvalue=56 * periods)
     first = next((min(s, c) for s, c in pairs if s != c), None)
-    return [] if first is None else list(range(first // 56 + 1, periods + 1))
+    if first is None:
+        return []
+    return list(range(min(max(first, 0), 56 * periods - 1) // 56 + 1, periods + 1))
 
 
 def main(argv: list[str] | None = None) -> int:

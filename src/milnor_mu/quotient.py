@@ -25,6 +25,12 @@ depends only on h mod 1792 (the assembly on p1 mod 1792), and it is looked
 up by that residue in a table of 1792 slots, each filled on first use; the
 helpers that read h, the comparison and the verdict still run on every call,
 with that h.
+Every slot of both tables is filled through one intern dict, ``_PAIRS``,
+seeded with the two verdict pairs, so equal pairs from the tables are one
+tuple.  The kernel compares pairs by identity first and falls back to
+``==`` whenever two pairs are distinct objects: identity only skips the
+element-by-element comparison of a pair with itself, and a pair that comes
+from elsewhere, equal or not, is still compared by value.
 Records and ``Fraction`` value sets appear only at the public edges, each
 value set built from its pair at scale 1792 by ``qz._scaled_set``, and
 ``fractions`` is imported only where one is built: ``MU_RP7`` and
@@ -68,6 +74,10 @@ MU_SCALE = 2**8 * 7
 #: 1/2 (the 14 M_2 summand), derived from it so that the two cannot drift apart.
 _RP7_SCALED = (56, 1736)
 _RP7_SUM_14M2_SCALED = tuple(sorted((v + MU_SCALE // 2) % MU_SCALE for v in _RP7_SCALED))
+
+#: The residues r of h mod 56 with 56 | r(r-1): h(h-1) = r(r-1) mod 56, so M_h
+#: is diffeomorphic to S^7 exactly when h mod 56 is one of them.
+_ADMISSIBLE_RESIDUES = frozenset(r for r in range(56) if r * (r - 1) % 56 == 0)
 
 
 #: The scaled pair of each value set this module exports: MU_RP7, mu of RP^7,
@@ -170,6 +180,12 @@ _ASSEMBLY_CONSTANT = 4 * (CharacteristicData.euler_coeff - DiskBundleInvariants.
 _CLOSED_FORM: list[tuple[int, int] | None] = [None] * MU_SCALE
 _ASSEMBLY: list[tuple[int, int] | None] = [None] * MU_SCALE
 
+#: Each pair in a slot of ``_CLOSED_FORM`` or ``_ASSEMBLY``, or a verdict pair,
+#: mapped to itself: a slot is filled with ``_PAIRS.setdefault(pair, pair)``, so
+#: equal pairs are one tuple.  Its keys are drawn from the filled slots and the
+#: two seeds, so it never outgrows them.
+_PAIRS = {_RP7_SCALED: _RP7_SCALED, _RP7_SUM_14M2_SCALED: _RP7_SUM_14M2_SCALED}
+
 
 def _closed_form_scaled(h: int) -> tuple[int, int]:
     """1792 * (h(h-1)/112 +/- (2h-1)/32), both signs, sorted and mod 1792.
@@ -182,7 +198,8 @@ def _closed_form_scaled(h: int) -> tuple[int, int]:
     r = h % MU_SCALE
     pair = _CLOSED_FORM[r]
     if pair is None:  # the residue's first use
-        pair = _CLOSED_FORM[r] = _closed_form_mod(r)
+        pair = _closed_form_mod(r)
+        pair = _CLOSED_FORM[r] = _PAIRS.setdefault(pair, pair)
     return pair
 
 
@@ -218,21 +235,30 @@ def _mu_quotient_scaled(h: int) -> tuple[tuple[int, int], str]:
     pair that is neither raises :class:`DichotomyViolationError`.  Both
     formulas are looked up per residue, the assembly by p1 mod 1792 in
     ``_ASSEMBLY``; the closed form and p1 are still read once per call, with
-    h, and the comparison and the verdict made on every call.
+    h, and the comparison and the verdict made on every call.  Each
+    comparison tests identity first and falls back to ``==`` when the two
+    pairs are distinct objects, so a pair from a patched formula or a
+    patched ``_RP7_SCALED``, equal or not, is still compared by value.
+    Admissibility is read from h mod 56, in ``_ADMISSIBLE_RESIDUES``.
     """
-    if h * (h - 1) % 56:
-        raise NotDiffeoS7Error(f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
+    if h % 56 not in _ADMISSIBLE_RESIDUES:
+        try:
+            product = str(h * (h - 1))
+        except ValueError:  # more digits than int-to-str conversion allows
+            product = f"{h * (h - 1) % 56} mod 56"
+        raise NotDiffeoS7Error(f"h={h}: h(h-1) = {product} is not divisible by 56")
     closed = _closed_form_scaled(h)
     p1 = _p1(h) % MU_SCALE
     assembled = _ASSEMBLY[p1]
     if assembled is None:  # the residue's first use
-        assembled = _ASSEMBLY[p1] = _assembly_mod(p1)
-    if closed != assembled:
+        assembled = _assembly_mod(p1)
+        assembled = _ASSEMBLY[p1] = _PAIRS.setdefault(assembled, assembled)
+    if closed is not assembled and closed != assembled:
         raise DerivationMismatch(
             f"mu(M_{h}/tau): fixed-point assembly {_scaled_set(assembled, MU_SCALE)} "
             f"!= closed form {_scaled_set(closed, MU_SCALE)}"
         )
-    if closed == _RP7_SCALED:
+    if closed is _RP7_SCALED or closed == _RP7_SCALED:
         return closed, "RP7"
     if closed == _RP7_SUM_14M2_SCALED:
         return closed, "RP7#14M2"

@@ -524,8 +524,12 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[int, int, list[_Run]]:
     worked out again only where either differs from the previous h's, and a
     new run starts only where the outcome differs.  So no two runs in a row
     share an outcome: a span with no fault is one run, and a fault at one h
-    inside it three.  ``checked`` counts the admissible h, and ``failed``
-    sums the lengths of the failing runs only.
+    inside it three.  The oracle's pair is compared with the previous h's by
+    identity first, since equal pairs from ``_ORACLE`` are one tuple; a pair
+    that is equal but another object only has the outcome worked out again,
+    and the outcome is compared by ``==``, so identity decides no run and no
+    pass.  ``checked`` counts the admissible h, and ``failed`` sums the
+    lengths of the failing runs only.
     """
     oracle, target, kernel = _direct_mu_pair, _TARGET, _mu_quotient_scaled
     scaled_target = tuple([MU_SCALE // 224 * v for v in target])  # at the kernel's scale
@@ -540,7 +544,7 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[int, int, list[_Run]]:
             h_answer = None, "derivation_mismatch"
         except DichotomyViolationError:
             h_answer = None, "dichotomy_violation"
-        if h_pair != pair or h_answer != answer:  # maybe another outcome
+        if h_pair is not pair or h_answer != answer:  # maybe another outcome
             pair, answer = h_pair, h_answer
             # once pair == target, the kernel agrees with the oracle iff it gives
             # scaled_target; scaled is None where the kernel raised
@@ -565,18 +569,23 @@ def _direct_mu_pair(h: int) -> tuple[int, int]:
     the quotient kernel (1792).  Both sums are integer polynomials in h taken
     mod 224, so h mod 224 decides them (see ``_CASE_PERIOD``), and the pair
     is looked up by it in ``_ORACLE``, whose slot for it is filled by
-    :func:`_oracle_mod` on first use.
+    :func:`_oracle_mod` on first use, through ``_ORACLE_PAIRS``.
     """
     r = h % 224
     pair = _ORACLE[r]
     if pair is None:  # the residue's first use
-        pair = _ORACLE[r] = _oracle_mod(r)
+        pair = _oracle_mod(r)
+        pair = _ORACLE[r] = _ORACLE_PAIRS.setdefault(pair, pair)
     return pair
 
 
 #: :func:`_oracle_mod` at each residue of h mod 224, None until first met.
 #: Filled lazily, not at import, so that importing the CLI stays cheap.
 _ORACLE: list[tuple[int, int] | None] = [None] * 224
+
+#: Each pair in a slot of ``_ORACLE`` mapped to itself, so equal pairs are one
+#: tuple; the oracle's own, apart from the kernel's ``quotient._PAIRS``.
+_ORACLE_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _oracle_mod(r: int) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_residue_caches import BIG
 
 from milnor_mu import quotient
 from milnor_mu.bundles import MilnorBundle
@@ -114,6 +115,37 @@ class TestScaledKernel:
         monkeypatch.setattr(quotient, "_RP7_SCALED", pair)
         with pytest.raises(DichotomyViolationError):
             _mu_quotient_scaled(8)
+
+
+def refusal(h):
+    """The text of the kernel's NotDiffeoS7Error at h, or None where it accepts h."""
+    try:
+        _mu_quotient_scaled(h)
+    except NotDiffeoS7Error as exc:
+        return str(exc)
+    return None
+
+
+class TestAdmissibility:
+    """The kernel reads admissibility from h mod 56, and h(h-1) stays in its text."""
+
+    def test_refused_exactly_where_56_does_not_divide_h_times_h_minus_1(self):
+        # two periods of the closed form's 1792 on either side of 0
+        for h in range(-1792, 1793):
+            expected = (None if h * (h - 1) % 56 == 0
+                        else f"h={h}: h(h-1) = {h * (h - 1)} is not divisible by 56")
+            assert refusal(h) == expected
+
+    @given(st.integers(min_value=-BIG, max_value=BIG))
+    @example(BIG)  # 31 mod 56, and h(h-1) has more digits than str() writes
+    @example(-BIG)
+    @example(BIG - 31)
+    def test_refused_exactly_where_56_does_not_divide_h_times_h_minus_1_at_any_size(self, h):
+        text = refusal(h)
+        assert (text is None) == (h * (h - 1) % 56 == 0)
+        if text is not None:
+            assert text.startswith(f"h={h}: h(h-1) = ")
+            assert text.endswith(" is not divisible by 56")
 
 
 class TestClassifyQuotient:

@@ -3,9 +3,11 @@ behind every seam the faults patch.
 
 Each exact formula of the sweep is an integer polynomial taken mod 224 or
 mod 1792, so it is looked up by the residue it depends on, in a table whose
-slot for that residue is filled on first use.  The seams that
-``tests/test_faults.py`` patches read h, and must still run once per
-admissible h, with that h, cold or warm, so that a fault at any h is seen.
+slot for that residue is filled on first use, with the one tuple of its
+value that an intern dict keeps.  The seams that ``tests/test_faults.py``
+patches read h, and must still run once per admissible h, with that h, cold
+or warm, so that a fault at any h is seen.  Pairs are compared by identity
+first, and equal pairs that are other objects must change no output.
 """
 
 import functools
@@ -16,13 +18,19 @@ from hypothesis import strategies as st
 from test_faults import (ADMISSIBLE_IN_WINDOW, FAULTS, ONLY_H_FAULTS, WORKERS, expand_runs,
                          swept)
 
-from milnor_mu import bundles, quotient, verify
+from milnor_mu import bundles, cli, quotient, verify
 
 #: Each table: its module, its name there, the pure formula that fills its
 #: slots, and the period in that formula's argument, its length.
 TABLES = [(quotient, "_CLOSED_FORM", quotient._closed_form_mod, 1792),
           (quotient, "_ASSEMBLY", quotient._assembly_mod, 1792),
           (verify, "_ORACLE", verify._oracle_mod, 224)]
+
+#: Each intern dict: its module, its name there, the names of the tables whose
+#: slots it fills, and the pairs it is seeded with, read before any test patches them.
+INTERNS = [(quotient, "_PAIRS", ("_CLOSED_FORM", "_ASSEMBLY"),
+            {quotient._RP7_SCALED, quotient._RP7_SUM_14M2_SCALED}),
+           (verify, "_ORACLE_PAIRS", ("_ORACLE",), set())]
 
 #: The module bindings the faults patch that are called with h.
 SEAMS = [(verify, "_direct_mu_pair"), (verify, "_mu_quotient_scaled"),
@@ -38,10 +46,15 @@ def two_usable_cpus(monkeypatch):
 
 
 def empty_tables():
-    # in place, so that a lookup sees its table empty whatever reference it holds
+    # in place, so that a lookup sees its table empty whatever reference it holds,
+    # and each intern dict back to its seeds, as at import
     for module, name, _, _ in TABLES:
         table = getattr(module, name)
         table[:] = [None] * len(table)
+    for module, name, _, seeds in INTERNS:
+        interned = getattr(module, name)
+        interned.clear()
+        interned.update({pair: pair for pair in seeds})
 
 
 def sweep(h_min, h_max):
@@ -118,6 +131,14 @@ def assert_bounded():
         table = getattr(module, name)
         assert len(table) == period
         assert all(pair is None or pair == formula(r) for r, pair in enumerate(table))
+    # each intern dict maps a pair to itself, holds only the pairs of its
+    # tables' filled slots and its seeds, and is where every filled slot got its pair
+    for module, name, tables, seeds in INTERNS:
+        interned = getattr(module, name)
+        filled = [pair for table in tables for pair in getattr(module, table) if pair is not None]
+        assert all(key is value for key, value in interned.items())
+        assert set(interned) <= set(filled) | seeds
+        assert all(interned[pair] is pair for pair in filled)
     # and no functools cache, nor any other list, such as one keyed by h,
     # sits in either module
     assert not [f for module in (quotient, verify) for f in vars(module).values()
@@ -166,3 +187,42 @@ def test_a_fault_at_one_h_after_a_warm_sweep_fails_only_that_row(monkeypatch, fa
     rows = swept(workers)
     assert len(rows) == ADMISSIBLE_IN_WINDOW
     assert [(h, row_verdict) for h, row_verdict, passed in rows if not passed] == [(8, verdict)]
+
+
+def distinct_equal_pairs(monkeypatch):
+    """Give the oracle, the closed form and ``_RP7_SCALED`` each pair as a new
+    tuple, equal to the one it stands for but never the same object."""
+    for module, name in [(verify, "_direct_mu_pair"), (quotient, "_closed_form_scaled")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda h, real=real: tuple(list(real(h))))
+    monkeypatch.setattr(quotient, "_RP7_SCALED", tuple([56, 1736]))
+    assert verify._direct_mu_pair(8) is not verify._direct_mu_pair(8)
+    assert quotient._closed_form_scaled(8) is not quotient._closed_form_scaled(8)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_equal_pairs_that_are_other_objects_change_no_output(monkeypatch, capsys, fmt, workers):
+    # identity is a shortcut only: the output, its counts and the exit status
+    # are those of the tables' own tuples, and each span is still one run
+    argv = ["verify", "--h-range", "-60000..60000", "--format", fmt,
+            *(["--parallel", str(workers)] if workers else [])]
+    expected = cli.main(argv), *capsys.readouterr()
+    assert expected[0] == 0
+    distinct_equal_pairs(monkeypatch)
+    assert (cli.main(argv), *capsys.readouterr()) == expected
+    spans = list(verify._map_spans(verify._verify_chunk, -60000, 60000))
+    assert len(spans) > 1
+    assert all(len(runs) == 1 and not failed for _, failed, runs in spans)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_fault_among_equal_pairs_that_are_other_objects_fails_every_row(monkeypatch, fault,
+                                                                           workers):
+    distinct_equal_pairs(monkeypatch)
+    inject, verdict = FAULTS[fault]
+    inject(monkeypatch)
+    rows = swept(workers)
+    assert len(rows) == ADMISSIBLE_IN_WINDOW
+    assert {(row_verdict, passed) for _, row_verdict, passed in rows} == {(verdict, False)}

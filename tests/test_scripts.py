@@ -200,6 +200,29 @@ class TestFullVerification:
         assert script.main(["--h-span", "300", "--crt-periods", "12"]) == 2
         assert f"scan vs CRT disagree at m = {per_m}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("side", ["crt", "scan"])
+    @pytest.mark.parametrize(
+        "extra,per_m",
+        [
+            (56 * 12 + 3, [12]),  # a residue at or above the modulus fails that modulus
+            (-3, list(range(1, 13))),  # a negative residue fails every modulus
+        ],
+    )
+    def test_crt_check_lists_a_residue_outside_the_modulus(self, capsys, monkeypatch, side,
+                                                          extra, per_m):
+        name = "residues_by_crt" if side == "crt" else "enumerate_residues"
+        real = getattr(verify, name)
+
+        def faulty(modulus):
+            residues = tuple(sorted((*real(modulus).residues, extra)))
+            return verify.ResidueSolution(modulus, residues)
+
+        monkeypatch.setattr(verify, name, faulty)
+        script = load("full_verification")
+        assert script.crt_disagreements(12) == per_m
+        assert script.main(["--h-span", "300", "--crt-periods", "12"]) == 2
+        assert f"scan vs CRT disagree at m = {per_m}" in capsys.readouterr().out
+
     def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
         def broken(h_min, h_max):
             raise RuntimeError("injected\nfault")
