@@ -16,9 +16,11 @@ maps every outcome to them, for this CLI and for both scripts in
 and the others are children forked for the call.  A span comes back as its
 counts and either its csv text, written as it arrives, or its runs of equal
 outcome, three values a run, from which json and table write every row once
-the last span is in; so no format keeps a row until the end.  A row is its h
-as text followed by one of four suffixes per outcome, one per residue of h
-mod 56, and a run of many h is one ``%``-format (see :func:`_render_runs`).
+the last span is in; so no format keeps a row until the end.  Every span is
+written by one writer, :func:`_render_runs`, from runs of an outcome and
+its h: a row is its h as text followed by one of four suffixes of its
+outcome, one per residue of h mod 56, made once per outcome per span, and a
+run of many h is one ``%``-format.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from itertools import cycle, islice, starmap
 
 from .bundles import (
     DerivationMismatch,
@@ -228,7 +230,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     table the widest cell of each column before its first row, so for those
     only each span's runs are kept, three values a run, and the rows are
     written span by span from them once every span is in: memory grows with
-    the number of runs, not of rows.
+    the number of runs, not of rows.  Each run's h are listed again just
+    before its span is written, a run of one h without :func:`_admissible`.
     """
     h_min, h_max = args.h_range
     fmt = args.format
@@ -245,18 +248,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.write(chunk)
         elif chunk:
             span_runs.append(chunk)
-    tails, h_width = {}, None
+    widths = _table_widths(header, span_runs) if fmt == "table" else None
     if fmt == "json":  # laid out as json.dumps(..., indent=2) lays it out
         sys.stdout.write(f'{{\n  "h_min": {h_min},\n  "h_max": {h_max},\n  "checked": {checked},\n'
                          f'  "passed": {checked - failed},\n  "failed": {failed},\n  "rows": [')
     elif fmt == "table":
-        widths, tails = _table_layout(header, span_runs)
-        h_width = widths[0]
         print(_table_line(header, widths))
-    for i, runs in enumerate(span_runs):
+    for i, ends in enumerate(span_runs):
         if fmt == "json":  # a newline before the first row, a separator before the rest
             sys.stdout.write(",\n" if i else "\n")
-        sys.stdout.write(_render_runs(fmt, runs, tails, h_width))
+        runs = [(outcome, (first,) if first == last else _admissible(first, last))
+                for outcome, first, last in ends]
+        sys.stdout.write(_render_runs(fmt, runs, widths))
     if fmt == "json":
         sys.stdout.write("\n  ]\n}\n" if span_runs else "]\n}\n")
     else:
@@ -270,56 +273,50 @@ def _render_span(fmt: str, span: tuple[int, int]) -> tuple[int, int, str | list[
     It runs where the span is decided: under ``--parallel``, this process
     for the spans of worker 0 and a forked child for the others, so the
     children send back only counts and a chunk.  The counts and runs are
-    those of :func:`_verify_chunk`; the runs are kept as
-    ``(outcome, first_h, last_h)``: for json and table they are the chunk,
-    which :func:`_cmd_verify` renders once every span is in; for csv the
-    chunk is the span's lines, rendered here by :func:`_render_runs` from
-    the h that :func:`_verify_chunk` listed.
+    those of :func:`_verify_chunk`.  For csv the chunk is the span's lines,
+    which :func:`_render_runs` renders here from those runs; for json and
+    table it is the runs, each kept as ``(outcome, first_h, last_h)``, which
+    :func:`_cmd_verify` renders once every span is in.
     """
     checked, failed, runs = _verify_chunk(span)
-    ends = [(outcome, hs[0], hs[-1]) for outcome, hs in runs]
     if fmt == "csv":
-        lists = {hs[0]: hs for _, hs in runs}
-        return checked, failed, _render_runs(fmt, ends, {}, hs_of=lambda first, last: lists[first])
-    return checked, failed, ends
+        return checked, failed, _render_runs(fmt, runs)
+    return checked, failed, [(outcome, hs[0], hs[-1]) for outcome, hs in runs]
 
 
-def _render_runs(fmt: str, runs: Iterable[tuple[tuple, int, int]], tails: dict,
-                 h_width: int | None = None,
-                 hs_of: Callable[[int, int], list[int]] = _admissible) -> str:
-    """The rows of ``runs`` ``(outcome, first_h, last_h)``, each of consecutive admissible h.
+def _render_runs(fmt: str, runs: Iterable[tuple[tuple, Sequence[int]]],
+                 widths: list[int] | None = None) -> str:
+    """The rows of ``runs`` ``(outcome, hs)``, as :func:`_verify_chunk` gives them.
 
-    A row is its h as text, left-justified to ``h_width`` in a table,
-    followed by one of the four suffixes of its outcome, kept in ``tails``
-    (:func:`_render_tail` gives those of csv and json as they are first
-    met): h mod 56 steps through 0, 1, 8, 49 from one admissible h to the
-    next, so a run's suffixes cycle from its first h's.  A run of one h is
-    one row, joined as text.  A longer run's h are ``hs_of(first_h,
-    last_h)``, and its rows are one ``%``-format of them all: each row's
-    template is its suffix, every ``%`` in it doubled, after ``%d`` (or
-    ``%-{h_width}d``), made once per outcome per call.  A ``%``-format costs
-    more to set up than a row costs to join, and less per row than joining
-    each.  csv and table rows are lines; json rows are objects at their
-    depth in ``verify``'s payload, joined by ``",\n"``.
+    The h of a run are consecutive admissible h, and a row is its h as
+    text, left-justified to the first of a table's ``widths``, followed by
+    one of the four suffixes that :func:`_render_tail` makes for its
+    outcome, once per call: h mod 56 steps through 0, 1, 8, 49 from one
+    admissible h to the next, so a run's suffixes cycle from its first h's.
+    A run of one h is one row, joined as text.  A longer run's rows are one
+    ``%``-format of all its h: each row's template is its suffix, every
+    ``%`` in it doubled, after ``%d`` (or ``%-{width}d``), made with the
+    suffixes.  A ``%``-format costs more to set up than a row costs to
+    join, and less per row than joining each.  csv and table rows are lines;
+    json rows are objects at their depth in ``verify``'s payload, joined by
+    ``",\n"``.
     """
     opener, sep = ('    {\n      "h": ', ",\n") if fmt == "json" else ("", "")
-    head = opener + ("%d" if h_width is None else f"%-{h_width}d")
-    templates = {}
+    head = opener + ("%d" if widths is None else f"%-{widths[0]}d")
+    made = {}  # each outcome's suffixes and their templates
     texts = []
-    for outcome, first, last in runs:
-        suffixes = tails.get(outcome)
-        if suffixes is None:
-            suffixes = tails[outcome] = _render_tail(fmt, _tail_cells(*outcome))
-        i = _CYCLE_AT[first % 56]
-        if first == last:
-            h = str(first)
-            texts.append(opener + (h if h_width is None else h.ljust(h_width)) + suffixes[i])
+    for outcome, hs in runs:
+        both = made.get(outcome)
+        if both is None:
+            suffixes = _render_tail(fmt, _tail_cells(*outcome), widths)
+            both = made[outcome] = suffixes, [head + s.replace("%", "%%") for s in suffixes]
+        suffixes, rows = both
+        i = _CYCLE_AT[hs[0] % 56]
+        if len(hs) == 1:
+            h = str(hs[0])
+            texts.append(opener + (h if widths is None else h.ljust(widths[0])) + suffixes[i])
             continue
-        rows = templates.get(outcome)
-        if rows is None:
-            rows = templates[outcome] = [head + suffix.replace("%", "%%") for suffix in suffixes]
-        hs = tuple(hs_of(first, last))
-        texts.append(sep.join(itertools.islice(itertools.cycle(rows[i:i + 4]), len(hs))) % hs)
+        texts.append(sep.join(islice(cycle(rows), i, i + len(hs))) % tuple(hs))
     return sep.join(texts)
 
 
@@ -336,43 +333,39 @@ def _tail_cells(verdict: str, passed: bool, mu: tuple[int, ...]) -> list[str]:
 
 
 def _render_tail(fmt: str, cells: list[str], widths: list[int] | None = None) -> tuple[str, ...]:
-    """What follows h in a ``verify`` row of one outcome's :func:`_tail_cells` ``cells``,
-    per residue in ``_RESIDUES``, twice over, so that four in a row start at any residue.
+    """The four suffixes of a ``verify`` row of one outcome's :func:`_tail_cells` ``cells``:
+    what follows h, per residue in ``_RESIDUES``.
 
-    csv: the rest of the line.  table: the rest of the line at ``widths``
-    from the residue on, its trailing blanks stripped, which are the pass
-    cell's alone, since that cell is never blank.  json: the rest of the
-    row object, laid out as json.dumps(..., indent=2) lays it out, its
-    members read back from the value set cell; no member (an exact
+    csv: the rest of the line.  table: the rest of the line at the table's
+    ``widths`` from the residue on, its trailing blanks stripped, which are
+    the pass cell's alone, since that cell is never blank.  json: the rest
+    of the row object, laid out as json.dumps(..., indent=2) lays it out,
+    its members read back from the value set cell; no member (an exact
     fraction) or verdict (a name) needs escaping.
     """
     if fmt == "csv":
-        return 2 * tuple("," + _csv_lines([[str(r), *cells]]) for r in _RESIDUES)
+        return tuple("," + _csv_lines([[str(r), *cells]]) for r in _RESIDUES)
     if fmt == "table":
-        return 2 * tuple(f"  {_table_line([str(r), *cells], widths)}\n" for r in _RESIDUES)
+        return tuple(f"  {_table_line([str(r), *cells], widths[1:])}\n" for r in _RESIDUES)
     mu, verdict, passed = cells
     values = ",\n".join(f'        "{m}"' for m in mu.split(";"))
     tail = (f'      "mu_quotient": [\n{values}\n      ],\n      "verdict": "{verdict}",\n'
             f'      "pass": {passed}\n    }}')
-    return 2 * tuple(f',\n      "residue_class": {r},\n{tail}' for r in _RESIDUES)
+    return tuple(f',\n      "residue_class": {r},\n{tail}' for r in _RESIDUES)
 
 
-def _table_layout(header: list[str], span_runs: list[list[tuple]]) -> tuple[list[int], dict]:
-    """``verify``'s table column widths over runs ``(outcome, first_h, last_h)``, and its tails.
+def _table_widths(header: list[str], span_runs: list[list[tuple]]) -> list[int]:
+    """``verify``'s table column widths over runs ``(outcome, first_h, last_h)``.
 
     Each width is the widest of its title and its cells.  The runs ascend
     in h, so ``len(str(h))`` peaks at the sweep's first or last h; a residue
     cell, two digits at most, is narrower than its title; and a run's tail
-    cells are its outcome's.  The tails are each outcome's row suffixes for
-    :func:`_render_runs`, by :func:`_render_tail`.
+    cells are its outcome's.
     """
-    cells = {outcome: _tail_cells(*outcome)
-             for outcome in {outcome for runs in span_runs for outcome, _, _ in runs}}
+    cells = starmap(_tail_cells, {outcome for runs in span_runs for outcome, _, _ in runs})
     ends = [str(span_runs[0][0][1]), str(span_runs[-1][-1][2])] if span_runs else []
-    widths = [max(map(len, [header[0], *ends])), len(header[1]),
-              *(max(map(len, column)) for column in zip(header[2:], *cells.values()))]
-    tails = {outcome: _render_tail("table", row, widths[1:]) for outcome, row in cells.items()}
-    return widths, tails
+    return [max(map(len, [header[0], *ends])), len(header[1]),
+            *(max(map(len, column)) for column in zip(header[2:], *cells))]
 
 
 _H = dict(type=int, required=True, help="clutching parameter h")

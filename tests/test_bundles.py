@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from milnor_mu.bundles import (
+    CharacteristicData,
+    DiskBundleInvariants,
     MilnorBundle,
     characteristic_data,
     disk_bundle_invariants,
@@ -35,6 +37,10 @@ class TestConstruction:
         with pytest.raises(TypeError):
             MilnorBundle(Fraction(1, 2))
 
+    def test_non_integer_j_is_rejected(self):
+        with pytest.raises(TypeError):
+            MilnorBundle(8, -7.0)
+
 
 class TestCharacteristicData:
     @pytest.mark.parametrize("h,magnitude", [(0, 2), (1, 2), (2, 6)])
@@ -46,6 +52,10 @@ class TestCharacteristicData:
     @given(big_h)
     def test_magnitude_formula(self, h):
         assert characteristic_data(MilnorBundle(h)).p1_magnitude == abs(2 * (2 * h - 1))
+
+    def test_negative_magnitude_is_rejected(self):
+        with pytest.raises(ValueError):
+            CharacteristicData(-2)
 
 
 class TestDiskBundleInvariants:
@@ -65,6 +75,10 @@ class TestDiskBundleInvariants:
         inv = disk_bundle_invariants(MilnorBundle(h))
         assembled = Fraction(inv.p1_squared, 2**7 * 7) - Fraction(inv.signature, 2**5 * 7)
         assert assembled == Fraction(h * (h - 1), 56)
+
+    def test_negative_p1_squared_is_rejected(self):
+        with pytest.raises(ValueError):
+            DiskBundleInvariants(-4)
 
 
 class TestDiffeoS7:

@@ -529,8 +529,9 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("odd_h_fault, value_sets", [(False, 1), (True, 2)])
     def test_renders_each_value_set_once_per_span(self, capsys, monkeypatch, odd_h_fault,
                                                   value_sets, fmt, window, workers, spans):
-        # json and table render every span here, from its runs, and each value
-        # set once in the whole sweep
+        # csv renders each span where it is decided, and spans counts this
+        # process's; json and table render every span of the sweep here, from
+        # its runs, and table each value set once more for its widths
         if odd_h_fault:
             oracle_off_on_odd_h(monkeypatch)
         calls = []
@@ -541,8 +542,30 @@ class TestVerifyBytes:
 
         monkeypatch.setattr(cli, "_tail_cells", counted)
         run_verify(capsys, window, fmt, workers)
-        per_value_set = spans if fmt == "csv" else 1
+        sweep_spans = len(verify._plan(*window, workers, 2)[1])
+        per_value_set = spans if fmt == "csv" else sweep_spans + (fmt == "table")
         assert sorted(Counter(calls).values()) == [per_value_set] * value_sets
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("fault", ["oracle_on_odd_h", "closed_form_at_8"])
+    def test_lists_the_h_of_runs_of_many_h_only(self, capsys, monkeypatch, fault, fmt, workers):
+        # json and table list a run's h again from its ends before writing
+        # it, and a run of one h needs no listing: every run is one h under
+        # the odd-h fault, and h = 8 is one between two long runs at 8
+        inject, window = FAULT_INPUTS[fault]
+        inject(monkeypatch)
+        listed = []
+
+        def admissible(lo, hi, real=cli._admissible):
+            listed.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(cli, "_admissible", admissible)
+        assert run_verify(capsys, window, fmt, workers) == render_per_h_rows(window, fmt)
+        spans = verify._map_spans(verify._verify_chunk, *window, workers)
+        assert listed == [(hs[0], hs[-1]) for _, _, runs in spans for _, hs in runs if len(hs) > 1]
+        assert fault != "oracle_on_odd_h" or not listed
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_whole_member_prints_without_a_denominator(self, capsys, monkeypatch, fmt):
@@ -590,7 +613,7 @@ def test_json_rows_are_laid_out_as_json_dumps_lays_them_out(verdict, passed, pai
                       lambda span: (len(hs), 0 if passed else len(hs), [(outcome, hs)]))
         checked, failed, runs = cli._render_span("json", (hs[0], hs[-1]))
     assert runs == [(outcome, hs[0], hs[-1])]
-    chunk = cli._render_runs("json", runs, {})
+    chunk = cli._render_runs("json", [(outcome, hs)])
     mu = [str(Fraction(v, 224)) for v in pair]
     rows = [{"h": h, "residue_class": h % 56, "mu_quotient": mu, "verdict": verdict,
              "pass": passed} for h in hs]

@@ -11,6 +11,7 @@ meant, write the digests again from the code on the path with
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 from conftest import fork_only
-from test_faults import oracle_off_on_odd_h
+from test_faults import closed_form_off_by_one, oracle_off_on_odd_h, rp7_pair_forgotten
 from test_scripts import load
 
 from milnor_mu import cli, verify
@@ -27,7 +28,11 @@ pytestmark = pytest.mark.usefixtures("two_usable_cpus")
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 FORMATS = ("table", "json", "csv")
-FAULTS = {"oracle_off_on_odd_h": oracle_off_on_odd_h}
+#: Each fault a verify sweep is run under: two value sets in alternate rows,
+#: one failing row between two long runs, and every row failing.
+FAULTS = {"oracle_off_on_odd_h": oracle_off_on_odd_h,
+          "closed_form_off_by_one_at_8": functools.partial(closed_form_off_by_one, only_h=8),
+          "rp7_pair_forgotten": rp7_pair_forgotten}
 VERIFY_WINDOWS = ["-56..56", "2..7", "-100000..100000", "-56..1000000",
                   f"{10**18 - 3000}..{10**18 + 3000}"]
 
@@ -49,8 +54,9 @@ def cases():
         for fmt in FORMATS:
             for window in VERIFY_WINDOWS:
                 yield None, "milnor-mu", ("verify", "--h-range", window, "--format", fmt, *pooled)
-            yield ("oracle_off_on_odd_h", "milnor-mu",
-                   ("verify", "--h-range", "-3000..3000", "--format", fmt, *pooled))
+            for fault in FAULTS:
+                yield (fault, "milnor-mu",
+                       ("verify", "--h-range", "-3000..3000", "--format", fmt, *pooled))
         yield None, "full_verification.py", pooled
     yield None, "mu_table.py", ()
 

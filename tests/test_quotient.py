@@ -11,6 +11,7 @@ from milnor_mu.quotient import (
     MU_RP7,
     MU_RP7_SUM_14M2,
     DichotomyViolationError,
+    FixedPointContributions,
     NotDiffeoS7Error,
     QuotientReport,
     Verdict,
@@ -55,6 +56,10 @@ class TestFixedPointContributions:
         assert fp.a2 == 1
         assert type(fp.a2) is Fraction  # built on each read, still a Fraction
         assert fp.equivariant_signature == 1
+
+    def test_negative_a1_magnitude_is_rejected(self):
+        with pytest.raises(ValueError):
+            FixedPointContributions(Fraction(-15, 16))
 
     def test_a1_pair_is_signed_and_sorted(self):
         fp = fixed_point_contributions(MilnorBundle(8))

@@ -70,6 +70,11 @@ class TestReduceModZ:
         with pytest.raises(TypeError):
             res(1, 3) * Fraction(1, 2)
 
+    def test_non_number_addend_is_rejected(self):
+        # __add__ returns NotImplemented, and str has no __radd__ for it
+        with pytest.raises(TypeError):
+            reduce_mod_z(Fraction(1, 2)) + "1/2"
+
 
 class TestAmbiguous:
     def test_thirtysecond(self):
@@ -221,6 +226,10 @@ class TestAddAmbiguous:
     def test_double_ambiguity_is_refused(self):
         with pytest.raises(DoubleAmbiguityError):
             add_ambiguous(ambiguous(Fraction(1, 32)), ambiguous(Fraction(1, 16)))
+
+    def test_non_residue_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            add_ambiguous(ambiguous(Fraction(1, 32)), Fraction(1, 2))
 
     def test_singleton_ambiguous_counts_as_definite(self):
         out = add_ambiguous(ambiguous(Fraction(1, 2)), ambiguous(Fraction(1, 32)))

@@ -20,6 +20,8 @@ from test_faults import (ADMISSIBLE_IN_WINDOW, FAULTS, ONLY_H_FAULTS, WORKERS, e
 
 from milnor_mu import bundles, cli, quotient, verify
 
+pytestmark = pytest.mark.usefixtures("two_usable_cpus")
+
 #: Each table: its module, its name there, the pure formula that fills its
 #: slots, and the period in that formula's argument, its length.
 TABLES = [(quotient, "_CLOSED_FORM", quotient._closed_form_mod, 1792),
@@ -37,12 +39,6 @@ SEAMS = [(verify, "_direct_mu_pair"), (verify, "_mu_quotient_scaled"),
          (quotient, "_closed_form_scaled"), (quotient, "_p1")]
 
 BIG = 10**4300 - 1
-
-
-@pytest.fixture(autouse=True)
-def two_usable_cpus(monkeypatch):
-    # so that a pooled sweep forks where this process may run on one CPU only
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
 
 
 def empty_tables():

@@ -83,13 +83,13 @@ def per_h_text(rows, fmt):
 
 def rendered_span(fmt, span):
     """(checked, failed, text) of ``span`` through ``cli._render_span`` and, for
-    json and table, the writer's renderers, as ``verify`` writes it."""
+    json and table, its runs' h listed from their ends, the table's widths and
+    ``cli._render_runs``, as ``verify`` writes it."""
     checked, failed, chunk = cli._render_span(fmt, span)
-    if fmt == "json":
-        chunk = cli._render_runs(fmt, chunk, {})
-    elif fmt == "table":
-        widths, tails = cli._table_layout(VERIFY_HEADER, [chunk] if chunk else [])
-        chunk = cli._render_runs(fmt, chunk, tails, widths[0])
+    if fmt != "csv":
+        runs = [(outcome, verify._admissible(first, last)) for outcome, first, last in chunk]
+        widths = cli._table_widths(VERIFY_HEADER, [chunk] if chunk else [])
+        chunk = cli._render_runs(fmt, runs, widths if fmt == "table" else None)
     return checked, failed, chunk
 
 
@@ -161,6 +161,9 @@ def test_a_span_counts_its_rows_and_failures_as_a_per_h_loop(fault, everywhere, 
 #: What precedes h in a row of each format: json opens the row object.
 OPENERS = {"csv": "", "json": '    {\n      "h": ', "table": ""}
 
+#: The two outcomes that drawn runs alternate between, one passing and one failing.
+OUTCOMES = [("RP7", True, (7, 217)), ("RP7", False, (105, 119))]
+
 #: Characters of the drawn suffixes, %-format syntax among them.
 SUFFIX_TEXT = st.text(st.sampled_from('ab,;%d-s()\n "{}'), max_size=10)
 
@@ -181,18 +184,28 @@ SUFFIX_TEXT = st.text(st.sampled_from('ab,;%d-s()\n "{}'), max_size=10)
 def test_render_runs_equals_a_per_row_reference(fmt, base, residue, count, cuts, suffixes_a,
                                                 suffixes_b, width):
     # count consecutive admissible h from h0 = 56k + residue, cut into runs that
-    # alternate between two outcomes, each with its own four suffixes
+    # alternate between two outcomes, each with its own four suffixes, which
+    # _render_tail is patched to give by the outcome's pass cell
     h0 = 56 * (base // 56) + residue
     hs = [h for h in range(h0, h0 + 56 * 76) if h * (h - 1) % 56 == 0][:count]
     bounds = [0, *sorted(cut for cut in cuts if cut < count), count]
-    runs = [("ab"[i % 2], hs[lo], hs[hi - 1]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    suffixes = {"a": suffixes_a, "b": suffixes_b}
-    tails = {outcome: 2 * tuple(four) for outcome, four in suffixes.items()}
-    h_width = width if fmt == "table" else None
+    runs = [(OUTCOMES[i % 2], hs[lo:hi]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    suffixes = {True: suffixes_a, False: suffixes_b}
+    widths = [width] if fmt == "table" else None  # the patched tails read no other width
+    made = []
+
+    def render_tail(fmt_, cells, widths_):
+        assert (fmt_, widths_) == (fmt, widths)
+        made.append(cells)
+        return tuple(suffixes[cells[2] == "true"])
+
     place = {0: 0, 1: 1, 8: 2, 49: 3}
-    expected = [OPENERS[fmt] + (str(h) if h_width is None else str(h).ljust(h_width))
-                + suffixes[outcome][place[h % 56]]
-                for i, (outcome, _, _) in enumerate(runs)
-                for h in hs[bounds[i]:bounds[i + 1]]]
-    text = cli._render_runs(fmt, runs, tails, h_width)
+    expected = [OPENERS[fmt] + (str(h) if widths is None else str(h).ljust(width))
+                + suffixes[outcome[1]][place[h % 56]]
+                for outcome, run in runs for h in run]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_render_tail", render_tail)
+        text = cli._render_runs(fmt, runs, widths)
     assert text == ("" if fmt != "json" else ",\n").join(expected)
+    # each outcome's suffixes are made once, from its cells
+    assert sorted(made) == sorted(cli._tail_cells(*outcome) for outcome, _ in runs[:2])
